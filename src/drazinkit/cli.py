@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .drazin import drazin_inverse
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     CharacteristicTwo,
 )
-from .fields import Field, FieldScalar, PrimeField, QQ
+from .fields import Field, PrimeField, QQ
 from .matrices import Matrix
 from .pairs import (
     Conjugated,
@@ -52,11 +52,12 @@ from .pairs import (
     gen_cube_pair,
     gen_lambda_pair,
     gen_swapped_pair,
+    pair_from_json_obj,
 )
 from .relations import (
     CrossCube,
+    IdentityReport,
     LambdaCommute,
-    RelationKind,
     SwappedCube,
     check_relation,
     det_consistency_diagnostic,
@@ -74,9 +75,6 @@ from .relations import (
 from .theorems import evaluate_thm23, evaluate_thm36
 
 __all__ = ["main"]
-
-# Fixed exponent pairs at which the parametrized absorption identities run.
-_L35_EXPONENTS = ((0, 0), (1, 2), (2, 1))
 
 
 # --------------------------------------------------------------------------
@@ -128,44 +126,6 @@ def _field_from_flags(args: argparse.Namespace) -> Field:
     return PrimeField(args.mod)
 
 
-def _relation_from_flags(
-    args: argparse.Namespace, field: Field
-) -> RelationKind:
-    name = getattr(args, "relation", None) or "lambda-commute"
-    if name == "lambda-commute":
-        text = getattr(args, "lam", None)
-        lam = field.parse(text) if text is not None else field.one_scalar()
-        return LambdaCommute(lam)
-    if name == "cross-cube":
-        return CrossCube()
-    return SwappedCube()
-
-
-def _load_pair(
-    obj: Any, where: str = "input"
-) -> Tuple[Matrix, Matrix, Optional[RelationKind]]:
-    """Decode {"a", "b", "relation"?, "lambda"?}; relation stays optional."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object with 'a' and 'b'", {"at": where})
-    for key in ("a", "b"):
-        if key not in obj:
-            raise ParseError(f"{where}: missing key {key!r}", {"at": where})
-    a = Matrix.from_json_obj(obj["a"], f"{where}.a")
-    b = Matrix.from_json_obj(obj["b"], f"{where}.b")
-    rel: Optional[RelationKind] = None
-    if "relation" in obj and obj["relation"] is not None:
-        lam = None
-        if obj.get("lambda") is not None:
-            if not isinstance(obj["lambda"], str):
-                raise ParseError(
-                    f"{where}.lambda: expected a string scalar",
-                    {"at": f"{where}.lambda"},
-                )
-            lam = a.field.parse(obj["lambda"])
-        rel = relation_from_json_fields(obj["relation"], lam, f"{where}.relation")
-    return a, b, rel
-
-
 # --------------------------------------------------------------------------
 # family descriptor grammar:  name(arg;arg;...), nested families allowed
 # --------------------------------------------------------------------------
@@ -196,6 +156,13 @@ def _int_arg(text: str, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {text!r}")
 
 
+def _size_arg(text: str) -> int:
+    n = _int_arg(text, "n")
+    if n < 1:
+        raise ParseError(f"n must be positive, got {n}")
+    return n
+
+
 def parse_family(text: str) -> PairFamily:
     """Parse a family descriptor.
 
@@ -212,20 +179,20 @@ def parse_family(text: str) -> PairFamily:
     name = text[:open_at].strip()
     args = _split_args(text[open_at + 1 : -1])
     if name == "weighted-shift" and len(args) == 1:
-        return WeightedShift(_int_arg(args[0], "n"))
+        return WeightedShift(_size_arg(args[0]))
     if name == "diag-tripotents" and len(args) in (1, 3):
-        n = _int_arg(args[0], "n")
+        n = _size_arg(args[0])
         if len(args) == 1:
             return DiagTripotents(n)
         pa = tuple(_int_arg(x, "pattern entry") for x in args[1].split(","))
         pb = tuple(_int_arg(x, "pattern entry") for x in args[2].split(","))
         return DiagTripotents(n, (pa, pb))
     if name == "scalar-identity" and len(args) in (1, 2):
-        n = _int_arg(args[0], "n")
+        n = _size_arg(args[0])
         scale = _int_arg(args[1], "scale") if len(args) == 2 else -1
         return ScalarTimesIdentity(n, scale)
     if name == "zero-b" and len(args) == 1:
-        return TrivialZeroB(_int_arg(args[0], "n"))
+        return TrivialZeroB(_size_arg(args[0]))
     if name == "conjugated" and len(args) == 2:
         return Conjugated(parse_family(args[0]), _int_arg(args[1], "seed"))
     if name == "direct-sum" and len(args) == 2:
@@ -233,10 +200,53 @@ def parse_family(text: str) -> PairFamily:
     if name == "exhaustive" and len(args) == 3:
         return ExhaustiveHit(
             _int_arg(args[0], "p"),
-            _int_arg(args[1], "n"),
+            _size_arg(args[1]),
             _int_arg(args[2], "ordinal"),
         )
     raise ParseError(f"unknown family descriptor {text!r}")
+
+
+# --------------------------------------------------------------------------
+# identity catalog
+# --------------------------------------------------------------------------
+
+# Exponent bound of the power identities (L2.1, L3.1) in the selftest, and
+# the default of ``lemmas --i-max``.
+_I_MAX = 3
+
+_Runner = Callable[[CorpusPair, int], Union[IdentityReport, bool]]
+
+
+def _thm36_holds(cp: CorpusPair, i_max: int) -> bool:
+    report = evaluate_thm36(cp.a, cp.b)
+    return report.match and report.projectors_orthogonal
+
+
+# The paper's catalog in selftest report order: (label, relation, runner).
+# An L row is an identity suite and returns its report; a T row is an
+# additive formula, checked against the oracle, and returns whether it held.
+# Runners look the suites up in this module's globals when they run, so a
+# suite replaced here (by a test or a tracer) is the one that runs.
+_CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
+    ("L2.1", "lambda-commute", lambda cp, i_max: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max)),
+    ("L2.2", "lambda-commute", lambda cp, i_max: lemma22_suite(cp.a, cp.b, cp.relation.lam)),
+    ("T2.3", "lambda-commute", lambda cp, i_max: evaluate_thm23(cp.a, cp.b, cp.relation.lam).match),
+    ("L3.1", "cross-cube", lambda cp, i_max: lemma31_suite(cp.a, cp.b, i_max)),
+    ("L3.2", "cross-cube", lambda cp, i_max: lemma32_suite(cp.a, cp.b)),
+    ("L3.3", "swapped-cube", lambda cp, i_max: lemma33_suite(cp.a, cp.b)),
+    ("L3.4", "cross-cube", lambda cp, i_max: lemma34_suite(cp.a, cp.b)),
+    ("L3.5[i=0,j=0]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 0, 0)),
+    ("L3.5[i=1,j=2]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 1, 2)),
+    ("L3.5[i=2,j=1]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 2, 1)),
+    ("T3.6", "cross-cube", _thm36_holds),
+)
+
+# ``lemmas --which`` choices: the relation whose L rows each one runs.
+_WHICH = {
+    "section-2": "lambda-commute",
+    "section-3": "cross-cube",
+    "lemma-3.3": "swapped-cube",
+}
 
 
 # --------------------------------------------------------------------------
@@ -252,9 +262,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_relation(args: argparse.Namespace) -> int:
-    a, b, embedded = _load_pair(_read_json(args.input))
+    a, b, embedded = pair_from_json_obj(_read_json(args.input))
     if args.relation is not None:
-        rel = _relation_from_flags(args, a.field)
+        lam = a.field.parse(args.lam) if args.relation == "lambda-commute" else None
+        rel = relation_from_json_fields(args.relation, lam)
     elif embedded is not None:
         rel = embedded
     else:
@@ -272,51 +283,27 @@ def _cmd_check_relation(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
-def _suites_for(
-    which: str, cp: CorpusPair, i_max: int
-) -> List[Tuple[str, Any]]:
-    a, b, rel = cp.a, cp.b, cp.relation
-    if which == "section-2":
-        if not isinstance(rel, LambdaCommute):
-            raise PreconditionViolated(
-                "section-2 suites need a lambda-commuting pair, got "
-                + relation_to_json_fields(rel)["relation"]
-            )
-        return [
-            ("L2.1", lemma21_suite(a, b, rel.lam, i_max)),
-            ("L2.2", lemma22_suite(a, b, rel.lam)),
-        ]
-    if which == "section-3":
-        if not isinstance(rel, CrossCube):
-            raise PreconditionViolated(
-                "section-3 suites need a cross-cube pair, got "
-                + relation_to_json_fields(rel)["relation"]
-            )
-        out = [
-            ("L3.1", lemma31_suite(a, b, i_max)),
-            ("L3.2", lemma32_suite(a, b)),
-            ("L3.4", lemma34_suite(a, b)),
-        ]
-        for i, j in _L35_EXPONENTS:
-            out.append((f"L3.5[i={i},j={j}]", lemma35_suite(a, b, i, j)))
-        return out
-    if not isinstance(rel, SwappedCube):
-        raise PreconditionViolated(
-            "the lemma-3.3 suite needs a swapped-cube pair, got "
-            + relation_to_json_fields(rel)["relation"]
-        )
-    return [("L3.3", lemma33_suite(a, b))]
-
-
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     obj = _read_json(args.input)
     if isinstance(obj, dict):
         obj = [obj]
     corpus = corpus_from_json_obj(obj, "input")
+    relation = _WHICH[args.which]
+    suites = [
+        (label, runner)
+        for label, kind, runner in _CATALOG
+        if kind == relation and label.startswith("L")
+    ]
     all_pass = True
     results = []
     for idx, cp in enumerate(corpus):
-        for label, report in _suites_for(args.which, cp, args.i_max):
+        got = relation_to_json_fields(cp.relation)["relation"]
+        if got != relation:
+            raise PreconditionViolated(
+                f"{args.which} suites need a {relation} pair, got {got}"
+            )
+        for label, runner in suites:
+            report = runner(cp, args.i_max)
             entry: Dict[str, Any] = {
                 "pair": idx,
                 "provenance": cp.provenance,
@@ -340,7 +327,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_thm23(args: argparse.Namespace) -> int:
-    a, b, rel = _load_pair(_read_json(args.input))
+    a, b, rel = pair_from_json_obj(_read_json(args.input))
     if rel is not None and not isinstance(rel, LambdaCommute):
         raise PreconditionViolated(
             "the difference formula needs a lambda-commuting pair"
@@ -359,7 +346,7 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
 
 
 def _cmd_thm36(args: argparse.Namespace) -> int:
-    a, b, rel = _load_pair(_read_json(args.input))
+    a, b, rel = pair_from_json_obj(_read_json(args.input))
     if rel is not None and not isinstance(rel, CrossCube):
         raise PreconditionViolated("the sum formula needs a cross-cube pair")
     report = evaluate_thm36(a, b)
@@ -369,15 +356,15 @@ def _cmd_thm36(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
-    rel = _relation_from_flags(args, field)
+    lam = field.parse(args.lam) if args.relation == "lambda-commute" else None
+    rel = relation_from_json_fields(args.relation, lam)
+    if args.count is not None and args.count < 1:
+        raise ParseError(f"--count must be positive, got {args.count}")
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
-        count = args.count if args.count is not None else 1
-        if count < 1:
-            raise ParseError(f"--count must be positive, got {count}")
         pairs = []
-        for k in range(count):
+        for k in range(args.count or 1):
             seed = args.seed + k
             if isinstance(rel, LambdaCommute):
                 a, b = gen_lambda_pair(fam, rel.lam, seed)
@@ -391,10 +378,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             pairs = default_lambda_corpus(field)
         else:
             pairs = default_cube_corpus(field, rel)
-        if args.count is not None:
-            if args.count < 1:
-                raise ParseError(f"--count must be positive, got {args.count}")
-            pairs = pairs[: args.count]
+        pairs = pairs[: args.count]
     _emit(corpus_to_json_obj(pairs), args.output)
     return 0
 
@@ -402,8 +386,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.mod is None:
         raise ParseError("search requires --mod p")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be positive, got {args.jobs}")
     field = PrimeField(args.mod)
-    rel = _relation_from_flags(args, field)
+    lam = field.parse(args.lam) if args.relation == "lambda-commute" else None
+    rel = relation_from_json_fields(args.relation, lam)
     entry_bound = None
     if args.entry_bound is not None:
         entry_bound = tuple(
@@ -444,77 +431,30 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         raise CharacteristicTwo(
             "the selftest exercises the sum formula, which needs 2 invertible"
         )
-
-    def note(msg: str) -> None:
-        sys.stderr.write(msg + "\n")
-
+    corpora = {
+        "lambda-commute": default_lambda_corpus(field),
+        "cross-cube": default_cube_corpus(field)
+        + exhaustive_hits_corpus(3, 2, CrossCube()),
+        "swapped-cube": default_cube_corpus(field, SwappedCube())
+        + exhaustive_hits_corpus(3, 2, SwappedCube()),
+    }
     suites: List[Dict[str, Any]] = []
-
-    def record(label: str, pair_count: int, failures: List[Dict[str, Any]]) -> None:
-        ok = not failures
-        suites.append(
-            {
-                "suite": label,
-                "pairs": pair_count,
-                "passed": ok,
-                "failures": failures,
-            }
-        )
-        note(f"{label}: {pair_count} pairs, {'ok' if ok else 'FAIL'}")
-
-    lam_corpus = default_lambda_corpus(field)
-
-    def run_identity_suite(label, corpus, runner):
+    for label, relation, runner in _CATALOG:
+        corpus = corpora[relation]
         failures = []
         for idx, cp in enumerate(corpus):
-            report = runner(cp)
-            if not report.all_pass:
-                failures.append(
-                    {
-                        "pair": idx,
-                        "provenance": cp.provenance,
-                        "failing": report.failing_ids(),
-                    }
-                )
-        record(label, len(corpus), failures)
-
-    run_identity_suite(
-        "L2.1", lam_corpus, lambda cp: lemma21_suite(cp.a, cp.b, cp.relation.lam, 3)
-    )
-    run_identity_suite(
-        "L2.2", lam_corpus, lambda cp: lemma22_suite(cp.a, cp.b, cp.relation.lam)
-    )
-
-    failures = []
-    for idx, cp in enumerate(lam_corpus):
-        rep = evaluate_thm23(cp.a, cp.b, cp.relation.lam)
-        if not rep.match:
-            failures.append({"pair": idx, "provenance": cp.provenance, "match": False})
-    record("T2.3", len(lam_corpus), failures)
-
-    cube_corpus = default_cube_corpus(field) + exhaustive_hits_corpus(3, 2, CrossCube())
-    run_identity_suite("L3.1", cube_corpus, lambda cp: lemma31_suite(cp.a, cp.b, 3))
-    run_identity_suite("L3.2", cube_corpus, lambda cp: lemma32_suite(cp.a, cp.b))
-
-    swapped_corpus = default_cube_corpus(field, SwappedCube()) + exhaustive_hits_corpus(
-        3, 2, SwappedCube()
-    )
-    run_identity_suite("L3.3", swapped_corpus, lambda cp: lemma33_suite(cp.a, cp.b))
-
-    run_identity_suite("L3.4", cube_corpus, lambda cp: lemma34_suite(cp.a, cp.b))
-    for i, j in _L35_EXPONENTS:
-        run_identity_suite(
-            f"L3.5[i={i},j={j}]",
-            cube_corpus,
-            lambda cp, i=i, j=j: lemma35_suite(cp.a, cp.b, i, j),
+            result = runner(cp, _I_MAX)
+            if isinstance(result, IdentityReport):
+                failure = None if result.all_pass else {"failing": result.failing_ids()}
+            else:
+                failure = None if result else {"match": False}
+            if failure is not None:
+                failures.append({"pair": idx, "provenance": cp.provenance, **failure})
+        ok = not failures
+        suites.append(
+            {"suite": label, "pairs": len(corpus), "passed": ok, "failures": failures}
         )
-
-    failures = []
-    for idx, cp in enumerate(cube_corpus):
-        rep = evaluate_thm36(cp.a, cp.b)
-        if not rep.match or not rep.projectors_orthogonal:
-            failures.append({"pair": idx, "provenance": cp.provenance, "match": False})
-    record("T3.6", len(cube_corpus), failures)
+        sys.stderr.write(f"{label}: {len(corpus)} pairs, {'ok' if ok else 'FAIL'}\n")
 
     all_pass = all(s["passed"] for s in suites)
     _emit(
@@ -555,8 +495,8 @@ def _add_relation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--lambda",
         dest="lam",
-        default=None,
-        help="commutation constant (wire format, e.g. 2 or 1/2)",
+        default="1",
+        help="commutation constant (wire format, e.g. 2 or 1/2; default 1)",
     )
 
 
@@ -583,10 +523,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--which",
-        choices=("section-2", "section-3", "lemma-3.3"),
+        choices=tuple(_WHICH),
         required=True,
     )
-    p.add_argument("--i-max", dest="i_max", type=int, default=3)
+    p.add_argument("--i-max", dest="i_max", type=int, default=_I_MAX)
     p.set_defaults(handler=_cmd_lemmas)
 
     p = subs.add_parser("thm23", help="difference formula on a pair")
@@ -605,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="family descriptor; see docs")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_gen)
+    p.set_defaults(handler=_cmd_gen, relation="lambda-commute")
 
     p = subs.add_parser("search", help="exhaustive search over F_p")
     _add_common(p, with_input=False)
@@ -625,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(handler=_cmd_search)
+    p.set_defaults(handler=_cmd_search, relation="lambda-commute")
 
     p = subs.add_parser("selftest", help="run the default corpus end to end")
     _add_common(p, with_input=False)

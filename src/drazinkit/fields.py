@@ -10,9 +10,8 @@ Two scalar domains are supported:
 A :class:`Field` instance plays two roles: it is the value-like descriptor
 attached to every scalar and matrix (structural equality, JSON encoding),
 and it exposes the raw arithmetic closures the matrix kernels run on.  Raw
-values are ``gmpy2.mpq`` (or ``fractions.Fraction`` when gmpy2 is absent)
-for the rationals and plain ``int`` residues for prime fields; user-facing
-code sees only :class:`FieldScalar`.
+values are ``fractions.Fraction`` for the rationals and plain ``int``
+residues for prime fields; user-facing code sees only :class:`FieldScalar`.
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
@@ -22,15 +21,10 @@ decimal digits of the canonical representative.
 from __future__ import annotations
 
 import re
-from fractions import Fraction as _Fraction
+from fractions import Fraction
 from typing import Any, Union
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
-
-try:
-    from gmpy2 import mpq as _Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Rat
 
 __all__ = [
     "Field",
@@ -155,8 +149,8 @@ class RationalField(Field):
     __slots__ = ()
 
     characteristic = 0
-    zero = _Rat(0)
-    one = _Rat(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, x, y):
         return x + y
@@ -181,14 +175,14 @@ class RationalField(Field):
         return x**e
 
     def dot(self, xs, ys):
-        # Hot path of matrix multiplication; mpq addition is exact.
+        # Hot path of matrix multiplication; Fraction addition is exact.
         total = self.zero
         for x, y in zip(xs, ys):
             total = total + x * y
         return total
 
     def from_int(self, n: int):
-        return _Rat(n)
+        return Fraction(n)
 
     def encode(self, x) -> str:
         return str(x)
@@ -199,7 +193,7 @@ class RationalField(Field):
                 f"invalid rational {text!r}: expected 'n' or 'n/d' with d > 0",
                 {"text": text},
             )
-        return _Rat(text)
+        return Fraction(text)
 
     def scalar(self, value, den=None) -> "FieldScalar":
         if den is not None:
@@ -207,9 +201,9 @@ class RationalField(Field):
                 raise ParseError("numerator and denominator must be ints")
             if den == 0:
                 raise DivisionByZero("zero denominator")
-            return FieldScalar(self, _Rat(value) / _Rat(den))
-        if isinstance(value, (_Rat, _Fraction)):
-            return FieldScalar(self, _Rat(value))
+            return FieldScalar(self, Fraction(value) / Fraction(den))
+        if isinstance(value, Fraction):
+            return FieldScalar(self, value)
         return super().scalar(value)
 
     def to_json_obj(self):

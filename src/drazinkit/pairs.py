@@ -83,6 +83,7 @@ __all__ = [
     "exhaustive_hits_corpus",
     "corpus_to_json_obj",
     "corpus_from_json_obj",
+    "pair_from_json_obj",
     "DEFAULT_SEARCH_BUDGET",
 ]
 
@@ -610,27 +611,39 @@ def corpus_to_json_obj(pairs: Sequence[CorpusPair]) -> list:
     return out
 
 
+def pair_from_json_obj(
+    obj: Any, where: str = "input", relation_required: bool = False
+) -> Tuple[Matrix, Matrix, Optional[RelationKind]]:
+    """Decode ``{"a", "b", "relation"?, "lambda"?}``.
+
+    Without ``relation_required`` an absent or null relation decodes to None.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object with 'a' and 'b'", {"at": where})
+    for key in ("a", "b", "relation") if relation_required else ("a", "b"):
+        if key not in obj:
+            raise ParseError(f"{where}: missing key {key!r}", {"at": where})
+    a = Matrix.from_json_obj(obj["a"], f"{where}.a")
+    b = Matrix.from_json_obj(obj["b"], f"{where}.b")
+    if not relation_required and obj.get("relation") is None:
+        return a, b, None
+    lam = None
+    if obj.get("lambda") is not None:
+        if not isinstance(obj["lambda"], str):
+            raise ParseError(
+                f"{where}.lambda: expected a string scalar", {"at": f"{where}.lambda"}
+            )
+        lam = a.field.parse(obj["lambda"])
+    return a, b, relation_from_json_fields(obj["relation"], lam, f"{where}.relation")
+
+
 def corpus_from_json_obj(obj: Any, where: str = "corpus") -> List[CorpusPair]:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected a JSON array", {"at": where})
     pairs = []
     for idx, item in enumerate(obj):
         loc = f"{where}[{idx}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"{loc}: expected an object", {"at": loc})
-        for key in ("a", "b", "relation"):
-            if key not in item:
-                raise ParseError(f"{loc}: missing key {key!r}", {"at": loc})
-        a = Matrix.from_json_obj(item["a"], f"{loc}.a")
-        b = Matrix.from_json_obj(item["b"], f"{loc}.b")
-        lam = None
-        if "lambda" in item and item["lambda"] is not None:
-            if not isinstance(item["lambda"], str):
-                raise ParseError(
-                    f"{loc}.lambda: expected a string scalar", {"at": f"{loc}.lambda"}
-                )
-            lam = a.field.parse(item["lambda"])
-        rel = relation_from_json_fields(item["relation"], lam, f"{loc}.relation")
+        a, b, rel = pair_from_json_obj(item, loc, relation_required=True)
         provenance = item.get("provenance", "unknown")
         if not isinstance(provenance, str):
             raise ParseError(

@@ -133,13 +133,14 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     effective = max(bound, 1)
     total = Matrix.identity(u.field, u.rows)
     power = u
-    ranks = []
+    powers = []
     for _ in range(1, effective + 1):
         if power.is_zero():
             return total
-        ranks.append(power.rank())
+        powers.append(power)
         total = total + power
         power = power * u
+    ranks = [p.rank() for p in powers]
     raise NotNilpotentWithinBound(
         f"matrix is not nilpotent within bound {bound}: power ranks {ranks}",
         tuple(ranks),

@@ -1,5 +1,6 @@
 """CLI contract: canonical JSON, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,12 +8,17 @@ import sys
 
 import pytest
 
+import drazinkit.cli as cli
 from drazinkit.cli import main, parse_family
 from drazinkit import (
+    QQ,
     Conjugated,
+    CrossCube,
     DiagTripotents,
     DirectSum,
     ExhaustiveHit,
+    IdentityItem,
+    IdentityReport,
     ParseError,
     ScalarTimesIdentity,
     TrivialZeroB,
@@ -359,6 +365,45 @@ def test_lemmas_kind_mismatch_exit_3(monkeypatch, capsys):
     assert json.loads(err)["error"]["code"] == "precondition-violated"
 
 
+def _failing_report(a, b):
+    """Stand-in for lemma32_suite: one failed identity with a, b as witnesses."""
+    return IdentityReport.build(CrossCube(), [IdentityItem("L3.2.x", a, b, False)])
+
+
+def test_lemmas_failure_layout_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "lemma32_suite", _failing_report)
+    a, b = _diag([1, -1, 0]), _diag([-1, 1, 1])
+    corpus = [{"a": a, "b": b, "relation": "cross-cube", "provenance": "hand"}]
+    code, out, _ = _run(
+        monkeypatch,
+        capsys,
+        ["lemmas", "--which", "section-3"],
+        stdin_text=json.dumps(corpus),
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["all_pass"] is False
+    by_suite = {r["suite"]: r for r in obj["results"]}
+    assert by_suite["L3.2"] == {
+        "pair": 0,
+        "provenance": "hand",
+        "suite": "L3.2",
+        "all_pass": False,
+        "report": {
+            "relation": "cross-cube",
+            "items": [{"id": "L3.2.x", "pass": False}],
+            "all_pass": False,
+            "witnesses": {"L3.2.x": {"lhs": a, "rhs": b}},
+        },
+    }
+    assert by_suite["L3.1"] == {
+        "pair": 0,
+        "provenance": "hand",
+        "suite": "L3.1",
+        "all_pass": True,
+    }
+
+
 def test_gen_family_worked_pair_and_determinism(monkeypatch, capsys):
     argv = [
         "gen",
@@ -552,6 +597,44 @@ def test_search_nonprime_mod_exit_2(monkeypatch, capsys):
     assert "not prime" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_nonpositive_jobs_exit_2(monkeypatch, capsys, jobs):
+    code, out, err = _run(
+        monkeypatch,
+        capsys,
+        ["search", "--mod", "3", "--dim", "1", "--relation", "cross-cube", "--jobs", jobs],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "weighted-shift(0)",
+        "weighted-shift(-1)",
+        "conjugated(weighted-shift(0);3)",
+        "direct-sum(weighted-shift(2);zero-b(0))",
+        "zero-b(0)",
+        "diag-tripotents(0)",
+        "scalar-identity(0;-1)",
+        "exhaustive(3;0;0)",
+    ],
+)
+def test_gen_family_size_below_one_exit_2(monkeypatch, capsys, family):
+    code, out, err = _run(
+        monkeypatch,
+        capsys,
+        ["gen", "--relation", "lambda-commute", "--lambda", "2", "--family", family],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+    with pytest.raises(ParseError):
+        parse_family(family)
+
+
 def test_parse_family_grammar():
     assert parse_family("weighted-shift(3)") == WeightedShift(3)
     assert parse_family("diag-tripotents(2)") == DiagTripotents(2)
@@ -607,6 +690,56 @@ def test_selftest_characteristic_two_exit_3(monkeypatch, capsys):
     )
     assert code == 3
     assert json.loads(err)["error"]["code"] == "characteristic-two"
+
+
+def _small_selftest_corpora(monkeypatch):
+    """Cut every selftest corpus to its first two pairs so a run is quick."""
+    lam_corpus, cube_corpus = cli.default_lambda_corpus, cli.default_cube_corpus
+    monkeypatch.setattr(cli, "default_lambda_corpus", lambda field: lam_corpus(field)[:2])
+    monkeypatch.setattr(
+        cli,
+        "default_cube_corpus",
+        lambda field, relation=CrossCube(): cube_corpus(field, relation)[:2],
+    )
+    monkeypatch.setattr(cli, "exhaustive_hits_corpus", lambda p, n_max, relation: [])
+    return [cp.provenance for cp in cube_corpus(QQ)[:2]]
+
+
+def test_selftest_failure_layout_exit_1(monkeypatch, capsys):
+    provenances = _small_selftest_corpora(monkeypatch)
+    thm36 = cli.evaluate_thm36
+    monkeypatch.setattr(cli, "lemma32_suite", _failing_report)
+    monkeypatch.setattr(
+        cli,
+        "evaluate_thm36",
+        lambda a, b: dataclasses.replace(thm36(a, b), match=False),
+    )
+    code, out, err = _run(monkeypatch, capsys, ["selftest"])
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["all_pass"] is False
+    suites = {s["suite"]: s for s in obj["suites"]}
+    assert [s["suite"] for s in obj["suites"] if not s["passed"]] == ["L3.2", "T3.6"]
+    assert suites["L3.2"] == {
+        "suite": "L3.2",
+        "pairs": 2,
+        "passed": False,
+        "failures": [
+            {"pair": i, "provenance": prov, "failing": ["L3.2.x"]}
+            for i, prov in enumerate(provenances)
+        ],
+    }
+    assert suites["T3.6"] == {
+        "suite": "T3.6",
+        "pairs": 2,
+        "passed": False,
+        "failures": [
+            {"pair": i, "provenance": prov, "match": False}
+            for i, prov in enumerate(provenances)
+        ],
+    }
+    assert suites["L3.1"] == {"suite": "L3.1", "pairs": 2, "passed": True, "failures": []}
+    assert "L3.2: 2 pairs, FAIL" in err.splitlines()
 
 
 def test_console_script_smoke():
