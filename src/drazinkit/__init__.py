@@ -47,6 +47,7 @@ from .relations import (
     cube_exponent_cap,
     det_consistency_diagnostic,
     first_violation,
+    lambda_exponent_cap,
     lemma21_suite,
     lemma22_suite,
     lemma31_suite,
@@ -144,6 +145,7 @@ __all__ = [
     "IdentityItem",
     "IdentityReport",
     "cube_exponent_cap",
+    "lambda_exponent_cap",
     "lemma21_suite",
     "lemma22_suite",
     "lemma31_suite",

@@ -58,6 +58,7 @@ from .relations import (
     CrossCube,
     IdentityReport,
     LambdaCommute,
+    RelationKind,
     SwappedCube,
     check_relation,
     det_consistency_diagnostic,
@@ -113,6 +114,8 @@ def _read_json(path: str) -> Any:
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             {"path": source, "line": exc.lineno, "column": exc.colno},
         )
+    except RecursionError:
+        raise ParseError(f"{source}: JSON nested too deeply", {"path": source})
 
 
 def _field_from_flags(args: argparse.Namespace) -> Field:
@@ -124,6 +127,16 @@ def _field_from_flags(args: argparse.Namespace) -> Field:
     if getattr(args, "mod", None) is None:
         raise ParseError("--field Fp requires --mod p")
     return PrimeField(args.mod)
+
+
+def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind:
+    """The relation named by ``--relation``; ``--lambda`` (default 1) is
+    parsed over ``field`` for lambda-commute and refused with the others."""
+    if args.relation == "lambda-commute":
+        return LambdaCommute(field.parse("1" if args.lam is None else args.lam))
+    if args.lam is not None:
+        raise ParseError("--lambda is only meaningful with --relation lambda-commute")
+    return relation_from_json_fields(args.relation, None)
 
 
 # --------------------------------------------------------------------------
@@ -263,9 +276,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_check_relation(args: argparse.Namespace) -> int:
     a, b, embedded = pair_from_json_obj(_read_json(args.input))
-    if args.relation is not None:
-        lam = a.field.parse(args.lam) if args.relation == "lambda-commute" else None
-        rel = relation_from_json_fields(args.relation, lam)
+    if args.relation is not None or args.lam is not None:
+        rel = _relation_from_flags(args, a.field)
     elif embedded is not None:
         rel = embedded
     else:
@@ -356,8 +368,7 @@ def _cmd_thm36(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
-    lam = field.parse(args.lam) if args.relation == "lambda-commute" else None
-    rel = relation_from_json_fields(args.relation, lam)
+    rel = _relation_from_flags(args, field)
     if args.count is not None and args.count < 1:
         raise ParseError(f"--count must be positive, got {args.count}")
     pairs: List[CorpusPair]
@@ -389,8 +400,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be positive, got {args.jobs}")
     field = PrimeField(args.mod)
-    lam = field.parse(args.lam) if args.relation == "lambda-commute" else None
-    rel = relation_from_json_fields(args.relation, lam)
+    rel = _relation_from_flags(args, field)
     entry_bound = None
     if args.entry_bound is not None:
         entry_bound = tuple(
@@ -495,8 +505,11 @@ def _add_relation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--lambda",
         dest="lam",
-        default="1",
-        help="commutation constant (wire format, e.g. 2 or 1/2; default 1)",
+        default=None,
+        help=(
+            "commutation constant of lambda-commute, in wire format, e.g. 2 or "
+            "1/2 (default 1); refused with the other relations"
+        ),
     )
 
 

@@ -66,14 +66,14 @@ def compute_index(a: Matrix) -> int:
     """
     _require_square(a, "the Drazin index")
     n = a.rows
-    power = Matrix.identity(a.field, n)
+    power = a
     r_prev = n
     for k in range(n + 1):
-        power = power * a
         r_next = power.rank()
         if r_next == r_prev:
             return k
         r_prev = r_next
+        power = power * a
     raise InternalCertificationFailure(
         "rank sequence failed to stabilize; this cannot happen"
     )

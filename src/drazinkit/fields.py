@@ -13,6 +13,15 @@ and it exposes the raw arithmetic closures the matrix kernels run on.  Raw
 values are ``fractions.Fraction`` for the rationals and plain ``int``
 residues for prime fields; user-facing code sees only :class:`FieldScalar`.
 
+Matrix products go through one batched kernel, :meth:`Field.dot`, called
+once per product with every row of the left factor and every column of the
+right one.  Both fields run it as integer multiply-accumulate with one
+normalization per entry rather than one per scalar operation: over the
+rationals each row and each column is first scaled to integers by the lcm
+of its denominators, and each entry becomes a single ``Fraction`` of the
+integer dot product over the two scales; over ``F_p`` each entry is one
+integer sum reduced once mod ``p``.
+
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
 decimal digits of the canonical representative.
@@ -22,6 +31,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Any, Union
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
@@ -96,7 +107,14 @@ class Field:
     def pow(self, x, e: int):
         raise NotImplementedError
 
-    def dot(self, xs, ys):
+    def dot(self, rows, cols):
+        """The batched product kernel: every row-by-column dot product.
+
+        ``rows`` are the rows of the left factor and ``cols`` the columns of
+        the right one, all of one length and holding canonical raw values.
+        Returns the tuple of row tuples ``out[i][j] = sum(rows[i][k] *
+        cols[j][k])``, canonical, so ``Matrix.__mul__`` is one call.
+        """
         raise NotImplementedError
 
     def from_int(self, n: int):
@@ -143,6 +161,21 @@ class Field:
         raise NotImplementedError
 
 
+def _integer_scaled(vectors):
+    """Each rational vector as (integer numerators, d): ``v == nums / d``.
+
+    ``d`` is the lcm of the vector's denominators, so ``nums`` are integers.
+    """
+    out = []
+    for v in vectors:
+        d = lcm(*[x.denominator for x in v])
+        if d == 1:  # the common case; skips a multiply and a division per entry
+            out.append(([x.numerator for x in v], 1))
+        else:
+            out.append(([x.numerator * (d // x.denominator) for x in v], d))
+    return out
+
+
 class RationalField(Field):
     """The field of rationals; a stateless singleton exported as ``QQ``."""
 
@@ -174,12 +207,16 @@ class RationalField(Field):
             raise DivisionByZero("negative power of zero in QQ")
         return x**e
 
-    def dot(self, xs, ys):
-        # Hot path of matrix multiplication; Fraction addition is exact.
-        total = self.zero
-        for x, y in zip(xs, ys):
-            total = total + x * y
-        return total
+    def dot(self, rows, cols):
+        # Integer multiply-accumulate: one gcd per entry (in the Fraction
+        # constructor), none per term.
+        scaled_cols = _integer_scaled(cols)
+        return tuple(
+            [
+                tuple([Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in scaled_cols])
+                for rn, rd in _integer_scaled(rows)
+            ]
+        )
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -263,12 +300,11 @@ class PrimeField(Field):
             return pow(x, e, self.p)
         return pow(self.inv(x), -e, self.p)
 
-    def dot(self, xs, ys):
-        # Accumulate in ZZ, reduce once; cheaper than per-term reduction.
-        total = 0
-        for x, y in zip(xs, ys):
-            total += x * y
-        return total % self.p
+    def dot(self, rows, cols):
+        # Accumulate in ZZ, reduce once per entry.  (A list comprehension
+        # builds the tuple faster than a generator does.)
+        p = self.p
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows])
 
     def from_int(self, n: int):
         return n % self.p

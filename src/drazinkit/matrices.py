@@ -211,11 +211,8 @@ class Matrix:
                 raise ShapeMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            dot = self.field.dot
-            cols = tuple(zip(*other._data))
             return Matrix(
-                self.field,
-                tuple(tuple(dot(row, col) for col in cols) for row in self._data),
+                self.field, self.field.dot(self._data, tuple(zip(*other._data)))
             )
         if isinstance(other, FieldScalar):
             if other.field != self.field:
@@ -234,21 +231,31 @@ class Matrix:
         return NotImplemented
 
     def __pow__(self, e):
-        """Nonnegative power by binary square-and-multiply; ``A**0`` is I."""
+        """Nonnegative power by binary square-and-multiply; ``A**0`` is I.
+
+        The result starts from the lowest set bit of ``e``, not from I, so
+        ``A**e`` takes ``bit_length(e) - 1`` squarings plus one product per
+        further set bit: ``A**1`` none, ``A**2`` one, ``A**5`` three.
+        """
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
         if e < 0:
             raise ShapeMismatch("matrix powers require a nonnegative exponent")
         if not self.is_square():
             raise ShapeMismatch("matrix powers require a square matrix")
-        result = Matrix.identity(self.field, self.rows)
+        if e == 0:
+            return Matrix.identity(self.field, self.rows)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if e:
-                base = base * base
         return result
 
     def __eq__(self, other):
@@ -279,20 +286,39 @@ class Matrix:
         not be when the matrix has nontrivial left null space.
         """
         F = self.field
+        m, t, pivot_cols = self._eliminate(order, full=True)
+        return RrefResult(
+            reduced=Matrix(F, tuple(tuple(row) for row in m)),
+            rank=len(pivot_cols),
+            transform=Matrix(F, tuple(tuple(row) for row in t)),
+            pivot_cols=tuple(pivot_cols),
+        )
+
+    def rank(self) -> int:
+        return len(self._eliminate(PivotOrder.TOP_DOWN, full=False)[2])
+
+    def _eliminate(self, order: PivotOrder, full: bool):
+        """The elimination loop of :meth:`rref` and :meth:`rank`.
+
+        Returns ``(m, t, pivot_cols)`` as lists.  With ``full`` the column
+        of each pivot is cleared in every other row and the row operations
+        are recorded in ``t``, as :meth:`rref` describes.  Without it only
+        the rows below the pivot are cleared and ``t`` is None: enough for
+        the pivot columns, hence the rank, at a fraction of the work.
+        """
+        F = self.field
         m = [list(row) for row in self._data]
-        t = [
-            [F.one if i == j else F.zero for j in range(self.rows)]
-            for i in range(self.rows)
-        ]
+        n = self.rows
+        t = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)] if full else None
         piv = 0
         pivot_cols = []
         for c in range(self.cols):
-            if piv == self.rows:
+            if piv == n:
                 break
             rows_to_scan = (
-                range(piv, self.rows)
+                range(piv, n)
                 if order is PivotOrder.TOP_DOWN
-                else range(self.rows - 1, piv - 1, -1)
+                else range(n - 1, piv - 1, -1)
             )
             hit = None
             for i in rows_to_scan:
@@ -303,30 +329,25 @@ class Matrix:
                 continue
             if hit != piv:
                 m[piv], m[hit] = m[hit], m[piv]
-                t[piv], t[hit] = t[hit], t[piv]
+                if full:
+                    t[piv], t[hit] = t[hit], t[piv]
             lead = m[piv][c]
             if lead != F.one:
                 f = F.inv(lead)
                 m[piv] = [F.mul(f, x) for x in m[piv]]
-                t[piv] = [F.mul(f, x) for x in t[piv]]
-            for r in range(self.rows):
+                if full:
+                    t[piv] = [F.mul(f, x) for x in t[piv]]
+            for r in range(0 if full else piv + 1, n):
                 if r == piv:
                     continue
                 g = m[r][c]
                 if g:
                     m[r] = [F.sub(x, F.mul(g, y)) for x, y in zip(m[r], m[piv])]
-                    t[r] = [F.sub(x, F.mul(g, y)) for x, y in zip(t[r], t[piv])]
+                    if full:
+                        t[r] = [F.sub(x, F.mul(g, y)) for x, y in zip(t[r], t[piv])]
             pivot_cols.append(c)
             piv += 1
-        return RrefResult(
-            reduced=Matrix(F, tuple(tuple(row) for row in m)),
-            rank=piv,
-            transform=Matrix(F, tuple(tuple(row) for row in t)),
-            pivot_cols=tuple(pivot_cols),
-        )
-
-    def rank(self) -> int:
-        return self.rref().rank
+        return m, t, pivot_cols
 
     def inverse(self) -> "Matrix":
         """Exact inverse of a square full-rank matrix."""

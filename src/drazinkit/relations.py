@@ -62,6 +62,7 @@ __all__ = [
     "relation_from_json_fields",
     "det_consistency_diagnostic",
     "cube_exponent_cap",
+    "lambda_exponent_cap",
     "lemma21_suite",
     "lemma22_suite",
     "lemma31_suite",
@@ -273,11 +274,27 @@ def cube_exponent_cap(field) -> int:
     return 4 if field.characteristic == 0 else 8
 
 
+def lambda_exponent_cap(field) -> int:
+    # lam**-T(i) grows quadratically in bits over Q; residues do not grow.
+    return 32 if field.characteristic == 0 else 128
+
+
 def lemma21_suite(
     a: Matrix, b: Matrix, lam: FieldScalar, i_max: int
 ) -> IdentityReport:
-    """Power identities under ``a*b == lam*(b*a)``, for each i in 1..i_max."""
+    """Power identities under ``a*b == lam*(b*a)``, for each i in 1..i_max.
+
+    ``lam**-T(i)`` grows quadratically in ``i``, so ``i_max`` is capped (32
+    over the rationals, 128 over a prime field); beyond the cap raises
+    :class:`ExponentOverflow` before any product is formed.
+    """
     _check_i_max(i_max)
+    cap = lambda_exponent_cap(a.field)
+    if i_max > cap:
+        raise ExponentOverflow(
+            f"i_max {i_max} exceeds the lambda-power cap {cap} over {a.field}",
+            {"i_max": i_max, "cap": cap},
+        )
     rel = LambdaCommute(lam)
     require_relation(a, b, rel)
     items: List[IdentityItem] = []

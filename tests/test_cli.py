@@ -93,6 +93,15 @@ def test_compute_malformed_json_exit_2(monkeypatch, capsys):
     assert "column" in payload["error"]["detail"]
 
 
+def test_compute_deeply_nested_json_exit_2(monkeypatch, capsys):
+    code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text="[" * 100000)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["code"] == "malformed-input"
+    assert payload["error"]["detail"] == {"path": "<stdin>"}
+
+
 def test_compute_bad_entry_position_reported(monkeypatch, capsys):
     bad = dict(SHIFT2, entries=[["0", "1"], ["0", "zzz"]])
     code, _, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(bad))
@@ -633,6 +642,64 @@ def test_gen_family_size_below_one_exit_2(monkeypatch, capsys, family):
     assert json.loads(err)["error"]["code"] == "malformed-input"
     with pytest.raises(ParseError):
         parse_family(family)
+
+
+@pytest.mark.parametrize("relation", ["cross-cube", "swapped-cube"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["search", "--mod", "3", "--dim", "1"],
+        ["check-relation"],
+    ],
+)
+def test_lambda_with_cube_relation_exit_2(monkeypatch, capsys, argv, relation):
+    code, out, err = _run(
+        monkeypatch,
+        capsys,
+        argv + ["--relation", relation, "--lambda", "foo"],
+        stdin_text=json.dumps({"a": SHIFT2, "b": DIAG12}),
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["code"] == "malformed-input"
+    assert "--lambda" in payload["error"]["message"]
+
+
+def test_check_relation_lambda_without_relation_exit_2(monkeypatch, capsys):
+    pair = {"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute", "lambda": "2"}
+    code, out, err = _run(
+        monkeypatch, capsys, ["check-relation", "--lambda", "3"], stdin_text=json.dumps(pair)
+    )
+    assert code == 2
+    assert out == ""
+    assert "--lambda" in json.loads(err)["error"]["message"]
+
+
+def test_lambda_defaults_to_one(monkeypatch, capsys):
+    code, out, _ = _run(
+        monkeypatch,
+        capsys,
+        ["gen", "--relation", "lambda-commute", "--family", "weighted-shift(2)"],
+    )
+    assert code == 0
+    assert json.loads(out)[0]["lambda"] == "1"
+
+
+def test_lemmas_section2_i_max_cap_exit_3(monkeypatch, capsys):
+    pair = {"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute", "lambda": "2"}
+    code, out, err = _run(
+        monkeypatch,
+        capsys,
+        ["lemmas", "--which", "section-2", "--i-max", "33"],
+        stdin_text=json.dumps(pair),
+    )
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["code"] == "exponent-overflow"
+    assert payload["error"]["detail"] == {"i_max": 33, "cap": 32}
 
 
 def test_parse_family_grammar():

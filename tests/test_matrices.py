@@ -1,6 +1,8 @@
 """Matrix arithmetic, elimination kernels, inner inverses, JSON wire form."""
 
 import json
+from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -12,13 +14,14 @@ from drazinkit import (
     PivotOrder,
     PrimeField,
     QQ,
+    RationalField,
     ShapeMismatch,
     SingularMatrix,
     nilpotency_degree,
     random_invertible,
 )
 
-from _naive import from_matrix, matmul, rank as naive_rank
+from _naive import from_matrix, matmul, matpow, rank as naive_rank
 
 F5 = PrimeField(5)
 
@@ -79,6 +82,116 @@ def test_matmul_against_naive_oracle():
             assert from_matrix(x * y) == matmul(from_matrix(x), from_matrix(y), p)
 
 
+# The largest prime below 2**64, the bound on accepted moduli.
+P64 = PrimeField(2**64 - 59)
+
+
+def _random_rational_matrix(rows, cols, rng: Random) -> Matrix:
+    # Mixed and coprime denominators, negative numerators, and zeros.
+    dens = [1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 35]
+    return Matrix.from_rows(
+        QQ,
+        [
+            [rng.choice([0, Fraction(rng.randint(-40, 40), rng.choice(dens))]) for _ in range(cols)]
+            for _ in range(rows)
+        ],
+    )
+
+
+def _random_residue_matrix(field, rows, cols, rng: Random) -> Matrix:
+    p = field.characteristic
+    return Matrix.from_rows(
+        field,
+        [[rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+def _with_zero_lines(m: Matrix, rng: Random, *, rows: bool) -> Matrix:
+    entries = [[str(x) for x in row] for row in m.to_rows()]
+    if rows:
+        entries[rng.randrange(m.rows)] = ["0"] * m.cols
+    else:
+        j = rng.randrange(m.cols)
+        for row in entries:
+            row[j] = "0"
+    return Matrix.from_rows(m.field, entries)
+
+
+def _assert_canonical(m: Matrix) -> None:
+    for row in m.to_rows():
+        for x in row:
+            if m.field.characteristic == 0:
+                v = x.value
+                assert type(v) is Fraction
+                assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+            else:
+                assert type(x.value) is int and 0 <= x.value < m.field.characteristic
+
+
+def test_matmul_scaled_kernel_against_naive_oracle():
+    """Rational rows and columns scaled to integers, and residues near 2**64."""
+    rng = Random(20261018)
+    for field, p in ((QQ, None), (P64, P64.characteristic)):
+
+        def rand(r, c):
+            if p is None:
+                return _random_rational_matrix(r, c, rng)
+            return _random_residue_matrix(field, r, c, rng)
+
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
+        shapes += [(1, k, 1) for k in range(1, 7)] + [(k, 1, k) for k in range(1, 7)]
+        for r, k, c in shapes:
+            x, y = rand(r, k), rand(k, c)
+            if rng.random() < 0.3:
+                x = _with_zero_lines(x, rng, rows=True)
+            if rng.random() < 0.3:
+                y = _with_zero_lines(y, rng, rows=False)
+            got = x * y
+            _assert_canonical(got)
+            assert from_matrix(got) == matmul(from_matrix(x), from_matrix(y), p)
+    # an all-zero factor gives the zero matrix, canonical
+    z = Matrix.zero(QQ, 3, 2) * _random_rational_matrix(2, 4, rng)
+    _assert_canonical(z)
+    assert z.is_zero()
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """Count the calls of the batched product kernel, over both fields."""
+    calls = []
+    for cls in (RationalField, PrimeField):
+        kernel = cls.dot
+
+        def counted(self, rows, cols, kernel=kernel):
+            calls.append(self)
+            return kernel(self, rows, cols)
+
+        monkeypatch.setattr(cls, "dot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_product_counts(field, dot_calls):
+    """One kernel call per product; powers never multiply by the identity."""
+    a = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    b = Matrix.from_rows(field, [[1, 0], [2, 1], [0, 3]])
+    for expr, expected in (
+        (lambda: a * b, 1),
+        (lambda: a**0, 0),
+        (lambda: a**1, 0),
+        (lambda: a**2, 1),
+        (lambda: a**4, 2),
+        (lambda: a**5, 3),
+        (lambda: 2 * a, 0),
+    ):
+        dot_calls.clear()
+        expr()
+        assert len(dot_calls) == expected
+    p = field.characteristic or None
+    for e in range(7):
+        assert from_matrix(a**e) == matpow(from_matrix(a), e, p)
+
+
 def test_pow():
     a = Matrix.from_rows(QQ, [[0, 1], [0, 0]])
     assert (a**0).is_identity()
@@ -122,6 +235,16 @@ def test_rref_invariants(order, field, p):
                 if r != k:
                     assert res.reduced.entry(r, c).is_zero()
         assert list(res.pivot_cols) == sorted(res.pivot_cols)
+
+
+def test_rank_matches_naive_oracle():
+    # rank() eliminates without the transform or back-substitution.
+    rng = Random(7007)
+    for field, p in ((QQ, None), (F5, 5)):
+        for _ in range(60):
+            m = _random_matrix(field, rng.randint(1, 6), rng.randint(1, 6), rng)
+            assert m.rank() == naive_rank(from_matrix(m), p) == m.rref().rank
+    assert Matrix.zero(QQ, 3, 4).rank() == 0
 
 
 def test_rref_reduced_is_order_independent():

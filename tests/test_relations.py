@@ -30,6 +30,7 @@ from drazinkit import (
     gen_cube_pair,
     gen_lambda_pair,
     gen_swapped_pair,
+    lambda_exponent_cap,
     lemma21_suite,
     lemma22_suite,
     lemma31_suite,
@@ -251,6 +252,20 @@ def test_lemma21_rejects_bad_i_max():
     for bad in (0, -1, True, "3"):
         with pytest.raises(ValueError):
             lemma21_suite(a, b, lam, bad)
+
+
+@pytest.mark.parametrize("field,cap", [(QQ, 32), (F5, 128)])
+def test_lemma21_exponent_cap(field, cap):
+    assert lambda_exponent_cap(field) == cap
+    lam = field.scalar(2)
+    a, b = gen_lambda_pair(WeightedShift(2), lam, 1)
+    # checked before any work: even a pair that breaks the relation gets
+    # the cap error, not PreconditionViolated
+    for bad_lam in (lam, field.scalar(3)):
+        with pytest.raises(ExponentOverflow) as exc:
+            lemma21_suite(a, b, bad_lam, cap + 1)
+        assert exc.value.detail == {"i_max": cap + 1, "cap": cap}
+    assert lemma21_suite(a, b, lam, cap).all_pass
 
 
 def test_lemma21_requires_relation():
