@@ -27,6 +27,7 @@ from .errors import (
     IndexTooLarge,
     InternalCertificationFailure,
     NotNilpotentWithinBound,
+    OutputTooLarge,
     ParseError,
     PreconditionViolated,
     ShapeMismatch,
@@ -108,6 +109,7 @@ __all__ = [
     "PreconditionViolated",
     "ZeroLambda",
     "ExponentOverflow",
+    "OutputTooLarge",
     "NotNilpotentWithinBound",
     "CharacteristicTwo",
     "BudgetExceeded",

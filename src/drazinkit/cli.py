@@ -8,7 +8,8 @@ newline), standard error carries diagnostics.  Exit codes:
 * 1 - a verification mismatch (the report on stdout carries witnesses)
 * 2 - malformed input (error JSON on stderr locates the problem)
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
-      for the sum formula, incompatible family, budget exceeded, ...)
+      for the sum formula, incompatible family, budget exceeded, a result
+      entry too long to print, ...)
 
 Identical invocations produce byte-identical stdout.
 """

@@ -82,6 +82,12 @@ class ExponentOverflow(DrazinKitError):
     code = "exponent-overflow"
 
 
+class OutputTooLarge(DrazinKitError):
+    """A result entry has more digits than the interpreter converts to text."""
+
+    code = "output-too-large"
+
+
 class NotNilpotentWithinBound(DrazinKitError):
     """A matrix expected to be nilpotent had nonzero powers up to the bound."""
 

@@ -7,11 +7,15 @@ Two scalar domains are supported:
 * ``PrimeField(p)`` - integers mod a prime ``p``, represented by the
   canonical residue in ``[0, p)``.
 
-A :class:`Field` instance plays two roles: it is the value-like descriptor
-attached to every scalar and matrix (structural equality, JSON encoding),
-and it exposes the raw arithmetic closures the matrix kernels run on.  Raw
-values are ``fractions.Fraction`` for the rationals and plain ``int``
-residues for prime fields; user-facing code sees only :class:`FieldScalar`.
+A :class:`Field` instance is the value-like descriptor attached to every
+scalar and matrix (structural equality, JSON encoding) and knows only what
+the field alone decides: :meth:`Field.reduce`, the canonical raw value of
+an integer or ``Fraction`` expression; inversion and exponentiation; the
+batched product kernel; and the wire codec.  Raw values are
+``fractions.Fraction`` for the rationals and plain ``int`` residues for
+prime fields, so sums, differences and products are written with Python's
+operators on raw values, followed by one ``reduce`` per result.
+User-facing code sees only :class:`FieldScalar`.
 
 Matrix products go through one batched kernel, :meth:`Field.dot`, called
 once per product with every row of the left factor and every column of the
@@ -30,12 +34,13 @@ decimal digits of the canonical representative.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
-from operator import mul
-from typing import Any, Union
+from operator import add, mul, sub
+from typing import Any
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, OutputTooLarge, ParseError
 
 __all__ = [
     "Field",
@@ -54,6 +59,16 @@ _MAX_MODULUS = 2**64
 
 _RATIONAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 _RESIDUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
+
+
+def _past_digit_limit(error, what: str):
+    # Wire text that matched its pattern, and a canonical value, fail to
+    # convert only past CPython's int/str digit limit (4,300 by default).
+    limit = sys.get_int_max_str_digits()
+    return error(
+        f"{what} with more than {limit} digits (the interpreter's int/str conversion limit)",
+        {"limit": limit},
+    )
 
 
 def is_prime(n: int) -> bool:
@@ -82,30 +97,42 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """A scalar domain.  Instances are immutable and compare structurally."""
+    """A scalar domain.  Instances are immutable and compare structurally.
+
+    Raw values combine with Python's ``+ - *`` and one :meth:`reduce` per
+    result; a field adds :meth:`inv`, :meth:`pow`, :meth:`dot` and the codec.
+    """
 
     __slots__ = ()
 
     characteristic: int
 
-    # -- raw-value protocol used by the matrix kernels -------------------
-    def add(self, x, y):
-        raise NotImplementedError
+    # -- raw values: canonical Fraction over Q, residue in [0, p) over F_p --
+    def reduce(self, x):
+        """The canonical raw value of ``x``.
 
-    def sub(self, x, y):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
+        ``x`` is an ``int``, or over the rationals a ``Fraction``, built with
+        ``+ - *`` from canonical raw values and ints.  Over the rationals
+        ``Fraction`` arithmetic is already canonical, so this is the
+        identity; over ``F_p`` it is ``x % p``.
+        """
         raise NotImplementedError
 
     def inv(self, x):
         raise NotImplementedError
 
     def pow(self, x, e: int):
-        raise NotImplementedError
+        """``x**e`` for any integer ``e``; a negative ``e`` inverts ``x`` first.
+
+        Over ``F_p`` this is three-argument ``pow(x, e, p)``, never
+        ``reduce(x**e)``: ``lam**-T(i)`` in the L2.1 suite reaches exponent
+        8,128 at the prime-field cap, where ``x**e`` in full would carry up
+        to about 157,000 digits into its one reduction.  Over the rationals
+        ``pow(x, e, None)`` is plain ``x**e``.
+        """
+        if e < 0:
+            x, e = self.inv(x), -e
+        return pow(x, e, self.characteristic or None)
 
     def dot(self, rows, cols):
         """The batched product kernel: every row-by-column dot product.
@@ -121,7 +148,10 @@ class Field:
         raise NotImplementedError
 
     def encode(self, x) -> str:
-        raise NotImplementedError
+        try:
+            return str(x)
+        except ValueError:
+            raise _past_digit_limit(OutputTooLarge, "result entry") from None
 
     def parse_raw(self, text: str):
         raise NotImplementedError
@@ -185,27 +215,13 @@ class RationalField(Field):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
+    def reduce(self, x):
+        return x
 
     def inv(self, x):
         if not x:
             raise DivisionByZero("division by zero in QQ")
         return self.one / x
-
-    def pow(self, x, e: int):
-        if e < 0 and not x:
-            raise DivisionByZero("negative power of zero in QQ")
-        return x**e
 
     def dot(self, rows, cols):
         # Integer multiply-accumulate: one gcd per entry (in the Fraction
@@ -221,16 +237,16 @@ class RationalField(Field):
     def from_int(self, n: int):
         return Fraction(n)
 
-    def encode(self, x) -> str:
-        return str(x)
-
     def parse_raw(self, text: str):
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(
                 f"invalid rational {text!r}: expected 'n' or 'n/d' with d > 0",
                 {"text": text},
             )
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:
+            raise _past_digit_limit(ParseError, "rational") from None
 
     def scalar(self, value, den=None) -> "FieldScalar":
         if den is not None:
@@ -278,27 +294,15 @@ class PrimeField(Field):
     def characteristic(self) -> int:  # type: ignore[override]
         return self.p
 
-    def add(self, x, y):
-        return (x + y) % self.p
+    def reduce(self, x):
+        return x % self.p
 
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
+    from_int = reduce
 
     def inv(self, x):
         if x == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
         return pow(x, self.p - 2, self.p)
-
-    def pow(self, x, e: int):
-        if e >= 0:
-            return pow(x, e, self.p)
-        return pow(self.inv(x), -e, self.p)
 
     def dot(self, rows, cols):
         # Accumulate in ZZ, reduce once per entry.  (A list comprehension
@@ -306,19 +310,16 @@ class PrimeField(Field):
         p = self.p
         return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows])
 
-    def from_int(self, n: int):
-        return n % self.p
-
-    def encode(self, x) -> str:
-        return str(x)
-
     def parse_raw(self, text: str):
         if not _RESIDUE_RE.fullmatch(text):
             raise ParseError(
                 f"invalid residue {text!r}: expected decimal digits",
                 {"text": text},
             )
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise _past_digit_limit(ParseError, "residue") from None
         if value >= self.p:
             raise ParseError(
                 f"residue {value} out of range for F_{self.p}",
@@ -373,56 +374,42 @@ class FieldScalar:
         self.field = field
         self.value = value
 
-    def _coerce(self, other) -> Union[Any, None]:
+    def _combine(self, other, op):
+        """``reduce(op(x, y))`` on the raw values of ``self`` and ``other``,
+        a scalar of the same field or an ``int`` (else NotImplemented)."""
         if isinstance(other, FieldScalar):
             if other.field != self.field:
                 raise FieldMismatch(
                     f"cannot combine scalars over {self.field} and {other.field}"
                 )
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.field.from_int(other)
-        return None
+            v = other.value
+        elif isinstance(other, int) and not isinstance(other, bool):
+            v = self.field.from_int(other)
+        else:
+            return NotImplemented
+        return FieldScalar(self.field, self.field.reduce(op(self.value, v)))
 
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.add(self.value, v))
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.sub(self.value, v))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.sub(v, self.value))
+        return self._combine(other, lambda x, v: v - x)
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.mul(self.value, v))
+        return self._combine(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.mul(self.value, self.field.inv(v)))
+        return self._combine(other, lambda x, v: x * self.field.inv(v))
 
     def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FieldScalar(self.field, self.field.mul(v, self.field.inv(self.value)))
+        return self._combine(other, lambda x, v: v * self.field.inv(x))
 
     def __pow__(self, e):
         if not isinstance(e, int) or isinstance(e, bool):
@@ -430,7 +417,7 @@ class FieldScalar:
         return FieldScalar(self.field, self.field.pow(self.value, e))
 
     def __neg__(self):
-        return FieldScalar(self.field, self.field.neg(self.value))
+        return FieldScalar(self.field, self.field.reduce(-self.value))
 
     def inverse(self) -> "FieldScalar":
         return FieldScalar(self.field, self.field.inv(self.value))

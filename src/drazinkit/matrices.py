@@ -2,7 +2,8 @@
 
 A :class:`Matrix` stores its :class:`~drazinkit.fields.Field` once and keeps
 entries as a tuple of row tuples of raw field values, so the elimination and
-multiplication kernels run directly on raw scalars.  Matrices are immutable;
+multiplication kernels run directly on raw scalars: Python operators, then
+one :meth:`~drazinkit.fields.Field.reduce` per result entry.  Matrices are immutable;
 all operators return new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
@@ -155,7 +156,8 @@ class Matrix:
 
     # -- ring operations -----------------------------------------------------
     def _check_field(self, other: "Matrix") -> None:
-        if other.field != self.field:
+        # Identity first: operands nearly always share one field object.
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(
                 f"cannot combine matrices over {self.field} and {other.field}"
             )
@@ -168,11 +170,11 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        add = self.field.add
+        red = self.field.reduce
         return Matrix(
             self.field,
             tuple(
-                tuple(add(x, y) for x, y in zip(r1, r2))
+                tuple(red(x + y) for x, y in zip(r1, r2))
                 for r1, r2 in zip(self._data, other._data)
             ),
         )
@@ -185,23 +187,23 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
             )
-        sub = self.field.sub
+        red = self.field.reduce
         return Matrix(
             self.field,
             tuple(
-                tuple(sub(x, y) for x, y in zip(r1, r2))
+                tuple(red(x - y) for x, y in zip(r1, r2))
                 for r1, r2 in zip(self._data, other._data)
             ),
         )
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(neg(x) for x in row) for row in self._data))
+        red = self.field.reduce
+        return Matrix(self.field, tuple(tuple(red(-x) for x in row) for row in self._data))
 
     def _scale(self, raw) -> "Matrix":
-        mul = self.field.mul
+        red = self.field.reduce
         return Matrix(
-            self.field, tuple(tuple(mul(raw, x) for x in row) for row in self._data)
+            self.field, tuple(tuple(red(raw * x) for x in row) for row in self._data)
         )
 
     def __mul__(self, other):
@@ -307,6 +309,7 @@ class Matrix:
         the pivot columns, hence the rank, at a fraction of the work.
         """
         F = self.field
+        red = F.reduce
         m = [list(row) for row in self._data]
         n = self.rows
         t = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)] if full else None
@@ -334,17 +337,17 @@ class Matrix:
             lead = m[piv][c]
             if lead != F.one:
                 f = F.inv(lead)
-                m[piv] = [F.mul(f, x) for x in m[piv]]
+                m[piv] = [red(f * x) for x in m[piv]]
                 if full:
-                    t[piv] = [F.mul(f, x) for x in t[piv]]
+                    t[piv] = [red(f * x) for x in t[piv]]
             for r in range(0 if full else piv + 1, n):
                 if r == piv:
                     continue
                 g = m[r][c]
                 if g:
-                    m[r] = [F.sub(x, F.mul(g, y)) for x, y in zip(m[r], m[piv])]
+                    m[r] = [red(x - g * y) for x, y in zip(m[r], m[piv])]
                     if full:
-                        t[r] = [F.sub(x, F.mul(g, y)) for x, y in zip(t[r], t[piv])]
+                        t[r] = [red(x - g * y) for x, y in zip(t[r], t[piv])]
             pivot_cols.append(c)
             piv += 1
         return m, t, pivot_cols

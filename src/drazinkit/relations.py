@@ -264,9 +264,15 @@ def _add(items: List[IdentityItem], iid: str, lhs: Matrix, rhs: Matrix) -> None:
     items.append(IdentityItem(iid, lhs, rhs, lhs == rhs))
 
 
-def _check_i_max(i_max: int) -> None:
+def _check_i_max(i_max: int, cap: int, cap_name: str, field) -> None:
+    """Refuse an ``i_max`` below 1 or past ``cap`` before any product is formed."""
     if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 1:
         raise ValueError(f"i_max must be a positive integer, got {i_max!r}")
+    if i_max > cap:
+        raise ExponentOverflow(
+            f"i_max {i_max} exceeds the {cap_name} cap {cap} over {field}",
+            {"i_max": i_max, "cap": cap},
+        )
 
 
 def cube_exponent_cap(field) -> int:
@@ -288,13 +294,7 @@ def lemma21_suite(
     over the rationals, 128 over a prime field); beyond the cap raises
     :class:`ExponentOverflow` before any product is formed.
     """
-    _check_i_max(i_max)
-    cap = lambda_exponent_cap(a.field)
-    if i_max > cap:
-        raise ExponentOverflow(
-            f"i_max {i_max} exceeds the lambda-power cap {cap} over {a.field}",
-            {"i_max": i_max, "cap": cap},
-        )
+    _check_i_max(i_max, lambda_exponent_cap(a.field), "lambda-power", a.field)
     rel = LambdaCommute(lam)
     require_relation(a, b, rel)
     items: List[IdentityItem] = []
@@ -338,13 +338,7 @@ def lemma31_suite(a: Matrix, b: Matrix, i_max: int) -> IdentityReport:
     :class:`ExponentOverflow`.  Matrix powers are honest square-and-multiply
     products; exponents are never reduced modulo anything.
     """
-    _check_i_max(i_max)
-    cap = cube_exponent_cap(a.field)
-    if i_max > cap:
-        raise ExponentOverflow(
-            f"i_max {i_max} exceeds the 3^i growth cap {cap} over {a.field}",
-            {"i_max": i_max, "cap": cap},
-        )
+    _check_i_max(i_max, cube_exponent_cap(a.field), "3^i growth", a.field)
     rel = CrossCube()
     require_relation(a, b, rel)
     items: List[IdentityItem] = []

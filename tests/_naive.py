@@ -63,6 +63,10 @@ def sub(x: Rows, y: Rows, p: Optional[int] = None) -> Rows:
     ]
 
 
+def scale(s: Num, x: Rows, p: Optional[int] = None) -> Rows:
+    return [[(s * v) % p if p is not None else s * v for v in row] for row in x]
+
+
 def eq(x: Rows, y: Rows) -> bool:
     return x == y
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -107,6 +108,41 @@ def test_compute_bad_entry_position_reported(monkeypatch, capsys):
     code, _, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(bad))
     assert code == 2
     assert "input.entries[1][1]" in json.loads(err)["error"]["message"]
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int/str conversion limit, whatever the environment set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_compute_result_past_digit_limit_exit_3(monkeypatch, capsys, default_digit_limit):
+    # A valid input: 1,500-digit entries print fine, but the inverse's
+    # denominators have about 4,500 digits, too many to print.
+    rng = Random(1)
+    entries = [[str(rng.randrange(10**1499, 10**1500)) for _ in range(3)] for _ in range(3)]
+    big = dict(SHIFT2, rows=3, cols=3, entries=entries)
+    code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(big))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "output-too-large"
+    assert error["detail"] == {"limit": default_digit_limit}
+
+
+def test_compute_input_entry_past_digit_limit_exit_2(monkeypatch, capsys, default_digit_limit):
+    bad = dict(SHIFT2, entries=[["0", "1"], ["7" * 5000, "0"]])
+    code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(bad))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["detail"] == {"at": "input.entries[1][0]"}
 
 
 def test_compute_missing_file_exit_2(monkeypatch, capsys):

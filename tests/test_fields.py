@@ -159,6 +159,20 @@ def test_prime_field_negative_pow():
     assert x**-2 == (x * x).inverse()
 
 
+def test_prime_field_pow_is_modular():
+    # x**e is pow(x, e, p); expanding x**e first would never finish.
+    f = PrimeField(2**64 - 59)
+    x = f.scalar(123456789)
+    for e in (10**18, -(10**18)):
+        assert (x**e).value == pow(123456789, e, f.characteristic)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_negative_power_of_zero_raises(field):
+    with pytest.raises(DivisionByZero):
+        field.zero_scalar() ** -1
+
+
 def test_field_json_forms():
     assert QQ.to_json_obj() == "Q"
     assert PrimeField(5).to_json_obj() == {"Fp": 5}

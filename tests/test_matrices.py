@@ -21,7 +21,7 @@ from drazinkit import (
     random_invertible,
 )
 
-from _naive import from_matrix, matmul, matpow, rank as naive_rank
+from _naive import add, from_matrix, matmul, matpow, rank as naive_rank, scale, sub
 
 F5 = PrimeField(5)
 
@@ -153,6 +153,37 @@ def test_matmul_scaled_kernel_against_naive_oracle():
     z = Matrix.zero(QQ, 3, 2) * _random_rational_matrix(2, 4, rng)
     _assert_canonical(z)
     assert z.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, F5, P64], ids=repr)
+def test_entrywise_ops_against_naive_oracle(field):
+    """``+``, ``-``, unary ``-`` and scaling: canonical, and equal to the oracle."""
+    rng = Random(4242)
+    p = field.characteristic or None
+    for _ in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        if p is None:
+            x, y = _random_rational_matrix(r, c, rng), _random_rational_matrix(r, c, rng)
+            s = field.scalar(rng.randint(-9, 9), rng.randint(1, 6))
+            ns = Fraction(str(s))
+        else:
+            x, y = _random_residue_matrix(field, r, c, rng), _random_residue_matrix(field, r, c, rng)
+            s = field.scalar(rng.randrange(p))
+            ns = int(str(s))
+        nx, ny = from_matrix(x), from_matrix(y)
+        k = rng.choice([0, 1, -1, 2, -3, 7, 2**70 + 1, -(2**64)])
+        zero = [[0] * c for _ in range(r)]
+        for got, want in (
+            (x + y, add(nx, ny, p)),
+            (x - y, sub(nx, ny, p)),
+            (-x, sub(zero, nx, p)),
+            (x * k, scale(k, nx, p)),
+            (k * x, scale(k, nx, p)),
+            (x * s, scale(ns, nx, p)),
+            (s * x, scale(ns, nx, p)),
+        ):
+            _assert_canonical(got)
+            assert from_matrix(got) == want
 
 
 @pytest.fixture
