@@ -6,6 +6,9 @@ tolerances anywhere.  The core surface:
 
 * :func:`drazin_inverse` / :func:`group_inverse` / :func:`certify` - the
   inverse itself, with post-hoc certification of the defining equations.
+* :class:`Workspace` - certified Drazin data, powers and passed relation
+  checks computed once per matrix value, shared by the suites and
+  formulas of one run through their ``ws`` keyword.
 * ``lemma*_suite`` functions - itemized identity checks for pairs
   satisfying a commutation relation (``a*b == lam*b*a``) or one of the two
   cube relations (``a**3*b == b*a, b**3*a == a*b`` and its swapped form).
@@ -36,7 +39,14 @@ from .errors import (
 )
 from .fields import Field, FieldScalar, PrimeField, QQ, RationalField, is_prime
 from .matrices import Matrix, PivotOrder, RrefResult, nilpotency_degree
-from .drazin import DrazinData, certify, compute_index, drazin_inverse, group_inverse
+from .drazin import (
+    DrazinData,
+    Workspace,
+    certify,
+    compute_index,
+    drazin_inverse,
+    group_inverse,
+)
 from .relations import (
     CrossCube,
     IdentityItem,
@@ -129,6 +139,7 @@ __all__ = [
     "nilpotency_degree",
     # drazin
     "DrazinData",
+    "Workspace",
     "compute_index",
     "certify",
     "drazin_inverse",

@@ -6,12 +6,16 @@ newline), standard error carries diagnostics.  Exit codes:
 
 * 0 - success / every identity checked holds
 * 1 - a verification mismatch (the report on stdout carries witnesses)
-* 2 - malformed input (error JSON on stderr locates the problem)
+* 2 - malformed input (error JSON on stderr locates the problem); this
+      includes an unknown flag, a missing required flag, a flag value of
+      the wrong type and ``search --jobs`` outside 1..64, so every
+      failure leaves as one error JSON, never as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
       for the sum formula, incompatible family, budget exceeded, a result
       entry too long to print, ...)
 
-Identical invocations produce byte-identical stdout.
+Identical invocations produce byte-identical stdout.  ``--help`` prints
+usage on stdout and exits 0.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .drazin import drazin_inverse
+from .drazin import Workspace, drazin_inverse
 from .errors import (
     DrazinKitError,
     InternalCertificationFailure,
@@ -228,11 +232,11 @@ def parse_family(text: str) -> PairFamily:
 # the default of ``lemmas --i-max``.
 _I_MAX = 3
 
-_Runner = Callable[[CorpusPair, int], Union[IdentityReport, bool]]
+_Runner = Callable[[CorpusPair, int, Workspace], Union[IdentityReport, bool]]
 
 
-def _thm36_holds(cp: CorpusPair, i_max: int) -> bool:
-    report = evaluate_thm36(cp.a, cp.b)
+def _thm36_holds(cp: CorpusPair, i_max: int, ws: Workspace) -> bool:
+    report = evaluate_thm36(cp.a, cp.b, ws=ws)
     return report.match and report.projectors_orthogonal
 
 
@@ -240,18 +244,19 @@ def _thm36_holds(cp: CorpusPair, i_max: int) -> bool:
 # An L row is an identity suite and returns its report; a T row is an
 # additive formula, checked against the oracle, and returns whether it held.
 # Runners look the suites up in this module's globals when they run, so a
-# suite replaced here (by a test or a tracer) is the one that runs.
+# suite replaced here (by a test or a tracer) is the one that runs.  Every
+# runner of one invocation shares that invocation's Workspace.
 _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
-    ("L2.1", "lambda-commute", lambda cp, i_max: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max)),
-    ("L2.2", "lambda-commute", lambda cp, i_max: lemma22_suite(cp.a, cp.b, cp.relation.lam)),
-    ("T2.3", "lambda-commute", lambda cp, i_max: evaluate_thm23(cp.a, cp.b, cp.relation.lam).match),
-    ("L3.1", "cross-cube", lambda cp, i_max: lemma31_suite(cp.a, cp.b, i_max)),
-    ("L3.2", "cross-cube", lambda cp, i_max: lemma32_suite(cp.a, cp.b)),
-    ("L3.3", "swapped-cube", lambda cp, i_max: lemma33_suite(cp.a, cp.b)),
-    ("L3.4", "cross-cube", lambda cp, i_max: lemma34_suite(cp.a, cp.b)),
-    ("L3.5[i=0,j=0]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 0, 0)),
-    ("L3.5[i=1,j=2]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 1, 2)),
-    ("L3.5[i=2,j=1]", "cross-cube", lambda cp, i_max: lemma35_suite(cp.a, cp.b, 2, 1)),
+    ("L2.1", "lambda-commute", lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
+    ("L2.2", "lambda-commute", lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
+    ("T2.3", "lambda-commute", lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).match),
+    ("L3.1", "cross-cube", lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
+    ("L3.2", "cross-cube", lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
+    ("L3.3", "swapped-cube", lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
+    ("L3.4", "cross-cube", lambda cp, i_max, ws: lemma34_suite(cp.a, cp.b, ws=ws)),
+    ("L3.5[i=0,j=0]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
+    ("L3.5[i=1,j=2]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
+    ("L3.5[i=2,j=1]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
     ("T3.6", "cross-cube", _thm36_holds),
 )
 
@@ -261,6 +266,13 @@ _WHICH = {
     "section-3": "cross-cube",
     "lemma-3.3": "swapped-cube",
 }
+
+
+# Upper bound of ``search --jobs``.  The search forks one worker per job (up
+# to one per leading entry of ``a``), so an unbounded value could ask for
+# thousands of processes.  Fixed rather than the CPU count, so the same
+# command is valid on every host.
+_MAX_JOBS = 64
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +319,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         for label, kind, runner in _CATALOG
         if kind == relation and label.startswith("L")
     ]
+    ws = Workspace()
     all_pass = True
     results = []
     for idx, cp in enumerate(corpus):
@@ -316,7 +329,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
                 f"{args.which} suites need a {relation} pair, got {got}"
             )
         for label, runner in suites:
-            report = runner(cp, args.i_max)
+            report = runner(cp, args.i_max, ws)
             entry: Dict[str, Any] = {
                 "pair": idx,
                 "provenance": cp.provenance,
@@ -396,10 +409,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.mod is None:
-        raise ParseError("search requires --mod p")
     if args.jobs < 1:
         raise ParseError(f"--jobs must be positive, got {args.jobs}")
+    if args.jobs > _MAX_JOBS:
+        raise ParseError(
+            f"--jobs {args.jobs} exceeds the cap of {_MAX_JOBS}",
+            {"jobs": args.jobs, "cap": _MAX_JOBS},
+        )
     field = PrimeField(args.mod)
     rel = _relation_from_flags(args, field)
     entry_bound = None
@@ -449,12 +465,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         "swapped-cube": default_cube_corpus(field, SwappedCube())
         + exhaustive_hits_corpus(3, 2, SwappedCube()),
     }
+    ws = Workspace()
     suites: List[Dict[str, Any]] = []
     for label, relation, runner in _CATALOG:
         corpus = corpora[relation]
         failures = []
         for idx, cp in enumerate(corpus):
-            result = runner(cp, _I_MAX)
+            result = runner(cp, _I_MAX, ws)
             if isinstance(result, IdentityReport):
                 failure = None if result.all_pass else {"failing": result.failing_ids()}
             else:
@@ -478,6 +495,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors are :class:`ParseError`s, so a bad
+    flag exits 2 with one error JSON like any other malformed input."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}", {"command": self.prog})
 
 
 def _add_common(sub: argparse.ArgumentParser, *, with_input: bool = True) -> None:
@@ -515,7 +540,7 @@ def _add_relation_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="drazinkit",
         description=(
             "Exact Drazin inverses over Q and F_p, and verification of the "
@@ -577,7 +602,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop hits with a*b == 0",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help=f"worker processes, 1..{_MAX_JOBS}"
+    )
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=_cmd_search, relation="lambda-commute")
 
@@ -590,9 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except DrazinKitError as exc:
         payload = {

@@ -15,16 +15,27 @@ computed inverse is certified against the three defining equations before
 it is returned; a failed certificate raises
 :class:`~drazinkit.errors.InternalCertificationFailure` since it can only
 mean a bug, never bad input.
+
+A :class:`Workspace` lets a run that asks for the same inverses and powers
+again and again (the identity catalog over a corpus) compute each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import IndexTooLarge, InternalCertificationFailure, ShapeMismatch
 from .matrices import Matrix, PivotOrder
 
-__all__ = ["DrazinData", "compute_index", "certify", "drazin_inverse", "group_inverse"]
+__all__ = [
+    "DrazinData",
+    "Workspace",
+    "compute_index",
+    "certify",
+    "drazin_inverse",
+    "group_inverse",
+]
 
 
 @dataclass(frozen=True)
@@ -56,19 +67,25 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeMismatch(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def compute_index(a: Matrix) -> int:
+def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
     """Drazin index: where the rank sequence ``rank(a**k)`` plateaus.
 
     The sequence ``n = rank(I) >= rank(a) >= rank(a**2) >= ...`` strictly
     decreases until it stabilizes, so the loop terminates within ``n``
     steps.  The zero matrix has index 1; the identity (any invertible
     matrix) has index 0.
+
+    If ``ladder`` is a list, the powers ``a, a**2, ..., a**(k + 1)`` built
+    on the way are appended to it, so a caller that needs them does not
+    power again.
     """
     _require_square(a, "the Drazin index")
     n = a.rows
     power = a
     r_prev = n
     for k in range(n + 1):
+        if ladder is not None:
+            ladder.append(power)
         r_next = power.rank()
         if r_next == r_prev:
             return k
@@ -99,10 +116,14 @@ def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
     return a**index == a ** (index + 1) * candidate
 
 
-def _assemble(a: Matrix, index: int, order: PivotOrder) -> DrazinData:
+def _assemble(
+    a: Matrix, index: int, ladder: List[Matrix], order: PivotOrder
+) -> DrazinData:
+    # ``ladder`` holds a**1 .. a**(index + 1) from compute_index.
     l = max(index, 1)
-    g = (a ** (2 * l + 1)).inner_inverse(order)
-    al = a**l
+    al = ladder[l - 1]
+    al1 = ladder[l] if l < len(ladder) else al * a
+    g = (al * al1).inner_inverse(order)
     d = al * g * al
     if not certify(a, d, index):
         raise InternalCertificationFailure(
@@ -119,13 +140,60 @@ def drazin_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> Drazin
     inverse; it changes the intermediate, never the result.
     """
     _require_square(a, "the Drazin inverse")
-    return _assemble(a, compute_index(a), order)
+    ladder: List[Matrix] = []
+    return _assemble(a, compute_index(a, ladder), ladder, order)
 
 
 def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinData:
     """Drazin inverse restricted to index <= 1; raises IndexTooLarge otherwise."""
     _require_square(a, "the group inverse")
-    k = compute_index(a)
+    ladder: List[Matrix] = []
+    k = compute_index(a, ladder)
     if k > 1:
         raise IndexTooLarge(f"group inverse needs index <= 1, got index {k}", k)
-    return _assemble(a, k, order)
+    return _assemble(a, k, ladder, order)
+
+
+class Workspace:
+    """Certified Drazin data, powers and passed relation checks of one run.
+
+    A run that evaluates the identity catalog over a corpus asks for the
+    same few Drazin inverses and powers many times; a workspace computes
+    each once, keyed by matrix value.  Every inverse comes from
+    :func:`drazin_inverse` under the workspace's one pivot order, so it is
+    certified, and reuse never crosses pivot orders.  ``relations_held``
+    records the ``(a, b, relation)`` triples that passed
+    :func:`~drazinkit.relations.require_relation`; failures are never
+    recorded, so a bad pair raises every time.
+
+    A workspace keeps every matrix it has seen alive, so it should live
+    for one run (one CLI invocation) and no longer.  ``drazin_computed``
+    and ``drazin_reused`` count the :meth:`drazin` calls that computed an
+    inverse and those that found one.
+    """
+
+    def __init__(self, order: PivotOrder = PivotOrder.TOP_DOWN):
+        self.order = order
+        self.drazin_computed = 0
+        self.drazin_reused = 0
+        self.relations_held: Set[tuple] = set()
+        self._drazin: Dict[Matrix, DrazinData] = {}
+        self._powers: Dict[Tuple[Matrix, int], Matrix] = {}
+
+    def drazin(self, a: Matrix) -> DrazinData:
+        """The certified Drazin data of ``a`` under this workspace's order."""
+        data = self._drazin.get(a)
+        if data is None:
+            data = self._drazin[a] = drazin_inverse(a, self.order)
+            self.drazin_computed += 1
+        else:
+            self.drazin_reused += 1
+        return data
+
+    def power(self, a: Matrix, e: int) -> Matrix:
+        """``a**e``, computed once per (matrix, exponent)."""
+        key = (a, e)
+        p = self._powers.get(key)
+        if p is None:
+            p = self._powers[key] = a**e
+        return p

@@ -57,7 +57,10 @@ class RrefResult:
 class Matrix:
     """Immutable dense matrix over ``QQ`` or a prime field."""
 
-    __slots__ = ("field", "rows", "cols", "_data")
+    # ``_hash`` is filled on the first hash() call: matrices key the
+    # Drazin and power tables of a Workspace, and hashing a tuple of
+    # Fractions runs in Python.
+    __slots__ = ("field", "rows", "cols", "_data", "_hash")
 
     def __init__(self, field: Field, data: Tuple[Tuple[Any, ...], ...]):
         # Trusted constructor: ``data`` must already hold canonical raw
@@ -271,7 +274,16 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self._data))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, self._data))
+            return self._hash
+
+    def __reduce__(self):
+        # Pickle without ``_hash``: field hashes hash strings, which differ
+        # between interpreters started with different hash seeds.
+        return (Matrix, (self.field, self._data))
 
     # -- elimination kernels ---------------------------------------------------
     def rref(self, order: PivotOrder = PivotOrder.TOP_DOWN) -> RrefResult:

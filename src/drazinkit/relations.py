@@ -14,6 +14,12 @@ unconditionally (no short-circuit after a failure) and reported in
 lexicographic identity-id order, so two runs, or two implementations, agree
 on the ledger layout bit for bit.
 
+Every suite takes an optional keyword ``ws``, a
+:class:`~drazinkit.drazin.Workspace` from which it takes Drazin data and
+powers and in which its hypothesis check is recorded, so that suites run
+over a corpus compute each once.  Without one a suite makes a fresh
+workspace; the results are the same either way.
+
 Suite catalog (exponent arguments shown as ``i``, ``j``; ``T(i)`` is the
 triangular number ``i*(i-1)/2``):
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .drazin import drazin_inverse
+from .drazin import Workspace
 from .errors import (
     ExponentOverflow,
     FieldMismatch,
@@ -187,8 +193,17 @@ def first_violation(a: Matrix, b: Matrix, rel: RelationKind) -> Optional[Dict[st
     return None
 
 
-def require_relation(a: Matrix, b: Matrix, rel: RelationKind) -> None:
-    """Raise :class:`PreconditionViolated` locating the first broken entry."""
+def require_relation(
+    a: Matrix, b: Matrix, rel: RelationKind, *, ws: Optional[Workspace] = None
+) -> None:
+    """Raise :class:`PreconditionViolated` locating the first broken entry.
+
+    With a workspace, a triple that already passed in it is not checked
+    again, and a passing triple is recorded there.
+    """
+    key = (a, b, rel)
+    if ws is not None and key in ws.relations_held:
+        return
     violation = first_violation(a, b, rel)
     if violation is not None:
         name = _RELATION_NAMES[type(rel)]
@@ -198,6 +213,8 @@ def require_relation(a: Matrix, b: Matrix, rel: RelationKind) -> None:
             f"{violation['lhs']} != {violation['rhs']}",
             violation,
         )
+    if ws is not None:
+        ws.relations_held.add(key)
 
 
 def det_consistency_diagnostic(
@@ -285,8 +302,23 @@ def lambda_exponent_cap(field) -> int:
     return 32 if field.characteristic == 0 else 128
 
 
+def _hypothesis(
+    a: Matrix, b: Matrix, rel: RelationKind, ws: Optional[Workspace]
+) -> Workspace:
+    """Check a suite's relation and return the workspace it runs in: the
+    caller's, or a fresh one when the suite is called on its own."""
+    ws = Workspace() if ws is None else ws
+    require_relation(a, b, rel, ws=ws)
+    return ws
+
+
 def lemma21_suite(
-    a: Matrix, b: Matrix, lam: FieldScalar, i_max: int
+    a: Matrix,
+    b: Matrix,
+    lam: FieldScalar,
+    i_max: int,
+    *,
+    ws: Optional[Workspace] = None,
 ) -> IdentityReport:
     """Power identities under ``a*b == lam*(b*a)``, for each i in 1..i_max.
 
@@ -296,18 +328,24 @@ def lemma21_suite(
     """
     _check_i_max(i_max, lambda_exponent_cap(a.field), "lambda-power", a.field)
     rel = LambdaCommute(lam)
-    require_relation(a, b, rel)
+    pw = _hypothesis(a, b, rel, ws).power
+    # Powers of a*b and b*a belong to this pair alone, so they are not
+    # kept in the workspace.
+    ab, ba = a * b, b * a
     items: List[IdentityItem] = []
     for i in range(1, i_max + 1):
         tri = i * (i - 1) // 2
-        _add(items, f"L2.1-1a-i{i:02d}", a * b**i, (lam**i) * (b**i * a))
-        _add(items, f"L2.1-1b-i{i:02d}", a**i * b, (lam**i) * (b * a**i))
-        _add(items, f"L2.1-2a-i{i:02d}", (a * b) ** i, (lam**-tri) * (a**i * b**i))
-        _add(items, f"L2.1-2b-i{i:02d}", (b * a) ** i, (lam**tri) * (b**i * a**i))
+        ai, bi = pw(a, i), pw(b, i)
+        _add(items, f"L2.1-1a-i{i:02d}", a * bi, (lam**i) * (bi * a))
+        _add(items, f"L2.1-1b-i{i:02d}", ai * b, (lam**i) * (b * ai))
+        _add(items, f"L2.1-2a-i{i:02d}", ab**i, (lam**-tri) * (ai * bi))
+        _add(items, f"L2.1-2b-i{i:02d}", ba**i, (lam**tri) * (bi * ai))
     return IdentityReport.build(rel, items)
 
 
-def lemma22_suite(a: Matrix, b: Matrix, lam: FieldScalar) -> IdentityReport:
+def lemma22_suite(
+    a: Matrix, b: Matrix, lam: FieldScalar, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Drazin-inverse identities under ``a*b == lam*(b*a)``.
 
     Catalog: ``a^D*b == lam**-1*(b*a^D)``; ``a*b^D == lam**-1*(b^D*a)``;
@@ -315,10 +353,9 @@ def lemma22_suite(a: Matrix, b: Matrix, lam: FieldScalar) -> IdentityReport:
     projector commutations ``a*a^D`` with ``b`` and ``b*b^D`` with ``a``.
     """
     rel = LambdaCommute(lam)
-    require_relation(a, b, rel)
-    da = drazin_inverse(a).d
-    db = drazin_inverse(b).d
-    dab = drazin_inverse(a * b).d
+    ws = _hypothesis(a, b, rel, ws)
+    da, db = ws.drazin(a).d, ws.drazin(b).d
+    dab = ws.drazin(a * b).d
     linv = lam.inverse()
     items: List[IdentityItem] = []
     _add(items, "L2.2-1", da * b, linv * (b * da))
@@ -330,7 +367,9 @@ def lemma22_suite(a: Matrix, b: Matrix, lam: FieldScalar) -> IdentityReport:
     return IdentityReport.build(rel, items)
 
 
-def lemma31_suite(a: Matrix, b: Matrix, i_max: int) -> IdentityReport:
+def lemma31_suite(
+    a: Matrix, b: Matrix, i_max: int, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Power identities under the cross-cube relation, i in 1..i_max.
 
     Exponents reach ``3**i`` and ``26*i``, so ``i_max`` is capped (4 over
@@ -340,30 +379,33 @@ def lemma31_suite(a: Matrix, b: Matrix, i_max: int) -> IdentityReport:
     """
     _check_i_max(i_max, cube_exponent_cap(a.field), "3^i growth", a.field)
     rel = CrossCube()
-    require_relation(a, b, rel)
+    pw = _hypothesis(a, b, rel, ws).power
     items: List[IdentityItem] = []
     ab, ba = a * b, b * a
     for i in range(1, i_max + 1):
-        _add(items, f"L3.1-1a-i{i:02d}", b * a**i, a ** (3 * i) * b)
-        _add(items, f"L3.1-1b-i{i:02d}", b**i * a, a ** (3**i) * b**i)
-        _add(items, f"L3.1-2a-i{i:02d}", a * b**i, b ** (3 * i) * a)
-        _add(items, f"L3.1-2b-i{i:02d}", a**i * b, b ** (3**i) * a**i)
-        _add(items, f"L3.1-3a-i{i:02d}", ab, a ** (26 * i) * ab * b ** (2 * i))
-        _add(items, f"L3.1-3b-i{i:02d}", ba, b ** (26 * i) * ba * a ** (2 * i))
+        ai, bi = pw(a, i), pw(b, i)
+        _add(items, f"L3.1-1a-i{i:02d}", b * ai, pw(a, 3 * i) * b)
+        _add(items, f"L3.1-1b-i{i:02d}", bi * a, pw(a, 3**i) * bi)
+        _add(items, f"L3.1-2a-i{i:02d}", a * bi, pw(b, 3 * i) * a)
+        _add(items, f"L3.1-2b-i{i:02d}", ai * b, pw(b, 3**i) * ai)
+        _add(items, f"L3.1-3a-i{i:02d}", ab, pw(a, 26 * i) * ab * pw(b, 2 * i))
+        _add(items, f"L3.1-3b-i{i:02d}", ba, pw(b, 26 * i) * ba * pw(a, 2 * i))
     return IdentityReport.build(rel, items)
 
 
-def lemma32_suite(a: Matrix, b: Matrix) -> IdentityReport:
+def lemma32_suite(
+    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Drazin-inverse identities under the cross-cube relation (12 items)."""
     rel = CrossCube()
-    require_relation(a, b, rel)
-    da = drazin_inverse(a).d
-    db = drazin_inverse(b).d
+    ws = _hypothesis(a, b, rel, ws)
+    pw = ws.power
+    da, db = ws.drazin(a).d, ws.drazin(b).d
     aaD = a * da
     bbD = b * db
     items: List[IdentityItem] = []
-    _add(items, "L3.2-1a", da**3 * b, b * da)
-    _add(items, "L3.2-1b", db**3 * a, a * db)
+    _add(items, "L3.2-1a", pw(da, 3) * b, b * da)
+    _add(items, "L3.2-1b", pw(db, 3) * a, a * db)
     _add(items, "L3.2-2a", aaD * b, b * aaD)
     _add(items, "L3.2-2b", aaD * db, db * aaD)
     _add(items, "L3.2-3a", bbD * a, a * bbD)
@@ -371,16 +413,18 @@ def lemma32_suite(a: Matrix, b: Matrix) -> IdentityReport:
     # 4b is the a<->b mirror of 4a; the one-sided product order matters on
     # noncommuting pairs (the finite-field search exhibits 24 of them at
     # p=3, n=2 where b*a^D = a^D*b**3 holds but a^D*b = a^D*b**3 fails).
-    _add(items, "L3.2-4a", a * db, db * a**3)
-    _add(items, "L3.2-4b", b * da, da * b**3)
-    _add(items, "L3.2-5a", da * db, db * da**3)
-    _add(items, "L3.2-5b", db * da, da * db**3)
-    _add(items, "L3.2-6a", da * db, db * da * b**2)
-    _add(items, "L3.2-6b", db * da, da * db * a**2)
+    _add(items, "L3.2-4a", a * db, db * pw(a, 3))
+    _add(items, "L3.2-4b", b * da, da * pw(b, 3))
+    _add(items, "L3.2-5a", da * db, db * pw(da, 3))
+    _add(items, "L3.2-5b", db * da, da * pw(db, 3))
+    _add(items, "L3.2-6a", da * db, db * da * pw(b, 2))
+    _add(items, "L3.2-6b", db * da, da * db * pw(a, 2))
     return IdentityReport.build(rel, items)
 
 
-def lemma33_suite(a: Matrix, b: Matrix) -> IdentityReport:
+def lemma33_suite(
+    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Identities under the swapped-cube relation.
 
     Beyond the two product formulas and one auxiliary, the group-inverse
@@ -390,13 +434,13 @@ def lemma33_suite(a: Matrix, b: Matrix) -> IdentityReport:
     the index to <= 1); uniqueness then forces the equality.
     """
     rel = SwappedCube()
-    require_relation(a, b, rel)
-    da = drazin_inverse(a).d
-    db = drazin_inverse(b).d
+    ws = _hypothesis(a, b, rel, ws)
+    pw = ws.power
+    da, db = ws.drazin(a).d, ws.drazin(b).d
     items: List[IdentityItem] = []
-    _add(items, "L3.3-1", da * db, b**3 * a)
-    _add(items, "L3.3-2", db * da, a**3 * b)
-    _add(items, "L3.3-3", da * b, b * da**3)
+    _add(items, "L3.3-1", da * db, pw(b, 3) * a)
+    _add(items, "L3.3-2", db * da, pw(a, 3) * b)
+    _add(items, "L3.3-3", da * b, b * pw(da, 3))
     ab, ba = a * b, b * a
     g = db * da
     _add(items, "L3.3-4a", ab * g, g * ab)
@@ -409,7 +453,9 @@ def lemma33_suite(a: Matrix, b: Matrix) -> IdentityReport:
     return IdentityReport.build(rel, items)
 
 
-def lemma34_suite(a: Matrix, b: Matrix) -> IdentityReport:
+def lemma34_suite(
+    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Two four-term chains under cross-cube, checked as eight equalities.
 
     Chain 1: ``a^D*b^D == (b^D)**3*a^D == b^D*a^D*a**2 == b**2*b^D*a^D``.
@@ -418,17 +464,17 @@ def lemma34_suite(a: Matrix, b: Matrix) -> IdentityReport:
     chain end to end.
     """
     rel = CrossCube()
-    require_relation(a, b, rel)
-    da = drazin_inverse(a).d
-    db = drazin_inverse(b).d
+    ws = _hypothesis(a, b, rel, ws)
+    pw = ws.power
+    da, db = ws.drazin(a).d, ws.drazin(b).d
     x1 = da * db
-    x2 = db**3 * da
-    x3 = db * da * a**2
-    x4 = b**2 * db * da
+    x2 = pw(db, 3) * da
+    x3 = db * da * pw(a, 2)
+    x4 = pw(b, 2) * db * da
     y1 = db * da
-    y2 = da**3 * db
-    y3 = da * db * b**2
-    y4 = a**2 * da * db
+    y2 = pw(da, 3) * db
+    y3 = da * db * pw(b, 2)
+    y4 = pw(a, 2) * da * db
     items: List[IdentityItem] = []
     _add(items, "L3.4-1a", x1, x2)
     _add(items, "L3.4-1b", x2, x3)
@@ -441,7 +487,9 @@ def lemma34_suite(a: Matrix, b: Matrix) -> IdentityReport:
     return IdentityReport.build(rel, items)
 
 
-def lemma35_suite(a: Matrix, b: Matrix, i: int, j: int) -> IdentityReport:
+def lemma35_suite(
+    a: Matrix, b: Matrix, i: int, j: int, *, ws: Optional[Workspace] = None
+) -> IdentityReport:
     """Projector-absorption identities under cross-cube at exponents i, j.
 
     Parts 1 and 2 depend on (i, j); parts 3-8 are fixed:
@@ -455,21 +503,22 @@ def lemma35_suite(a: Matrix, b: Matrix, i: int, j: int) -> IdentityReport:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
     rel = CrossCube()
-    require_relation(a, b, rel)
-    da = drazin_inverse(a).d
-    db = drazin_inverse(b).d
+    ws = _hypothesis(a, b, rel, ws)
+    pw = ws.power
+    da, db = ws.drazin(a).d, ws.drazin(b).d
     aaD = a * da
     bbD = b * db
     eye = Matrix.identity(a.field, a.rows)
     zero = Matrix.zero(a.field, a.rows)
     items: List[IdentityItem] = []
-    rhs12 = aaD * a**i * b**j * bbD
-    _add(items, "L3.5-1", aaD * a ** (4 + i) * b**j * bbD, rhs12)
-    _add(items, "L3.5-2", aaD * a ** (2 + i) * b ** (2 + j) * bbD, rhs12)
+    bj = pw(b, j)
+    rhs12 = aaD * pw(a, i) * bj * bbD
+    _add(items, "L3.5-1", aaD * pw(a, 4 + i) * bj * bbD, rhs12)
+    _add(items, "L3.5-2", aaD * pw(a, 2 + i) * pw(b, 2 + j) * bbD, rhs12)
     _add(items, "L3.5-3", aaD * a * b * db, da * db * db)
-    _add(items, "L3.5-4", aaD * a**3 * b * db, da * b * db)
-    _add(items, "L3.5-5", aaD * a**2 * b * b * db, aaD * db)
-    _add(items, "L3.5-6", aaD * a * b**2 * b * db, da * b * db)
+    _add(items, "L3.5-4", aaD * pw(a, 3) * b * db, da * b * db)
+    _add(items, "L3.5-5", aaD * pw(a, 2) * b * b * db, aaD * db)
+    _add(items, "L3.5-6", aaD * a * pw(b, 2) * b * db, da * b * db)
     _add(items, "L3.5-7", a * b * (eye - aaD), zero)
     _add(items, "L3.5-8", b * a * (eye - bbD), zero)
     return IdentityReport.build(rel, items)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .drazin import DrazinData, drazin_inverse
+from .drazin import DrazinData, Workspace
 from .errors import CharacteristicTwo, NotNilpotentWithinBound, ShapeMismatch
 from .fields import FieldScalar
 from .matrices import Matrix, nilpotency_degree
@@ -147,27 +147,30 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     )
 
 
-def evaluate_thm23(a: Matrix, b: Matrix, lam: FieldScalar) -> Theorem23Report:
+def evaluate_thm23(
+    a: Matrix, b: Matrix, lam: FieldScalar, *, ws: Optional[Workspace] = None
+) -> Theorem23Report:
     """Evaluate the difference formula and certify it against the oracle.
 
     Requires ``a*b == lam*(b*a)`` exactly (raises PreconditionViolated
     locating the first bad entry otherwise).  The Neumann inverses use the
     exact truncation bounds ``t = ind(b)`` and ``s = ind(a)``; the
     hypothesis forces ``(b*b_pi*a^D)**t == 0`` and symmetrically, so
-    :class:`NotNilpotentWithinBound` can only indicate a bug.
+    :class:`NotNilpotentWithinBound` can only indicate a bug.  Drazin data
+    come from ``ws`` (a fresh :class:`Workspace` by default).
     """
-    require_relation(a, b, LambdaCommute(lam))
-    da = drazin_inverse(a)
-    db = drazin_inverse(b)
+    ws = Workspace() if ws is None else ws
+    require_relation(a, b, LambdaCommute(lam), ws=ws)
+    da, db = ws.drazin(a), ws.drazin(b)
     p_a = a * da.d
     p_b = b * db.d
     w = p_a * (a - b) * p_b
-    w_data = drazin_inverse(w)
+    w_data = ws.drazin(w)
     neumann_b = invert_one_minus_nilpotent(b * db.pi * da.d, db.index)
     neumann_a = invert_one_minus_nilpotent(db.d * a * da.pi, da.index)
     x = w_data.d + da.d * neumann_b * db.pi - da.pi * neumann_a * db.d
     diff = a - b
-    direct = drazin_inverse(diff)
+    direct = ws.drazin(diff)
     residual = diff - diff * diff * x
     return Theorem23Report(
         w=w,
@@ -181,32 +184,35 @@ def evaluate_thm23(a: Matrix, b: Matrix, lam: FieldScalar) -> Theorem23Report:
     )
 
 
-def evaluate_thm36(a: Matrix, b: Matrix) -> Theorem36Report:
+def evaluate_thm36(
+    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
+) -> Theorem36Report:
     """Evaluate the sum formula and certify it against the oracle.
 
     Requires the cross-cube relation and a field where 2 is invertible;
     over a prime field of characteristic 2 raises
     :class:`CharacteristicTwo` before touching the formula (its leading
-    coefficient is 1/8).
+    coefficient is 1/8).  Drazin data and powers come from ``ws`` (a fresh
+    :class:`Workspace` by default).
     """
     if a.field.characteristic == 2:
         raise CharacteristicTwo(
             "the sum formula needs 2 invertible; characteristic 2 is excluded"
         )
-    require_relation(a, b, CrossCube())
-    da = drazin_inverse(a)
-    db = drazin_inverse(b)
+    ws = Workspace() if ws is None else ws
+    require_relation(a, b, CrossCube(), ws=ws)
+    da, db = ws.drazin(a), ws.drazin(b)
     p_a = a * da.d
     p_b = b * db.d
     eye = Matrix.identity(a.field, a.rows)
     eighth = (a.field.scalar(8)).inverse()
-    core = 3 * a**3 + 3 * b**3 - a - b
+    core = 3 * ws.power(a, 3) + 3 * ws.power(b, 3) - a - b
     m1 = eighth * (p_b * core * p_a)
     m2 = da.d * (eye - p_b)
     m3 = (eye - p_a) * db.d
     m = m1 + m2 + m3
     total = a + b
-    direct = drazin_inverse(total)
+    direct = ws.drazin(total)
     residual = total - total * total * m
     napi = a * da.pi
     nbpi = b * db.pi

@@ -410,7 +410,7 @@ def test_lemmas_kind_mismatch_exit_3(monkeypatch, capsys):
     assert json.loads(err)["error"]["code"] == "precondition-violated"
 
 
-def _failing_report(a, b):
+def _failing_report(a, b, ws=None):
     """Stand-in for lemma32_suite: one failed identity with a, b as witnesses."""
     return IdentityReport.build(CrossCube(), [IdentityItem("L3.2.x", a, b, False)])
 
@@ -654,6 +654,57 @@ def test_search_nonpositive_jobs_exit_2(monkeypatch, capsys, jobs):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
+def _no_search(spec, jobs=1, budget=None):
+    raise AssertionError("the search must not start")
+
+
+def test_search_jobs_past_cap_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "exhaustive_search", _no_search)
+    cap = cli._MAX_JOBS
+    argv = ["search", "--mod", "3", "--dim", "1", "--relation", "cross-cube"]
+    code, out, err = _run(monkeypatch, capsys, argv + ["--jobs", str(cap + 1)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["detail"] == {"jobs": cap + 1, "cap": cap}
+    # The cap itself is accepted; a stand-in search starts no process.
+    monkeypatch.setattr(cli, "exhaustive_search", lambda spec, jobs, budget: [])
+    code, out, _ = _run(monkeypatch, capsys, argv + ["--jobs", str(cap)])
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["compute", "--bogus"], "drazinkit"),
+        (["search", "--dim", "x", "--mod", "3"], "drazinkit search"),
+        (["search", "--dim", "2"], "drazinkit search"),
+        (["lemmas", "--which", "section-9"], "drazinkit lemmas"),
+        (["no-such-command"], "drazinkit"),
+        ([], "drazinkit"),
+    ],
+)
+def test_flag_errors_are_one_error_json_exit_2(monkeypatch, capsys, argv, command):
+    monkeypatch.setattr(cli, "exhaustive_search", _no_search)
+    code, out, err = _run(monkeypatch, capsys, argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["detail"] == {"command": command}
+    assert error["message"].startswith(command + ": ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_prints_usage_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: drazinkit")
+
+
 @pytest.mark.parametrize(
     "family",
     [
@@ -815,7 +866,7 @@ def test_selftest_failure_layout_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(
         cli,
         "evaluate_thm36",
-        lambda a, b: dataclasses.replace(thm36(a, b), match=False),
+        lambda a, b, ws=None: dataclasses.replace(thm36(a, b), match=False),
     )
     code, out, err = _run(monkeypatch, capsys, ["selftest"])
     assert code == 1

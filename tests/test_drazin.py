@@ -189,3 +189,16 @@ def test_drazin_commutes_with_conjugation():
 def test_non_square_rejected():
     with pytest.raises(ShapeMismatch):
         drazin_inverse(Matrix.zero(QQ, 2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_index_ladder_holds_the_powers_built(field):
+    blk = _shift(field, 3).direct_sum(Matrix.diagonal(field, [2, 3]))
+    for a, k in ((Matrix.identity(field, 3), 0), (_shift(field, 2), 2), (blk, 3)):
+        ladder = []
+        assert compute_index(a, ladder) == k
+        assert ladder == [a**e for e in range(1, k + 2)]
+        # drazin_inverse builds a**(2l + 1) from the ladder's top two powers.
+        data = drazin_inverse(a)
+        p = field.characteristic or None
+        assert drazin_axioms_hold(from_matrix(a), from_matrix(data.d), k, p)

@@ -1,8 +1,13 @@
 """Matrix arithmetic, elimination kernels, inner inverses, JSON wire form."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -402,3 +407,43 @@ def test_equality_hash():
     b = Matrix.from_rows(QQ, [["1", "2"], ["3", "4"]])
     assert a == b and hash(a) == hash(b)
     assert a != Matrix.from_rows(F5, [[1, 2], [3, 4]])
+
+
+def test_hash_is_kept_and_follows_value():
+    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    h = hash(a)
+    assert hash(a) == h == hash((QQ, a._data))
+    # An equal matrix reached another way, hashed before or after, agrees.
+    half = Matrix.from_rows(QQ, [[1, 2], [Fraction(3, 2), 2]])
+    b = Matrix.diagonal(QQ, [1, 2]) * half
+    assert b == a and hash(b) == h
+    assert len({a, b, Matrix.from_rows(F5, [[1, 2], [3, 4]])}) == 2
+
+
+_UNPICKLE_AND_HASH = """
+import pickle, sys
+from drazinkit import Matrix, PrimeField, QQ
+for m in pickle.loads(sys.stdin.buffer.read()):
+    fresh = Matrix(m.field, m._data)
+    assert m == fresh and hash(m) == hash(fresh), m
+"""
+
+
+def test_pickle_leaves_the_cached_hash_behind():
+    # Field hashes involve str hashes, which differ between interpreters
+    # with different hash seeds: a hash cached in one must not travel.
+    ms = [Matrix.from_rows(QQ, [[1, 2], [3, 4]]), Matrix.from_rows(F5, [[1, 2], [3, 4]])]
+    for m in ms:
+        hash(m)
+        assert pickle.loads(pickle.dumps(m)) == m
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_AND_HASH],
+            input=pickle.dumps(ms),
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()

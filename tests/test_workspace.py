@@ -1,0 +1,160 @@
+"""Workspace: reuse across a run is invisible in every result."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+import drazinkit.cli as cli
+import drazinkit.drazin as drazin_mod
+from drazinkit import (
+    QQ,
+    CrossCube,
+    LambdaCommute,
+    Matrix,
+    PivotOrder,
+    PreconditionViolated,
+    PrimeField,
+    SwappedCube,
+    WeightedShift,
+    Workspace,
+    certify,
+    default_cube_corpus,
+    default_lambda_corpus,
+    drazin_inverse,
+    evaluate_thm23,
+    evaluate_thm36,
+    exhaustive_hits_corpus,
+    gen_lambda_pair,
+    lemma22_suite,
+    lemma32_suite,
+    require_relation,
+)
+
+F5 = PrimeField(5)
+SLICE = 4
+
+
+def _corpora():
+    """Slices of the QQ and F_5 default corpora plus the F_3 hits."""
+    out = {"lambda-commute": [], "cross-cube": [], "swapped-cube": []}
+    for field in (QQ, F5):
+        out["lambda-commute"] += default_lambda_corpus(field)[:SLICE]
+        out["cross-cube"] += default_cube_corpus(field)[:SLICE]
+        out["swapped-cube"] += default_cube_corpus(field, SwappedCube())[:SLICE]
+    out["cross-cube"] += exhaustive_hits_corpus(3, 2, CrossCube())[:SLICE]
+    out["swapped-cube"] += exhaustive_hits_corpus(3, 2, SwappedCube())[:SLICE]
+    return out
+
+
+def _row_result(label, runner, cp, ws):
+    """Everything one catalog row computes on one pair, as comparable data."""
+    if label == "T2.3":
+        return evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).to_json_obj()
+    if label == "T3.6":
+        return evaluate_thm36(cp.a, cp.b, ws=ws).to_json_obj()
+    report = runner(cp, cli._I_MAX, ws)
+    return report.to_json_obj(), report.items
+
+
+def test_shared_workspace_gives_the_same_results():
+    corpora = _corpora()
+    shared = Workspace()
+    for label, relation, runner in cli._CATALOG:
+        for cp in corpora[relation]:
+            got = _row_result(label, runner, cp, shared)
+            assert got == _row_result(label, runner, cp, None), (label, cp.provenance)
+    assert shared.drazin_reused > 0
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_workspace_order_is_the_only_order(monkeypatch, field):
+    orders = []
+    plain = drazin_mod.drazin_inverse
+
+    def spy(a, order=PivotOrder.TOP_DOWN):
+        orders.append(order)
+        return plain(a, order)
+
+    monkeypatch.setattr(drazin_mod, "drazin_inverse", spy)
+    ws = Workspace(PivotOrder.BOTTOM_UP)
+    cps = default_cube_corpus(field)[:SLICE]
+    mats = [m for cp in cps for m in (cp.a, cp.b, cp.a + cp.b)]
+    for m in mats:
+        data = ws.drazin(m)
+        assert data.d == plain(m, PivotOrder.BOTTOM_UP).d
+        assert certify(m, data.d, data.index)
+        assert ws.drazin(m) is data
+    assert set(orders) == {PivotOrder.BOTTOM_UP}
+    assert ws.drazin_computed == len(orders) == len(set(mats))
+    assert ws.drazin_computed + ws.drazin_reused == 2 * len(mats)
+
+
+def test_power_table():
+    ws = Workspace()
+    a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    for e in range(6):
+        assert ws.power(a, e) == a**e
+    assert ws.power(Matrix.from_rows(QQ, [[1, 2], [3, 4]]), 5) is ws.power(a, 5)
+
+
+def _violation(fn):
+    with pytest.raises(PreconditionViolated) as exc:
+        fn()
+    return str(exc.value), exc.value.detail
+
+
+def test_failing_pair_still_raises_in_a_used_workspace():
+    ws = Workspace()
+    good = default_cube_corpus(QQ)[:SLICE]
+    for cp in good:
+        assert lemma32_suite(cp.a, cp.b, ws=ws).all_pass
+    a, b = good[2].a, good[2].b  # diag(1, -1) and the identity
+    bad_b = b + Matrix.from_rows(QQ, [[0, 1], [0, 0]])
+    alone = _violation(lambda: lemma32_suite(a, bad_b))
+    for _ in range(2):  # failures are not remembered
+        assert _violation(lambda: lemma32_suite(a, bad_b, ws=ws)) == alone
+    # A pair that passed one relation has not passed another.
+    assert (a, b, CrossCube()) in ws.relations_held
+    lam = QQ.scalar(2)
+    assert _violation(lambda: lemma22_suite(a, b, lam, ws=ws)) == _violation(
+        lambda: require_relation(a, b, LambdaCommute(lam))
+    )
+
+
+def test_lambda_suites_share_drazin_data():
+    lam = QQ.scalar(2)
+    a, b = gen_lambda_pair(WeightedShift(3), lam, 4)
+    ws = Workspace()
+    lemma22_suite(a, b, lam, ws=ws)
+    evaluate_thm23(a, b, lam, ws=ws)
+    # L2.2 computes a, b, a*b; T2.3 reuses a, b and adds w and a - b.
+    assert (ws.drazin_computed, ws.drazin_reused) == (5, 2)
+    assert ws.drazin(a).d == drazin_inverse(a).d
+
+
+def _selftest_workspace(monkeypatch, argv):
+    seen = []
+
+    class Spy(Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self)
+
+    monkeypatch.setattr(cli, "Workspace", Spy)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    (ws,) = seen
+    return ws
+
+
+@pytest.mark.parametrize(
+    "argv, computed",
+    [(["selftest", "--field", "Fp", "--mod", "5"], 380), (["selftest"], 390)],
+)
+def test_selftest_computes_each_drazin_inverse_once(monkeypatch, argv, computed):
+    """A count gate that does not depend on machine speed: the catalog asks
+    for 6,217 Drazin inverses, of which only ``computed`` are distinct."""
+    ws = _selftest_workspace(monkeypatch, argv)
+    assert ws.drazin_computed == computed
+    assert ws.drazin_computed + ws.drazin_reused == 6217
