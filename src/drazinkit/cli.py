@@ -8,8 +8,9 @@ newline), standard error carries diagnostics.  Exit codes:
 * 1 - a verification mismatch (the report on stdout carries witnesses)
 * 2 - malformed input (error JSON on stderr locates the problem); this
       includes an unknown flag, a missing required flag, a flag value of
-      the wrong type and ``search --jobs`` outside 1..64, so every
-      failure leaves as one error JSON, never as usage text
+      the wrong type, ``search --jobs`` outside 1..64 and a ``search
+      --budget`` below 1, so every failure leaves as one error JSON, never
+      as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
       for the sum formula, incompatible family, budget exceeded, a result
       entry too long to print, ...)
@@ -415,6 +416,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ParseError(
             f"--jobs {args.jobs} exceeds the cap of {_MAX_JOBS}",
             {"jobs": args.jobs, "cap": _MAX_JOBS},
+        )
+    if args.budget is not None and args.budget < 1:
+        raise ParseError(
+            f"--budget must be positive, got {args.budget}", {"budget": args.budget}
         )
     field = PrimeField(args.mod)
     rel = _relation_from_flags(args, field)

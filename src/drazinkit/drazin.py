@@ -108,29 +108,37 @@ def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
         return False
     if index < 0:
         return False
-    ad = a * candidate
-    if ad != candidate * a:
-        return False
-    if candidate * ad != candidate:
-        return False
-    return a**index == a ** (index + 1) * candidate
+    return _equations_hold(
+        a, candidate, a * candidate, a**index, a ** (index + 1)
+    )
+
+
+def _equations_hold(
+    a: Matrix, d: Matrix, ad: Matrix, a_k: Matrix, a_k1: Matrix
+) -> bool:
+    # The three Drazin equations, given ``ad = a*d``, ``a_k = a**k`` and
+    # ``a_k1 = a**(k + 1)``.
+    return ad == d * a and d * ad == d and a_k == a_k1 * d
 
 
 def _assemble(
     a: Matrix, index: int, ladder: List[Matrix], order: PivotOrder
 ) -> DrazinData:
-    # ``ladder`` holds a**1 .. a**(index + 1) from compute_index.
+    # ``ladder`` holds a**1 .. a**(index + 1) from compute_index, so the
+    # certificate powers nothing again, and its ``a*d`` also gives ``pi``.
     l = max(index, 1)
     al = ladder[l - 1]
     al1 = ladder[l] if l < len(ladder) else al * a
     g = (al * al1).inner_inverse(order)
     d = al * g * al
-    if not certify(a, d, index):
+    ad = a * d
+    eye = Matrix.identity(a.field, a.rows)
+    a_k = ladder[index - 1] if index else eye
+    if not _equations_hold(a, d, ad, a_k, ladder[index]):
         raise InternalCertificationFailure(
             "constructed Drazin inverse failed its own certificate"
         )
-    pi = Matrix.identity(a.field, a.rows) - a * d
-    return DrazinData(source=a, d=d, index=index, pi=pi, is_group=index <= 1)
+    return DrazinData(source=a, d=d, index=index, pi=eye - ad, is_group=index <= 1)
 
 
 def drazin_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinData:
@@ -155,30 +163,39 @@ def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinD
 
 
 class Workspace:
-    """Certified Drazin data, powers and passed relation checks of one run.
+    """Certified Drazin data, products, powers and passed relation checks
+    of one run.
 
     A run that evaluates the identity catalog over a corpus asks for the
-    same few Drazin inverses and powers many times; a workspace computes
-    each once, keyed by matrix value.  Every inverse comes from
+    same few Drazin inverses, powers and products many times; a workspace
+    computes each once, keyed by matrix value.  Every inverse comes from
     :func:`drazin_inverse` under the workspace's one pivot order, so it is
-    certified, and reuse never crosses pivot orders.  ``relations_held``
-    records the ``(a, b, relation)`` triples that passed
+    certified, and reuse never crosses pivot orders.  :meth:`prod` forms a
+    product of matrices left to right and looks each step up by its
+    ``(left, right)`` operand values; exact arithmetic makes the stored
+    product equal to a fresh one.  ``relations_held`` records the
+    ``(a, b, relation)`` triples that passed
     :func:`~drazinkit.relations.require_relation`; failures are never
     recorded, so a bad pair raises every time.
 
     A workspace keeps every matrix it has seen alive, so it should live
     for one run (one CLI invocation) and no longer.  ``drazin_computed``
     and ``drazin_reused`` count the :meth:`drazin` calls that computed an
-    inverse and those that found one.
+    inverse and those that found one; ``products_computed`` and
+    ``products_reused`` count the steps of :meth:`prod` (the squarings of
+    :meth:`power` included) likewise.
     """
 
     def __init__(self, order: PivotOrder = PivotOrder.TOP_DOWN):
         self.order = order
         self.drazin_computed = 0
         self.drazin_reused = 0
+        self.products_computed = 0
+        self.products_reused = 0
         self.relations_held: Set[tuple] = set()
         self._drazin: Dict[Matrix, DrazinData] = {}
         self._powers: Dict[Tuple[Matrix, int], Matrix] = {}
+        self._products: Dict[Tuple[Matrix, Matrix], Matrix] = {}
 
     def drazin(self, a: Matrix) -> DrazinData:
         """The certified Drazin data of ``a`` under this workspace's order."""
@@ -190,10 +207,40 @@ class Workspace:
             self.drazin_reused += 1
         return data
 
+    def prod(self, *factors: Matrix) -> Matrix:
+        """``factors[0] * factors[1] * ...``, each step formed once per
+        ``(left, right)`` value.
+
+        A step found in the workspace returns the stored matrix, so a
+        later step keyed by it compares by identity.
+        """
+        products = self._products
+        p = factors[0]
+        for f in factors[1:]:
+            key = (p, f)
+            q = products.get(key)
+            if q is None:
+                q = products[key] = p * f
+                self.products_computed += 1
+            else:
+                self.products_reused += 1
+            p = q
+        return p
+
     def power(self, a: Matrix, e: int) -> Matrix:
-        """``a**e``, computed once per (matrix, exponent)."""
+        """``a**e``, computed once per (matrix, exponent).
+
+        ``a**e`` is the square of ``a**(e // 2)``, times ``a`` when ``e`` is
+        odd, so the powers on the way are kept too and the squarings go
+        through :meth:`prod`.
+        """
         key = (a, e)
         p = self._powers.get(key)
         if p is None:
-            p = self._powers[key] = a**e
+            if e < 2:
+                p = a**e
+            else:
+                h = self.power(a, e >> 1)
+                p = self.prod(h, h, a) if e & 1 else self.prod(h, h)
+            self._powers[key] = p
         return p

@@ -225,11 +225,19 @@ class RationalField(Field):
 
     def dot(self, rows, cols):
         # Integer multiply-accumulate: one gcd per entry (in the Fraction
-        # constructor), none per term.
+        # constructor), none per term.  A zero entry is the shared
+        # ``self.zero``, not a fresh Fraction: stored products (a Workspace)
+        # hold mostly zeros.
         scaled_cols = _integer_scaled(cols)
+        zero = self.zero
         return tuple(
             [
-                tuple([Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in scaled_cols])
+                tuple(
+                    [
+                        Fraction(s, rd * cd) if (s := sum(map(mul, rn, cn))) else zero
+                        for cn, cd in scaled_cols
+                    ]
+                )
                 for rn, rd in _integer_scaled(rows)
             ]
         )

@@ -264,10 +264,14 @@ class Matrix:
         return result
 
     def __eq__(self, other):
+        # Identity first: a Workspace hands out the matrices it stores, so
+        # the operands of most comparisons in a catalog run are one object.
+        if self is other:
+            return True
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self.field == other.field
+            (other.field is self.field or self.field == other.field)
             and self.rows == other.rows
             and self.cols == other.cols
             and self._data == other._data

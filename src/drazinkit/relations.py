@@ -15,9 +15,10 @@ lexicographic identity-id order, so two runs, or two implementations, agree
 on the ledger layout bit for bit.
 
 Every suite takes an optional keyword ``ws``, a
-:class:`~drazinkit.drazin.Workspace` from which it takes Drazin data and
-powers and in which its hypothesis check is recorded, so that suites run
-over a corpus compute each once.  Without one a suite makes a fresh
+:class:`~drazinkit.drazin.Workspace` from which it takes Drazin data,
+powers and every matrix product (:meth:`~drazinkit.drazin.Workspace.prod`)
+and in which its hypothesis check is recorded, so that suites run over a
+corpus compute each once.  Without one a suite makes a fresh
 workspace; the results are the same either way.
 
 Suite catalog (exponent arguments shown as ``i``, ``j``; ``T(i)`` is the
@@ -328,18 +329,17 @@ def lemma21_suite(
     """
     _check_i_max(i_max, lambda_exponent_cap(a.field), "lambda-power", a.field)
     rel = LambdaCommute(lam)
-    pw = _hypothesis(a, b, rel, ws).power
-    # Powers of a*b and b*a belong to this pair alone, so they are not
-    # kept in the workspace.
-    ab, ba = a * b, b * a
+    ws = _hypothesis(a, b, rel, ws)
+    pw, pr = ws.power, ws.prod
+    ab, ba = pr(a, b), pr(b, a)
     items: List[IdentityItem] = []
     for i in range(1, i_max + 1):
         tri = i * (i - 1) // 2
         ai, bi = pw(a, i), pw(b, i)
-        _add(items, f"L2.1-1a-i{i:02d}", a * bi, (lam**i) * (bi * a))
-        _add(items, f"L2.1-1b-i{i:02d}", ai * b, (lam**i) * (b * ai))
-        _add(items, f"L2.1-2a-i{i:02d}", ab**i, (lam**-tri) * (ai * bi))
-        _add(items, f"L2.1-2b-i{i:02d}", ba**i, (lam**tri) * (bi * ai))
+        _add(items, f"L2.1-1a-i{i:02d}", pr(a, bi), (lam**i) * pr(bi, a))
+        _add(items, f"L2.1-1b-i{i:02d}", pr(ai, b), (lam**i) * pr(b, ai))
+        _add(items, f"L2.1-2a-i{i:02d}", pw(ab, i), (lam**-tri) * pr(ai, bi))
+        _add(items, f"L2.1-2b-i{i:02d}", pw(ba, i), (lam**tri) * pr(bi, ai))
     return IdentityReport.build(rel, items)
 
 
@@ -354,16 +354,18 @@ def lemma22_suite(
     """
     rel = LambdaCommute(lam)
     ws = _hypothesis(a, b, rel, ws)
+    pr = ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
-    dab = ws.drazin(a * b).d
+    dab = ws.drazin(pr(a, b)).d
+    aaD, bbD = pr(a, da), pr(b, db)
     linv = lam.inverse()
     items: List[IdentityItem] = []
-    _add(items, "L2.2-1", da * b, linv * (b * da))
-    _add(items, "L2.2-2", a * db, linv * (db * a))
-    _add(items, "L2.2-3a", dab, db * da)
-    _add(items, "L2.2-3b", dab, linv * (da * db))
-    _add(items, "L2.2-4a", (a * da) * b, b * (a * da))
-    _add(items, "L2.2-4b", a * (b * db), (b * db) * a)
+    _add(items, "L2.2-1", pr(da, b), linv * pr(b, da))
+    _add(items, "L2.2-2", pr(a, db), linv * pr(db, a))
+    _add(items, "L2.2-3a", dab, pr(db, da))
+    _add(items, "L2.2-3b", dab, linv * pr(da, db))
+    _add(items, "L2.2-4a", pr(aaD, b), pr(b, aaD))
+    _add(items, "L2.2-4b", pr(a, bbD), pr(bbD, a))
     return IdentityReport.build(rel, items)
 
 
@@ -379,17 +381,18 @@ def lemma31_suite(
     """
     _check_i_max(i_max, cube_exponent_cap(a.field), "3^i growth", a.field)
     rel = CrossCube()
-    pw = _hypothesis(a, b, rel, ws).power
+    ws = _hypothesis(a, b, rel, ws)
+    pw, pr = ws.power, ws.prod
     items: List[IdentityItem] = []
-    ab, ba = a * b, b * a
+    ab, ba = pr(a, b), pr(b, a)
     for i in range(1, i_max + 1):
         ai, bi = pw(a, i), pw(b, i)
-        _add(items, f"L3.1-1a-i{i:02d}", b * ai, pw(a, 3 * i) * b)
-        _add(items, f"L3.1-1b-i{i:02d}", bi * a, pw(a, 3**i) * bi)
-        _add(items, f"L3.1-2a-i{i:02d}", a * bi, pw(b, 3 * i) * a)
-        _add(items, f"L3.1-2b-i{i:02d}", ai * b, pw(b, 3**i) * ai)
-        _add(items, f"L3.1-3a-i{i:02d}", ab, pw(a, 26 * i) * ab * pw(b, 2 * i))
-        _add(items, f"L3.1-3b-i{i:02d}", ba, pw(b, 26 * i) * ba * pw(a, 2 * i))
+        _add(items, f"L3.1-1a-i{i:02d}", pr(b, ai), pr(pw(a, 3 * i), b))
+        _add(items, f"L3.1-1b-i{i:02d}", pr(bi, a), pr(pw(a, 3**i), bi))
+        _add(items, f"L3.1-2a-i{i:02d}", pr(a, bi), pr(pw(b, 3 * i), a))
+        _add(items, f"L3.1-2b-i{i:02d}", pr(ai, b), pr(pw(b, 3**i), ai))
+        _add(items, f"L3.1-3a-i{i:02d}", ab, pr(pw(a, 26 * i), ab, pw(b, 2 * i)))
+        _add(items, f"L3.1-3b-i{i:02d}", ba, pr(pw(b, 26 * i), ba, pw(a, 2 * i)))
     return IdentityReport.build(rel, items)
 
 
@@ -399,26 +402,25 @@ def lemma32_suite(
     """Drazin-inverse identities under the cross-cube relation (12 items)."""
     rel = CrossCube()
     ws = _hypothesis(a, b, rel, ws)
-    pw = ws.power
+    pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
-    aaD = a * da
-    bbD = b * db
+    aaD, bbD = pr(a, da), pr(b, db)
     items: List[IdentityItem] = []
-    _add(items, "L3.2-1a", pw(da, 3) * b, b * da)
-    _add(items, "L3.2-1b", pw(db, 3) * a, a * db)
-    _add(items, "L3.2-2a", aaD * b, b * aaD)
-    _add(items, "L3.2-2b", aaD * db, db * aaD)
-    _add(items, "L3.2-3a", bbD * a, a * bbD)
-    _add(items, "L3.2-3b", bbD * da, da * bbD)
+    _add(items, "L3.2-1a", pr(pw(da, 3), b), pr(b, da))
+    _add(items, "L3.2-1b", pr(pw(db, 3), a), pr(a, db))
+    _add(items, "L3.2-2a", pr(aaD, b), pr(b, aaD))
+    _add(items, "L3.2-2b", pr(aaD, db), pr(db, aaD))
+    _add(items, "L3.2-3a", pr(bbD, a), pr(a, bbD))
+    _add(items, "L3.2-3b", pr(bbD, da), pr(da, bbD))
     # 4b is the a<->b mirror of 4a; the one-sided product order matters on
     # noncommuting pairs (the finite-field search exhibits 24 of them at
     # p=3, n=2 where b*a^D = a^D*b**3 holds but a^D*b = a^D*b**3 fails).
-    _add(items, "L3.2-4a", a * db, db * pw(a, 3))
-    _add(items, "L3.2-4b", b * da, da * pw(b, 3))
-    _add(items, "L3.2-5a", da * db, db * pw(da, 3))
-    _add(items, "L3.2-5b", db * da, da * pw(db, 3))
-    _add(items, "L3.2-6a", da * db, db * da * pw(b, 2))
-    _add(items, "L3.2-6b", db * da, da * db * pw(a, 2))
+    _add(items, "L3.2-4a", pr(a, db), pr(db, pw(a, 3)))
+    _add(items, "L3.2-4b", pr(b, da), pr(da, pw(b, 3)))
+    _add(items, "L3.2-5a", pr(da, db), pr(db, pw(da, 3)))
+    _add(items, "L3.2-5b", pr(db, da), pr(da, pw(db, 3)))
+    _add(items, "L3.2-6a", pr(da, db), pr(db, da, pw(b, 2)))
+    _add(items, "L3.2-6b", pr(db, da), pr(da, db, pw(a, 2)))
     return IdentityReport.build(rel, items)
 
 
@@ -435,21 +437,21 @@ def lemma33_suite(
     """
     rel = SwappedCube()
     ws = _hypothesis(a, b, rel, ws)
-    pw = ws.power
+    pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
     items: List[IdentityItem] = []
-    _add(items, "L3.3-1", da * db, pw(b, 3) * a)
-    _add(items, "L3.3-2", db * da, pw(a, 3) * b)
-    _add(items, "L3.3-3", da * b, b * pw(da, 3))
-    ab, ba = a * b, b * a
-    g = db * da
-    _add(items, "L3.3-4a", ab * g, g * ab)
-    _add(items, "L3.3-4b", g * ab * g, g)
-    _add(items, "L3.3-4c", ab, ab * ab * g)
-    h = da * db
-    _add(items, "L3.3-5a", ba * h, h * ba)
-    _add(items, "L3.3-5b", h * ba * h, h)
-    _add(items, "L3.3-5c", ba, ba * ba * h)
+    _add(items, "L3.3-1", pr(da, db), pr(pw(b, 3), a))
+    _add(items, "L3.3-2", pr(db, da), pr(pw(a, 3), b))
+    _add(items, "L3.3-3", pr(da, b), pr(b, pw(da, 3)))
+    ab, ba = pr(a, b), pr(b, a)
+    g = pr(db, da)
+    _add(items, "L3.3-4a", pr(ab, g), pr(g, ab))
+    _add(items, "L3.3-4b", pr(g, ab, g), g)
+    _add(items, "L3.3-4c", ab, pr(ab, ab, g))
+    h = pr(da, db)
+    _add(items, "L3.3-5a", pr(ba, h), pr(h, ba))
+    _add(items, "L3.3-5b", pr(h, ba, h), h)
+    _add(items, "L3.3-5c", ba, pr(ba, ba, h))
     return IdentityReport.build(rel, items)
 
 
@@ -465,16 +467,16 @@ def lemma34_suite(
     """
     rel = CrossCube()
     ws = _hypothesis(a, b, rel, ws)
-    pw = ws.power
+    pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
-    x1 = da * db
-    x2 = pw(db, 3) * da
-    x3 = db * da * pw(a, 2)
-    x4 = pw(b, 2) * db * da
-    y1 = db * da
-    y2 = pw(da, 3) * db
-    y3 = da * db * pw(b, 2)
-    y4 = pw(a, 2) * da * db
+    x1 = pr(da, db)
+    x2 = pr(pw(db, 3), da)
+    x3 = pr(db, da, pw(a, 2))
+    x4 = pr(pw(b, 2), db, da)
+    y1 = pr(db, da)
+    y2 = pr(pw(da, 3), db)
+    y3 = pr(da, db, pw(b, 2))
+    y4 = pr(pw(a, 2), da, db)
     items: List[IdentityItem] = []
     _add(items, "L3.4-1a", x1, x2)
     _add(items, "L3.4-1b", x2, x3)
@@ -504,21 +506,20 @@ def lemma35_suite(
             raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
     rel = CrossCube()
     ws = _hypothesis(a, b, rel, ws)
-    pw = ws.power
+    pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
-    aaD = a * da
-    bbD = b * db
+    aaD, bbD = pr(a, da), pr(b, db)
     eye = Matrix.identity(a.field, a.rows)
     zero = Matrix.zero(a.field, a.rows)
     items: List[IdentityItem] = []
     bj = pw(b, j)
-    rhs12 = aaD * pw(a, i) * bj * bbD
-    _add(items, "L3.5-1", aaD * pw(a, 4 + i) * bj * bbD, rhs12)
-    _add(items, "L3.5-2", aaD * pw(a, 2 + i) * pw(b, 2 + j) * bbD, rhs12)
-    _add(items, "L3.5-3", aaD * a * b * db, da * db * db)
-    _add(items, "L3.5-4", aaD * pw(a, 3) * b * db, da * b * db)
-    _add(items, "L3.5-5", aaD * pw(a, 2) * b * b * db, aaD * db)
-    _add(items, "L3.5-6", aaD * a * pw(b, 2) * b * db, da * b * db)
-    _add(items, "L3.5-7", a * b * (eye - aaD), zero)
-    _add(items, "L3.5-8", b * a * (eye - bbD), zero)
+    rhs12 = pr(aaD, pw(a, i), bj, bbD)
+    _add(items, "L3.5-1", pr(aaD, pw(a, 4 + i), bj, bbD), rhs12)
+    _add(items, "L3.5-2", pr(aaD, pw(a, 2 + i), pw(b, 2 + j), bbD), rhs12)
+    _add(items, "L3.5-3", pr(aaD, a, b, db), pr(da, db, db))
+    _add(items, "L3.5-4", pr(aaD, pw(a, 3), b, db), pr(da, b, db))
+    _add(items, "L3.5-5", pr(aaD, pw(a, 2), b, b, db), pr(aaD, db))
+    _add(items, "L3.5-6", pr(aaD, a, pw(b, 2), b, db), pr(da, b, db))
+    _add(items, "L3.5-7", pr(a, b, eye - aaD), zero)
+    _add(items, "L3.5-8", pr(b, a, eye - bbD), zero)
     return IdentityReport.build(rel, items)

@@ -157,21 +157,23 @@ def evaluate_thm23(
     exact truncation bounds ``t = ind(b)`` and ``s = ind(a)``; the
     hypothesis forces ``(b*b_pi*a^D)**t == 0`` and symmetrically, so
     :class:`NotNilpotentWithinBound` can only indicate a bug.  Drazin data
-    come from ``ws`` (a fresh :class:`Workspace` by default).
+    and the formula's products come from ``ws`` (a fresh :class:`Workspace`
+    by default).
     """
     ws = Workspace() if ws is None else ws
     require_relation(a, b, LambdaCommute(lam), ws=ws)
+    pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
-    p_a = a * da.d
-    p_b = b * db.d
-    w = p_a * (a - b) * p_b
-    w_data = ws.drazin(w)
-    neumann_b = invert_one_minus_nilpotent(b * db.pi * da.d, db.index)
-    neumann_a = invert_one_minus_nilpotent(db.d * a * da.pi, da.index)
-    x = w_data.d + da.d * neumann_b * db.pi - da.pi * neumann_a * db.d
+    p_a = pr(a, da.d)
+    p_b = pr(b, db.d)
     diff = a - b
+    w = pr(p_a, diff, p_b)
+    w_data = ws.drazin(w)
+    neumann_b = invert_one_minus_nilpotent(pr(b, db.pi, da.d), db.index)
+    neumann_a = invert_one_minus_nilpotent(pr(db.d, a, da.pi), da.index)
+    x = w_data.d + pr(da.d, neumann_b, db.pi) - pr(da.pi, neumann_a, db.d)
     direct = ws.drazin(diff)
-    residual = diff - diff * diff * x
+    residual = diff - pr(diff, diff, x)
     return Theorem23Report(
         w=w,
         w_data=w_data,
@@ -192,8 +194,8 @@ def evaluate_thm36(
     Requires the cross-cube relation and a field where 2 is invertible;
     over a prime field of characteristic 2 raises
     :class:`CharacteristicTwo` before touching the formula (its leading
-    coefficient is 1/8).  Drazin data and powers come from ``ws`` (a fresh
-    :class:`Workspace` by default).
+    coefficient is 1/8).  Drazin data, powers and the formula's products
+    come from ``ws`` (a fresh :class:`Workspace` by default).
     """
     if a.field.characteristic == 2:
         raise CharacteristicTwo(
@@ -201,21 +203,22 @@ def evaluate_thm36(
         )
     ws = Workspace() if ws is None else ws
     require_relation(a, b, CrossCube(), ws=ws)
+    pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
-    p_a = a * da.d
-    p_b = b * db.d
+    p_a = pr(a, da.d)
+    p_b = pr(b, db.d)
     eye = Matrix.identity(a.field, a.rows)
     eighth = (a.field.scalar(8)).inverse()
     core = 3 * ws.power(a, 3) + 3 * ws.power(b, 3) - a - b
-    m1 = eighth * (p_b * core * p_a)
-    m2 = da.d * (eye - p_b)
-    m3 = (eye - p_a) * db.d
+    m1 = eighth * pr(p_b, core, p_a)
+    m2 = pr(da.d, eye - p_b)
+    m3 = pr(eye - p_a, db.d)
     m = m1 + m2 + m3
     total = a + b
     direct = ws.drazin(total)
-    residual = total - total * total * m
-    napi = a * da.pi
-    nbpi = b * db.pi
+    residual = total - pr(total, total, m)
+    napi = pr(a, da.pi)
+    nbpi = pr(b, db.pi)
     zero = Matrix.zero(a.field, a.rows)
     return Theorem36Report(
         m1=m1,
@@ -225,5 +228,5 @@ def evaluate_thm36(
         direct=direct,
         match=m == direct.d,
         residual_nilpotency_degree=nilpotency_degree(residual),
-        projectors_orthogonal=(napi * nbpi == zero and nbpi * napi == zero),
+        projectors_orthogonal=(pr(napi, nbpi) == zero and pr(nbpi, napi) == zero),
     )

@@ -675,6 +675,18 @@ def test_search_jobs_past_cap_exit_2(monkeypatch, capsys):
     assert json.loads(out)["count"] == 0
 
 
+@pytest.mark.parametrize("budget", [-5, 0])
+def test_search_budget_below_1_exit_2(monkeypatch, capsys, budget):
+    monkeypatch.setattr(cli, "exhaustive_search", _no_search)
+    argv = ["search", "--mod", "3", "--dim", "1", "--budget", str(budget)]
+    code, out, err = _run(monkeypatch, capsys, argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["detail"] == {"budget": budget}
+
+
 @pytest.mark.parametrize(
     "argv, command",
     [

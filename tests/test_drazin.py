@@ -6,6 +6,7 @@ import pytest
 
 from drazinkit import (
     IndexTooLarge,
+    InternalCertificationFailure,
     Matrix,
     PivotOrder,
     PrimeField,
@@ -76,6 +77,43 @@ def test_certify_contract():
         certify(a, Matrix.zero(QQ, 3), 1)
     with pytest.raises(ShapeMismatch):
         certify(Matrix.zero(QQ, 2, 3), good, 1)
+
+
+@pytest.mark.parametrize(
+    "a, d, k",
+    [
+        # a*d != d*a only
+        (Matrix.from_rows(QQ, [[0, 1], [0, 0]]), Matrix.from_rows(QQ, [[0, 0], [1, 0]]), 2),
+        # d*a*d != d only
+        (Matrix.zero(QQ, 2), Matrix.identity(QQ, 2), 1),
+        # a**k != a**(k + 1) * d only
+        (Matrix.identity(QQ, 2), Matrix.zero(QQ, 2), 0),
+    ],
+)
+def test_certify_checks_each_equation(a, d, k):
+    assert not drazin_axioms_hold(from_matrix(a), from_matrix(d), k)
+    assert not certify(a, d, k)
+
+
+@pytest.mark.parametrize(
+    "a, k",
+    [
+        (Matrix.diagonal(QQ, [1, 2]), 0),
+        (Matrix.diagonal(QQ, [2, 0]), 1),
+        (Matrix.from_rows(QQ, [[0, 1], [0, 0]]).direct_sum(Matrix.diagonal(QQ, [2])), 2),
+    ],
+)
+def test_constructed_inverse_is_certified(monkeypatch, a, k):
+    """A wrong inner inverse yields d = 0, which commutes with a and has
+    d*a*d == d but breaks a**k == a**(k + 1) * d: the build must refuse it."""
+    assert compute_index(a) == k
+    monkeypatch.setattr(
+        Matrix,
+        "inner_inverse",
+        lambda self, order=PivotOrder.TOP_DOWN: Matrix.zero(self.field, self.cols, self.rows),
+    )
+    with pytest.raises(InternalCertificationFailure):
+        drazin_inverse(a)
 
 
 def test_certify_rejects_wrong_field():

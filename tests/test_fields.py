@@ -17,6 +17,8 @@ from drazinkit import (
 )
 from drazinkit.fields import field_from_json_obj
 
+from _naive import matmul
+
 
 def _sieve(limit: int):
     flags = [True] * limit
@@ -195,3 +197,31 @@ def test_scalar_str_is_wire_format():
     # str() output must be valid JSON content after json round-trip
     x = QQ.scalar(-7, 3)
     assert json.loads(json.dumps(str(x))) == "-7/3"
+
+
+def test_rational_dot_shares_the_zero():
+    """Zero entries of a rational product are the one ``QQ.zero``."""
+    rng = Random(11)
+    F = Fraction
+
+    def rand(r, c):
+        return [
+            [rng.choice([F(0), F(rng.randint(-3, 3), rng.randint(1, 4))]) for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    # 1/2 * 2 - 1 * 1 cancels to zero; an all-zero row gives zeros.
+    cases = [([[F(1, 2), F(-1)], [F(0), F(0)]], [[F(2), F(3)], [F(1), F(0)]])]
+    for _ in range(40):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        cases.append((rand(r, k), rand(k, c)))
+    zeros = 0
+    for x, y in cases:
+        got = QQ.dot(tuple(map(tuple, x)), tuple(zip(*y)))
+        assert [list(row) for row in got] == matmul(x, y)
+        for v in (v for row in got for v in row):
+            assert type(v) is Fraction
+            if not v:
+                assert v is QQ.zero
+                zeros += 1
+    assert zeros > 0

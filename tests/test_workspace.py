@@ -67,6 +67,52 @@ def test_shared_workspace_gives_the_same_results():
     assert shared.drazin_reused > 0
 
 
+class _Rechecking(Workspace):
+    """A workspace that re-forms every product step it finds stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.rechecked = 0
+
+    def prod(self, *factors):
+        p = factors[0]
+        for f in factors[1:]:
+            reused = self.products_reused
+            q = super().prod(p, f)
+            if self.products_reused > reused:
+                assert q == p * f
+                self.rechecked += 1
+            p = q
+        return p
+
+
+def test_every_reused_product_equals_a_fresh_one():
+    corpora = _corpora()
+    ws = _Rechecking()
+    for label, relation, runner in cli._CATALOG:
+        for cp in corpora[relation]:
+            _row_result(label, runner, cp, ws)
+    assert ws.rechecked == ws.products_reused > ws.products_computed > 0
+
+
+def test_prod_forms_each_step_once():
+    ws = Workspace()
+    x = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    y = Matrix.from_rows(QQ, [["1/2", 0], [0, -1]])
+    assert ws.prod(x) is x
+    xyx = ws.prod(x, y, x)
+    assert xyx == x * y * x
+    assert (ws.products_computed, ws.products_reused) == (2, 0)
+    # Equal values, other objects: found, and the stored matrix comes back.
+    again = ws.prod(Matrix.from_rows(QQ, [[1, 2], [3, 4]]), y, x)
+    assert again is xyx
+    assert (ws.products_computed, ws.products_reused) == (2, 2)
+    # Only the steps of prod are kept; a plain product is formed afresh.
+    assert ws.prod(x, y) * x is not xyx
+    assert ws.prod(y, x) == y * x
+    assert (ws.products_computed, ws.products_reused) == (3, 3)
+
+
 @pytest.mark.parametrize("field", [QQ, F5])
 def test_workspace_order_is_the_only_order(monkeypatch, field):
     orders = []
@@ -158,3 +204,11 @@ def test_selftest_computes_each_drazin_inverse_once(monkeypatch, argv, computed)
     ws = _selftest_workspace(monkeypatch, argv)
     assert ws.drazin_computed == computed
     assert ws.drazin_computed + ws.drazin_reused == 6217
+
+
+def test_selftest_forms_each_product_once(monkeypatch):
+    """A count gate that does not depend on machine speed: one selftest over
+    F_5 asks for 87,654 product steps, of which only 3,069 are distinct."""
+    ws = _selftest_workspace(monkeypatch, ["selftest", "--field", "Fp", "--mod", "5"])
+    assert (ws.products_computed, ws.products_reused) == (3069, 84585)
+    assert ws.products_computed + ws.products_reused == 87654
