@@ -1,9 +1,10 @@
 """Exhaustive search over small prime fields: complete and deterministic.
 
-Enumerates every pair of n x n matrices over F_p (optionally with entries
-restricted to a subset), keeps the ones satisfying a relation, and
-returns them in a canonical order that does not depend on how many
-processes did the scanning.
+Finds every pair of n x n matrices over F_p (optionally with entries
+restricted to a subset) satisfying a relation, and returns them in a
+canonical order that does not depend on how many processes did the
+search.  For each a, only the b that solve the relation's equation that
+is linear in b are visited (meet in the middle on two halves of b).
 
 Run:  python3 demos/04_search.py
 """

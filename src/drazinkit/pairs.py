@@ -431,7 +431,10 @@ class SearchSpec:
         return self.entry_bound if self.entry_bound is not None else tuple(range(self.p))
 
     def space_size(self) -> int:
-        return len(self.domain()) ** (2 * self.n * self.n)
+        # From the domain's size alone: building range(p) for a large p
+        # would exhaust memory before the budget check could refuse it.
+        d = len(self.entry_bound) if self.entry_bound is not None else self.p
+        return d ** (2 * self.n * self.n)
 
 
 def _flat_mul(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> Tuple[int, ...]:
@@ -469,62 +472,92 @@ def _products_equal(
     return True
 
 
-def _relation_holds_flat(
-    rel: RelationKind,
-    a: Tuple[int, ...],
-    a3: Tuple[int, ...],
-    b: Tuple[int, ...],
-    b3: Tuple[int, ...],
-    n: int,
-    p: int,
-    lam_value: Optional[int],
-) -> bool:
-    if lam_value is not None:
-        for i in range(n):
-            base = i * n
+def _sylvester_columns(
+    x: Tuple[int, ...], y: Tuple[int, ...], mu: int, n: int, p: int
+) -> List[Tuple[int, ...]]:
+    """Images of the unit matrices ``E_rc`` under ``b -> x*b - mu*b*y``."""
+    cols = []
+    for r in range(n):
+        for c in range(n):
+            col = [0] * (n * n)
+            for i in range(n):
+                col[i * n + c] += x[i * n + r]
             for j in range(n):
-                s = 0
-                t = 0
-                for k in range(n):
-                    kj = k * n + j
-                    s += a[base + k] * b[kj]
-                    t += b[base + k] * a[kj]
-                if (s - lam_value * t) % p:
-                    return False
-        return True
-    if isinstance(rel, CrossCube):
-        return _products_equal(a3, b, b, a, n, p) and _products_equal(
-            b3, a, a, b, n, p
-        )
-    return _products_equal(a, b3, b, a, n, p) and _products_equal(
-        b, a3, a, b, n, p
-    )
+                col[r * n + j] -= mu * y[c * n + j]
+            cols.append(tuple(v % p for v in col))
+    return cols
+
+
+def _images(
+    cols: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], sign: int, p: int, nn: int
+) -> List[Tuple[int, ...]]:
+    """``sign * sum(x_k * cols[k])`` for every ``x`` in ``domain**len(cols)``.
+
+    The images come in the order ``itertools.product`` yields the ``x``.
+    """
+    images = [(0,) * nn]
+    for col in cols:
+        scaled = [tuple(sign * d * v % p for v in col) for d in domain]
+        images = [
+            tuple([(u + v) % p for u, v in zip(img, s)])
+            for img in images
+            for s in scaled
+        ]
+    return images
 
 
 def _search_shard(args: Tuple[SearchSpec, int]) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All hits whose first matrix starts with the given leading entry."""
+    """All hits whose first matrix starts with the given leading entry.
+
+    For a fixed ``a`` each relation has one equation ``L(b) == 0`` that is
+    linear in ``b``: ``a*b - lam*b*a`` (lambda-commute), ``a**3*b - b*a``
+    (cross-cube) or ``b*a**3 - a*b`` (swapped-cube, formed as its negative,
+    which has the same zeros).  The entries of ``b``
+    split into a head ``x1`` and a tail ``x2``; a dict maps each ``L(x2)``
+    to its tails in order, and each head in order picks the bucket of
+    ``-L(x1)`` (meet in the middle), so ``(a, b)`` comes out in
+    lexicographic order.  Each candidate then meets the relation's other
+    equation, if any, and the nontrivial filter.
+    """
     spec, lead = args
     p, n = spec.p, spec.n
     nn = n * n
+    half = nn // 2
     domain = spec.domain()
     rel = spec.relation
-    lam_value = rel.lam.value if isinstance(rel, LambdaCommute) else None
-    needs_cubes = lam_value is None
-    b_pool = [
-        (b, _flat_mul(_flat_mul(b, b, n, p), b, n, p) if needs_cubes else ())
-        for b in itertools.product(domain, repeat=nn)
-    ]
+    heads = list(itertools.product(domain, repeat=half))
+    tails = list(itertools.product(domain, repeat=nn - half))
+    cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+    def cube(m: Tuple[int, ...]) -> Tuple[int, ...]:
+        if m not in cubes:
+            cubes[m] = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
+        return cubes[m]
+
     hits = []
     for rest in itertools.product(domain, repeat=nn - 1):
         a = (lead,) + rest
-        a3 = _flat_mul(_flat_mul(a, a, n, p), a, n, p) if needs_cubes else ()
-        for b, b3 in b_pool:
-            if not _relation_holds_flat(rel, a, a3, b, b3, n, p, lam_value):
-                continue
-            if spec.require_nontrivial:
-                if all(v == 0 for v in _flat_mul(a, b, n, p)):
+        if isinstance(rel, LambdaCommute):
+            cols = _sylvester_columns(a, a, rel.lam.value, n, p)
+        elif isinstance(rel, CrossCube):
+            cols = _sylvester_columns(cube(a), a, 1, n, p)
+        else:
+            cols = _sylvester_columns(a, cube(a), 1, n, p)
+        buckets: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+        for key, x2 in zip(_images(cols[half:], domain, 1, p, nn), tails):
+            buckets.setdefault(key, []).append(x2)
+        for key, x1 in zip(_images(cols[:half], domain, -1, p, nn), heads):
+            for x2 in buckets.get(key, ()):
+                b = x1 + x2
+                if isinstance(rel, CrossCube):
+                    if not _products_equal(cube(b), a, a, b, n, p):
+                        continue
+                elif isinstance(rel, SwappedCube):
+                    if not _products_equal(a, cube(b), b, a, n, p):
+                        continue
+                if spec.require_nontrivial and not any(_flat_mul(a, b, n, p)):
                     continue
-            hits.append((a, b))
+                hits.append((a, b))
     return hits
 
 

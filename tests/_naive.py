@@ -5,6 +5,7 @@ and ``int`` lists, with no imports from the package's kernels, so that the
 library's matrix arithmetic is cross-checked by a second implementation.
 """
 
+import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
@@ -115,3 +116,51 @@ def drazin_axioms_hold(a: Rows, d: Rows, k: int, p: Optional[int] = None) -> boo
     if ak != matmul(matpow(a, k + 1, p), d, p):
         return False
     return True
+
+
+def _products_agree(x: Rows, y: Rows, u: Rows, v: Rows, p: int, c: int = 1) -> bool:
+    """Whether ``x*y == c*(u*v)`` mod p, compared entry by entry."""
+    n = len(x)
+    for i in range(n):
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s += x[i][k] * y[k][j] - c * u[i][k] * v[k][j]
+            if s % p:
+                return False
+    return True
+
+
+def search_hits(
+    p: int,
+    n: int,
+    relation: str,
+    lam: Optional[int],
+    domain: Sequence[int],
+    nontrivial: bool,
+) -> List[tuple]:
+    """Brute-force search: test every pair ``(a, b)`` with entries in ``domain``.
+
+    ``relation`` is ``"lambda-commute"`` (with ``lam``), ``"cross-cube"``
+    or ``"swapped-cube"``.  Hits come as ``(a_rows, b_rows)`` in
+    lexicographic order of the row-major entries of ``a`` then ``b``.
+    """
+    if relation not in ("lambda-commute", "cross-cube", "swapped-cube"):
+        raise ValueError(f"unknown relation {relation!r}")
+    mats = []  # (matrix, its cube)
+    for flat in itertools.product(sorted(set(domain)), repeat=n * n):
+        m = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        mats.append((m, matpow(m, 3, p)))
+    zero = [[0] * n for _ in range(n)]
+    hits = []
+    for a, a3 in mats:
+        for b, b3 in mats:
+            if relation == "lambda-commute":
+                ok = _products_agree(a, b, b, a, p, lam)
+            elif relation == "cross-cube":
+                ok = _products_agree(a3, b, b, a, p) and _products_agree(b3, a, a, b, p)
+            else:
+                ok = _products_agree(a, b3, b, a, p) and _products_agree(b, a3, a, b, p)
+            if ok and not (nontrivial and matmul(a, b, p) == zero):
+                hits.append((a, b))
+    return hits

@@ -622,6 +622,19 @@ def test_search_budget_exceeded_exit_3(monkeypatch, capsys):
     assert payload["error"]["detail"]["size"] == 5**18
 
 
+@pytest.mark.parametrize("mod", [18446744073709551557, 1000000007])
+def test_search_large_modulus_budget_exceeded_exit_3(monkeypatch, capsys, mod):
+    # The space is sized from p alone; range(p) is never built.
+    code, out, err = _run(
+        monkeypatch, capsys, ["search", "--mod", str(mod), "--dim", "1"]
+    )
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["code"] == "budget-exceeded"
+    assert payload["error"]["detail"] == {"size": mod**2, "budget": 10000000}
+
+
 def test_search_bad_dim_exit_2(monkeypatch, capsys):
     code, _, err = _run(
         monkeypatch,

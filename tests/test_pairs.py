@@ -184,6 +184,8 @@ class TestSearchSpec:
     def test_space_size(self):
         assert SearchSpec(3, 2, CrossCube()).space_size() == 3**8
         assert SearchSpec(5, 3, CrossCube()).space_size() == 5**18
+        # sized without building the domain, which for this p would not fit
+        assert SearchSpec(1000000007, 1, CrossCube()).space_size() == 1000000007**2
 
 
 class TestExhaustiveSearch:
