@@ -19,182 +19,24 @@ tolerances anywhere.  The core surface:
   exhaustive finite-field search.
 """
 
-from .errors import (
-    BudgetExceeded,
-    CharacteristicTwo,
-    DivisionByZero,
-    DrazinKitError,
-    ExponentOverflow,
-    FieldMismatch,
-    IncompatibleFamily,
-    IndexTooLarge,
-    InternalCertificationFailure,
-    NotNilpotentWithinBound,
-    OutputTooLarge,
-    ParseError,
-    PreconditionViolated,
-    ShapeMismatch,
-    SingularMatrix,
-    ZeroLambda,
-)
-from .fields import Field, FieldScalar, PrimeField, QQ, RationalField, is_prime
-from .matrices import Matrix, PivotOrder, RrefResult, nilpotency_degree
-from .drazin import (
-    DrazinData,
-    Workspace,
-    certify,
-    compute_index,
-    drazin_inverse,
-    group_inverse,
-)
-from .relations import (
-    CrossCube,
-    IdentityItem,
-    IdentityReport,
-    LambdaCommute,
-    RelationKind,
-    SwappedCube,
-    check_relation,
-    cube_exponent_cap,
-    det_consistency_diagnostic,
-    first_violation,
-    lambda_exponent_cap,
-    lemma21_suite,
-    lemma22_suite,
-    lemma31_suite,
-    lemma32_suite,
-    lemma33_suite,
-    lemma34_suite,
-    lemma35_suite,
-    relation_from_json_fields,
-    relation_to_json_fields,
-    require_relation,
-)
-from .theorems import (
-    Theorem23Report,
-    Theorem36Report,
-    evaluate_thm23,
-    evaluate_thm36,
-    invert_one_minus_nilpotent,
-)
-from .pairs import (
-    DEFAULT_SEARCH_BUDGET,
-    Conjugated,
-    CorpusPair,
-    DiagTripotents,
-    DirectSum,
-    ExhaustiveHit,
-    PairFamily,
-    ScalarTimesIdentity,
-    SearchSpec,
-    TrivialZeroB,
-    WeightedShift,
-    cached_hits,
-    corpus_from_json_obj,
-    corpus_to_json_obj,
-    default_cube_corpus,
-    default_lambda_corpus,
-    default_lambda_values,
-    describe_family,
-    exhaustive_hits_corpus,
-    exhaustive_search,
-    gen_cube_pair,
-    gen_lambda_pair,
-    gen_swapped_pair,
-    random_invertible,
-)
+from .errors import *
+from .fields import *
+from .matrices import *
+from .drazin import *
+from .relations import *
+from .theorems import *
+from .pairs import *
+from . import errors, fields, matrices, drazin, relations, theorems, pairs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "DrazinKitError",
-    "ParseError",
-    "FieldMismatch",
-    "ShapeMismatch",
-    "DivisionByZero",
-    "SingularMatrix",
-    "IndexTooLarge",
-    "PreconditionViolated",
-    "ZeroLambda",
-    "ExponentOverflow",
-    "OutputTooLarge",
-    "NotNilpotentWithinBound",
-    "CharacteristicTwo",
-    "BudgetExceeded",
-    "IncompatibleFamily",
-    "InternalCertificationFailure",
-    # fields
-    "Field",
-    "RationalField",
-    "PrimeField",
-    "FieldScalar",
-    "QQ",
-    "is_prime",
-    # matrices
-    "Matrix",
-    "PivotOrder",
-    "RrefResult",
-    "nilpotency_degree",
-    # drazin
-    "DrazinData",
-    "Workspace",
-    "compute_index",
-    "certify",
-    "drazin_inverse",
-    "group_inverse",
-    # relations
-    "LambdaCommute",
-    "CrossCube",
-    "SwappedCube",
-    "RelationKind",
-    "check_relation",
-    "first_violation",
-    "relation_from_json_fields",
-    "relation_to_json_fields",
-    "require_relation",
-    "det_consistency_diagnostic",
-    "IdentityItem",
-    "IdentityReport",
-    "cube_exponent_cap",
-    "lambda_exponent_cap",
-    "lemma21_suite",
-    "lemma22_suite",
-    "lemma31_suite",
-    "lemma32_suite",
-    "lemma33_suite",
-    "lemma34_suite",
-    "lemma35_suite",
-    # theorems
-    "Theorem23Report",
-    "Theorem36Report",
-    "evaluate_thm23",
-    "evaluate_thm36",
-    "invert_one_minus_nilpotent",
-    # pairs
-    "WeightedShift",
-    "DiagTripotents",
-    "ScalarTimesIdentity",
-    "DirectSum",
-    "Conjugated",
-    "TrivialZeroB",
-    "ExhaustiveHit",
-    "PairFamily",
-    "SearchSpec",
-    "CorpusPair",
-    "describe_family",
-    "gen_lambda_pair",
-    "gen_cube_pair",
-    "gen_swapped_pair",
-    "random_invertible",
-    "exhaustive_search",
-    "cached_hits",
-    "DEFAULT_SEARCH_BUDGET",
-    "default_lambda_values",
-    "default_lambda_corpus",
-    "default_cube_corpus",
-    "exhaustive_hits_corpus",
-    "corpus_to_json_obj",
-    "corpus_from_json_obj",
+    *errors.__all__,
+    *fields.__all__,
+    *matrices.__all__,
+    *drazin.__all__,
+    *relations.__all__,
+    *theorems.__all__,
+    *pairs.__all__,
 ]

@@ -98,8 +98,11 @@ def _emit(obj: Any, output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {output}: {exc}", {"path": output})
 
 
 def _read_json(path: str) -> Any:

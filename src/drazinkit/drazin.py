@@ -158,7 +158,9 @@ def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinD
     ladder: List[Matrix] = []
     k = compute_index(a, ladder)
     if k > 1:
-        raise IndexTooLarge(f"group inverse needs index <= 1, got index {k}", k)
+        raise IndexTooLarge(
+            f"group inverse needs index <= 1, got index {k}", {"index": k}
+        )
     return _assemble(a, k, ladder, order)
 
 

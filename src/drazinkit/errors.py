@@ -9,6 +9,25 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
+__all__ = [
+    "DrazinKitError",
+    "ParseError",
+    "FieldMismatch",
+    "ShapeMismatch",
+    "DivisionByZero",
+    "SingularMatrix",
+    "IndexTooLarge",
+    "PreconditionViolated",
+    "ZeroLambda",
+    "ExponentOverflow",
+    "OutputTooLarge",
+    "NotNilpotentWithinBound",
+    "CharacteristicTwo",
+    "BudgetExceeded",
+    "IncompatibleFamily",
+    "InternalCertificationFailure",
+]
+
 
 class DrazinKitError(Exception):
     """Base class for all library errors."""
@@ -49,19 +68,11 @@ class SingularMatrix(DrazinKitError):
 
     code = "singular-matrix"
 
-    def __init__(self, message: str, rank: int):
-        super().__init__(message, {"rank": rank})
-        self.rank = rank
-
 
 class IndexTooLarge(DrazinKitError):
     """Group inverse requested but the Drazin index exceeds 1."""
 
     code = "index-too-large"
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message, {"index": index})
-        self.index = index
 
 
 class PreconditionViolated(DrazinKitError):
@@ -93,10 +104,6 @@ class NotNilpotentWithinBound(DrazinKitError):
 
     code = "not-nilpotent-within-bound"
 
-    def __init__(self, message: str, ranks: tuple[int, ...]):
-        super().__init__(message, {"ranks": list(ranks)})
-        self.ranks = ranks
-
 
 class CharacteristicTwo(DrazinKitError):
     """The cross-cube sum formula needs 2 invertible, so characteristic 2 is out."""
@@ -108,11 +115,6 @@ class BudgetExceeded(DrazinKitError):
     """Exhaustive search space larger than the configured budget."""
 
     code = "budget-exceeded"
-
-    def __init__(self, message: str, size: int, budget: int):
-        super().__init__(message, {"size": size, "budget": budget})
-        self.size = size
-        self.budget = budget
 
 
 class IncompatibleFamily(DrazinKitError):

@@ -375,7 +375,8 @@ class Matrix:
         res = self.rref()
         if res.rank < self.rows:
             raise SingularMatrix(
-                f"matrix of rank {res.rank} < {self.rows} has no inverse", res.rank
+                f"matrix of rank {res.rank} < {self.rows} has no inverse",
+                {"rank": res.rank},
             )
         return res.transform
 

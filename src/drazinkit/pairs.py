@@ -581,8 +581,7 @@ def exhaustive_search(
     if size > limit:
         raise BudgetExceeded(
             f"search space has {size} pairs, over the budget of {limit}",
-            size,
-            limit,
+            {"size": size, "budget": limit},
         )
     domain = spec.domain()
     shard_args = [(spec, lead) for lead in domain]
@@ -604,18 +603,12 @@ def exhaustive_search(
 
 
 @lru_cache(maxsize=32)
-def _cached_hits_impl(
-    p: int, n: int, relation: RelationKind, require_nontrivial: bool
-) -> Tuple[Tuple[Matrix, Matrix], ...]:
-    spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=require_nontrivial)
-    return tuple(exhaustive_search(spec))
-
-
 def cached_hits(
     p: int, n: int, relation: RelationKind, require_nontrivial: bool = True
 ) -> Tuple[Tuple[Matrix, Matrix], ...]:
     """Memoized single-process search, for corpus builders and families."""
-    return _cached_hits_impl(p, n, relation, require_nontrivial)
+    spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=require_nontrivial)
+    return tuple(exhaustive_search(spec))
 
 
 # --------------------------------------------------------------------------
@@ -662,11 +655,13 @@ def pair_from_json_obj(
         return a, b, None
     lam = None
     if obj.get("lambda") is not None:
+        loc = f"{where}.lambda"
         if not isinstance(obj["lambda"], str):
-            raise ParseError(
-                f"{where}.lambda: expected a string scalar", {"at": f"{where}.lambda"}
-            )
-        lam = a.field.parse(obj["lambda"])
+            raise ParseError(f"{loc}: expected a string scalar", {"at": loc})
+        try:
+            lam = a.field.parse(obj["lambda"])
+        except ParseError as exc:
+            raise ParseError(f"{loc}: {exc}", {"at": loc}) from exc
     return a, b, relation_from_json_fields(obj["relation"], lam, f"{where}.relation")
 
 

@@ -170,8 +170,7 @@ def _defining_equations(
 
 def check_relation(a: Matrix, b: Matrix, rel: RelationKind) -> bool:
     """True iff the defining equations of ``rel`` hold exactly for (a, b)."""
-    _validate_pair(a, b, rel)
-    return all(lhs == rhs for _, lhs, rhs in _defining_equations(a, b, rel))
+    return first_violation(a, b, rel) is None
 
 
 def first_violation(a: Matrix, b: Matrix, rel: RelationKind) -> Optional[Dict[str, Any]]:

@@ -33,14 +33,14 @@ which cannot happen when the hypothesis holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .drazin import DrazinData, Workspace
 from .errors import CharacteristicTwo, NotNilpotentWithinBound, ShapeMismatch
 from .fields import FieldScalar
 from .matrices import Matrix, nilpotency_degree
-from .relations import CrossCube, LambdaCommute, require_relation
+from .relations import CrossCube, LambdaCommute, _hypothesis
 
 __all__ = [
     "Theorem23Report",
@@ -49,6 +49,18 @@ __all__ = [
     "evaluate_thm23",
     "evaluate_thm36",
 ]
+
+
+def _report_json_obj(report) -> dict:
+    """Every field of a report, keyed by name; matrices and Drazin data in
+    their JSON form, plain values as they are."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, (Matrix, DrazinData)):
+            value = value.to_json_obj()
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,16 +84,7 @@ class Theorem23Report:
     residual_nilpotency_degree: Optional[int]
 
     def to_json_obj(self) -> dict:
-        return {
-            "w": self.w.to_json_obj(),
-            "w_data": self.w_data.to_json_obj(),
-            "neumann_b": self.neumann_b.to_json_obj(),
-            "neumann_a": self.neumann_a.to_json_obj(),
-            "x": self.x.to_json_obj(),
-            "direct": self.direct.to_json_obj(),
-            "match": self.match,
-            "residual_nilpotency_degree": self.residual_nilpotency_degree,
-        }
+        return _report_json_obj(self)
 
 
 @dataclass(frozen=True)
@@ -104,16 +107,7 @@ class Theorem36Report:
     projectors_orthogonal: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "m1": self.m1.to_json_obj(),
-            "m2": self.m2.to_json_obj(),
-            "m3": self.m3.to_json_obj(),
-            "m": self.m.to_json_obj(),
-            "direct": self.direct.to_json_obj(),
-            "match": self.match,
-            "residual_nilpotency_degree": self.residual_nilpotency_degree,
-            "projectors_orthogonal": self.projectors_orthogonal,
-        }
+        return _report_json_obj(self)
 
 
 def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
@@ -143,7 +137,7 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     ranks = [p.rank() for p in powers]
     raise NotNilpotentWithinBound(
         f"matrix is not nilpotent within bound {bound}: power ranks {ranks}",
-        tuple(ranks),
+        {"ranks": ranks},
     )
 
 
@@ -160,8 +154,7 @@ def evaluate_thm23(
     and the formula's products come from ``ws`` (a fresh :class:`Workspace`
     by default).
     """
-    ws = Workspace() if ws is None else ws
-    require_relation(a, b, LambdaCommute(lam), ws=ws)
+    ws = _hypothesis(a, b, LambdaCommute(lam), ws)
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)
@@ -201,8 +194,7 @@ def evaluate_thm36(
         raise CharacteristicTwo(
             "the sum formula needs 2 invertible; characteristic 2 is excluded"
         )
-    ws = Workspace() if ws is None else ws
-    require_relation(a, b, CrossCube(), ws=ws)
+    ws = _hypothesis(a, b, CrossCube(), ws)
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)

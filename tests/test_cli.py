@@ -39,6 +39,9 @@ DIAG12 = {
     "entries": [["1", "0"], ["0", "2"]],
 }
 
+# A lambda-commuting pair with its relation embedded.
+LAMBDA_PAIR = {"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute", "lambda": "2"}
+
 
 def _run(monkeypatch, capsys, argv, stdin_text=None):
     if stdin_text is not None:
@@ -80,6 +83,20 @@ def test_compute_output_file(monkeypatch, capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["index"] == 2
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_exit_2(monkeypatch, capsys, tmp_path, where):
+    target = str(tmp_path / "no" / "out.json" if where == "missing-dir" else tmp_path)
+    code, out, err = _run(
+        monkeypatch, capsys, ["gen", "--count", "1", "--output", target]
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["message"].startswith(f"cannot write {target}: ")
+    assert error["detail"] == {"path": target}
 
 
 def test_compute_malformed_json_exit_2(monkeypatch, capsys):
@@ -218,6 +235,28 @@ def test_check_relation_flag_overrides_embedded(monkeypatch, capsys):
         stdin_text=json.dumps(pair),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text, at",
+    [
+        (["check-relation"], json.dumps({**LAMBDA_PAIR, "lambda": "zz"}), "input.lambda"),
+        (
+            ["lemmas", "--which", "section-2"],
+            json.dumps([LAMBDA_PAIR, {**LAMBDA_PAIR, "lambda": "zz"}]),
+            "input[1].lambda",
+        ),
+    ],
+    ids=["pair", "corpus"],
+)
+def test_bad_lambda_is_located(monkeypatch, capsys, argv, text, at):
+    code, out, err = _run(monkeypatch, capsys, argv, stdin_text=text)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["message"].startswith(f"{at}: invalid rational 'zz'")
+    assert error["detail"] == {"at": at}
 
 
 def test_check_relation_no_relation_given_exit_2(monkeypatch, capsys):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import drazinkit.cli as cli
 from drazinkit import (
     Conjugated,
+    CorpusPair,
     CrossCube,
     DiagTripotents,
     ExponentOverflow,
@@ -21,11 +23,15 @@ from drazinkit import (
     ShapeMismatch,
     SwappedCube,
     WeightedShift,
+    Workspace,
     ZeroLambda,
     check_relation,
     cube_exponent_cap,
+    default_cube_corpus,
+    default_lambda_corpus,
     det_consistency_diagnostic,
     drazin_inverse,
+    exhaustive_hits_corpus,
     first_violation,
     gen_cube_pair,
     gen_lambda_pair,
@@ -383,3 +389,34 @@ def test_suites_fail_loudly_off_relation():
     ):
         with pytest.raises(PreconditionViolated):
             suite()
+
+
+def test_suites_commute_with_conjugation():
+    """Metamorphic oracle: every L row of the catalog, run on ``(s a s^-1,
+    s b s^-1)``, gives the same ledger with both sides conjugated by ``s``."""
+    corpora = {"lambda-commute": [], "cross-cube": [], "swapped-cube": []}
+    for field in (QQ, F5):
+        corpora["lambda-commute"] += default_lambda_corpus(field)[:40:5]
+        corpora["cross-cube"] += default_cube_corpus(field)[:40:5]
+        corpora["swapped-cube"] += default_cube_corpus(field, SwappedCube())[:40:5]
+    corpora["cross-cube"] += exhaustive_hits_corpus(3, 2, CrossCube())[:40:5]
+    corpora["swapped-cube"] += exhaustive_hits_corpus(3, 2, SwappedCube())[:40:5]
+    ws, ws_conj = Workspace(), Workspace()
+    checked = 0
+    for label, relation, runner in cli._CATALOG:
+        if not label.startswith("L"):
+            continue
+        for seed, cp in enumerate(corpora[relation]):
+            s = random_invertible(cp.a.field, cp.a.rows, seed)
+            s_inv = s.inverse()
+            conj = CorpusPair(s * cp.a * s_inv, s * cp.b * s_inv, cp.relation, cp.provenance)
+            got = runner(cp, cli._I_MAX, ws).items
+            got_conj = runner(conj, cli._I_MAX, ws_conj).items
+            assert [(it.identity_id, it.passed) for it in got] == [
+                (it.identity_id, it.passed) for it in got_conj
+            ], (label, cp.provenance)
+            for it, it_conj in zip(got, got_conj):
+                assert it_conj.lhs == s * it.lhs * s_inv, (label, it.identity_id)
+                assert it_conj.rhs == s * it.rhs * s_inv, (label, it.identity_id)
+            checked += len(got)
+    assert checked > 1000
