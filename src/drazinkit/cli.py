@@ -22,6 +22,7 @@ usage on stdout and exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -66,7 +67,6 @@ from .relations import (
     LambdaCommute,
     RelationKind,
     SwappedCube,
-    check_relation,
     det_consistency_diagnostic,
     first_violation,
     lemma21_suite,
@@ -301,11 +301,12 @@ def _cmd_check_relation(args: argparse.Namespace) -> int:
         raise ParseError(
             "no relation given: pass --relation or embed one in the input"
         )
-    holds = check_relation(a, b, rel)
+    violation = first_violation(a, b, rel)
+    holds = violation is None
     out: Dict[str, Any] = dict(relation_to_json_fields(rel))
     out["holds"] = holds
     if not holds:
-        out["first_violation"] = first_violation(a, b, rel)
+        out["first_violation"] = violation
     if isinstance(rel, LambdaCommute) and a.is_square():
         out["det_diagnostic"] = det_consistency_diagnostic(a, b, rel.lam)
     _emit(out, args.output)
@@ -547,6 +548,10 @@ def _add_relation_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+# Built on the first main() call, not at import, then shared: parsing leaves
+# no state in it, and its handlers look up what they call in this module's
+# globals at call time, so a name replaced here still takes effect.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="drazinkit",

@@ -24,7 +24,9 @@ normalization per entry rather than one per scalar operation: over the
 rationals each row and each column is first scaled to integers by the lcm
 of its denominators, and each entry becomes a single ``Fraction`` of the
 integer dot product over the two scales; over ``F_p`` each entry is one
-integer sum reduced once mod ``p``.
+integer sum reduced once mod ``p``.  Elimination uses the same integer
+forms through three hooks (:meth:`Field.integer_rows`,
+:meth:`Field.combine` and :meth:`Field.divide_row`).
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Any
 
@@ -144,6 +146,20 @@ class Field:
         """
         raise NotImplementedError
 
+    # -- elimination hooks: Matrix._eliminate keeps each row as ints, a
+    # nonzero multiple of the row, and forms no scalar until the end.
+    def integer_rows(self, rows):
+        """Each row as ``(ints, d)``, ints equal to ``d * row``, ``d != 0``."""
+        raise NotImplementedError
+
+    def combine(self, lead, row, g, pivot):
+        """``lead * row - g * pivot`` on ints, at a smaller nonzero scale."""
+        raise NotImplementedError
+
+    def divide_row(self, ints, s):
+        """The canonical raw values of ``ints / s``, for a nonzero int ``s``."""
+        raise NotImplementedError
+
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -242,6 +258,17 @@ class RationalField(Field):
             ]
         )
 
+    integer_rows = staticmethod(_integer_scaled)
+
+    def combine(self, lead, row, g, pivot):
+        ints = [lead * x - g * y for x, y in zip(row, pivot)]
+        d = gcd(*ints)
+        return ints if d < 2 else [x // d for x in ints]
+
+    def divide_row(self, ints, s):
+        f = self.inv(s)
+        return [f * x for x in ints]
+
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -306,6 +333,19 @@ class PrimeField(Field):
         return x % self.p
 
     from_int = reduce
+
+    def integer_rows(self, rows):
+        return [(list(row), 1) for row in rows]
+
+    def combine(self, lead, row, g, pivot):
+        p = self.p
+        return [(lead * x - g * y) % p for x, y in zip(row, pivot)]
+
+    def divide_row(self, ints, s):
+        if s == 1:
+            return ints
+        f, p = self.inv(s), self.p
+        return [f * x % p for x in ints]
 
     def inv(self, x):
         if x == 0:

@@ -1,10 +1,10 @@
 """Dense exact matrices and Gauss-Jordan elimination kernels.
 
 A :class:`Matrix` stores its :class:`~drazinkit.fields.Field` once and keeps
-entries as a tuple of row tuples of raw field values, so the elimination and
-multiplication kernels run directly on raw scalars: Python operators, then
-one :meth:`~drazinkit.fields.Field.reduce` per result entry.  Matrices are immutable;
-all operators return new instances and refuse mixed fields or shapes.
+entries as a tuple of row tuples of raw field values, so the product
+kernel runs directly on raw scalars; elimination runs on integer multiples
+of the rows (see ``Matrix._eliminate``).  Matrices are immutable; all
+operators return new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit: columns are processed left to right, and within a column
@@ -304,34 +304,46 @@ class Matrix:
         not be when the matrix has nontrivial left null space.
         """
         F = self.field
-        m, t, pivot_cols = self._eliminate(order, full=True)
+        rows, pivot_cols = self._eliminate(order, full=True)
         return RrefResult(
-            reduced=Matrix(F, tuple(tuple(row) for row in m)),
+            reduced=Matrix(F, tuple(tuple(row[: self.cols]) for row in rows)),
             rank=len(pivot_cols),
-            transform=Matrix(F, tuple(tuple(row) for row in t)),
+            transform=Matrix(F, tuple(tuple(row[self.cols :]) for row in rows)),
             pivot_cols=tuple(pivot_cols),
         )
 
     def rank(self) -> int:
-        return len(self._eliminate(PivotOrder.TOP_DOWN, full=False)[2])
+        return len(self._eliminate(PivotOrder.TOP_DOWN, full=False)[1])
 
     def _eliminate(self, order: PivotOrder, full: bool):
         """The elimination loop of :meth:`rref` and :meth:`rank`.
 
-        Returns ``(m, t, pivot_cols)`` as lists.  With ``full`` the column
-        of each pivot is cleared in every other row and the row operations
-        are recorded in ``t``, as :meth:`rref` describes.  Without it only
-        the rows below the pivot are cleared and ``t`` is None: enough for
-        the pivot columns, hence the rank, at a fraction of the work.
+        Returns ``(rows, pivot_cols)``.  With ``full`` each row of ``rows``
+        is a row of ``[reduced | transform]`` in canonical raw values, as
+        :meth:`rref` describes.  Without it only the rows below each pivot
+        are cleared and ``rows`` is None: enough for the pivot columns,
+        hence the rank, at a fraction of the work.
+
+        The loop is fraction-free.  Each row is held as ints, a nonzero
+        multiple of the row plain Gauss-Jordan holds (the field's
+        ``integer_rows``), and a column is cleared by the field's
+        ``combine``: ``row := lead * row - g * pivot_row`` at a small scale.
+        A multiple has the same zero entries, hence the same pivots.  Only
+        at the end is each row divided by its scale: a pivot row by its
+        leading entry, a zero row of ``reduced`` by its transform entry in
+        the column of the row it started as, which is 1 in Gauss-Jordan.
         """
         F = self.field
-        red = F.reduce
-        m = [list(row) for row in self._data]
-        n = self.rows
-        t = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)] if full else None
+        combine = F.combine
+        n, w = self.rows, self.cols
+        m = [
+            ints + [d if j == i else 0 for j in range(n)] if full else ints
+            for i, (ints, d) in enumerate(F.integer_rows(self._data))
+        ]
+        origin = list(range(n))
         piv = 0
         pivot_cols = []
-        for c in range(self.cols):
+        for c in range(w):
             if piv == n:
                 break
             rows_to_scan = (
@@ -348,25 +360,21 @@ class Matrix:
                 continue
             if hit != piv:
                 m[piv], m[hit] = m[hit], m[piv]
-                if full:
-                    t[piv], t[hit] = t[hit], t[piv]
+                origin[piv], origin[hit] = origin[hit], origin[piv]
             lead = m[piv][c]
-            if lead != F.one:
-                f = F.inv(lead)
-                m[piv] = [red(f * x) for x in m[piv]]
-                if full:
-                    t[piv] = [red(f * x) for x in t[piv]]
             for r in range(0 if full else piv + 1, n):
                 if r == piv:
                     continue
                 g = m[r][c]
                 if g:
-                    m[r] = [red(x - g * y) for x, y in zip(m[r], m[piv])]
-                    if full:
-                        t[r] = [red(x - g * y) for x, y in zip(t[r], t[piv])]
+                    m[r] = combine(lead, m[r], g, m[piv])
             pivot_cols.append(c)
             piv += 1
-        return m, t, pivot_cols
+        if not full:
+            return None, pivot_cols
+        scales = [m[k][c] for k, c in enumerate(pivot_cols)]
+        scales += [m[i][w + origin[i]] for i in range(piv, n)]
+        return [F.divide_row(row, s) for row, s in zip(m, scales)], pivot_cols
 
     def inverse(self) -> "Matrix":
         """Exact inverse of a square full-rank matrix."""

@@ -604,9 +604,10 @@ def exhaustive_search(
 
 @lru_cache(maxsize=32)
 def cached_hits(
-    p: int, n: int, relation: RelationKind, require_nontrivial: bool = True
+    p: int, n: int, relation: RelationKind, require_nontrivial: bool
 ) -> Tuple[Tuple[Matrix, Matrix], ...]:
-    """Memoized single-process search, for corpus builders and families."""
+    """Memoized single-process search, for corpus builders and families.
+    No argument has a default, so that one search has one cache key."""
     spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=require_nontrivial)
     return tuple(exhaustive_search(spec))
 

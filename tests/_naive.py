@@ -106,6 +106,47 @@ def rank(x: Rows, p: Optional[int] = None) -> int:
     return r
 
 
+def rref(x: Rows, order: str, p: Optional[int] = None):
+    """Gauss-Jordan with the package's pivot rule, on plain values.
+
+    Columns left to right; in each, the pivot is the first nonzero entry
+    among the rows not yet used as pivots, scanning top to bottom for
+    ``order == "top-down"`` and bottom to top for ``"bottom-up"``.  The
+    pivot row is swapped up, scaled to a leading 1 and subtracted from
+    every other row; the same operations on an identity give the
+    transform.  Returns ``(reduced, transform, pivot_cols)``.
+    """
+    n = len(x)
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in x]
+        t = eye(n)
+    else:
+        m = [[v % p for v in row] for row in x]
+        t = eye_mod(n)
+    pivot_cols = []
+    r = 0
+    for c in range(len(m[0])):
+        if r == n:
+            break
+        scan = range(r, n) if order == "top-down" else range(n - 1, r - 1, -1)
+        pivot = next((i for i in scan if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        t[r], t[pivot] = t[pivot], t[r]
+        inv = _inv_mod(m[r][c], p) if p is not None else 1 / m[r][c]
+        m[r] = scale(inv, [m[r]], p)[0]
+        t[r] = scale(inv, [t[r]], p)[0]
+        for i in range(n):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = sub([m[i]], scale(f, [m[r]], p), p)[0]
+                t[i] = sub([t[i]], scale(f, [t[r]], p), p)[0]
+        pivot_cols.append(c)
+        r += 1
+    return m, t, pivot_cols
+
+
 def drazin_axioms_hold(a: Rows, d: Rows, k: int, p: Optional[int] = None) -> bool:
     """The three defining equations, checked with naive arithmetic only."""
     if matmul(a, d, p) != matmul(d, a, p):

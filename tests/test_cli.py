@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import drazinkit.cli as cli
+import drazinkit.relations as relations
 from drazinkit.cli import main, parse_family
 from drazinkit import (
     QQ,
@@ -46,7 +47,10 @@ LAMBDA_PAIR = {"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute", "lambda":
 def _run(monkeypatch, capsys, argv, stdin_text=None):
     if stdin_text is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -205,6 +209,26 @@ def test_check_relation_fails_exit_1(monkeypatch, capsys):
         "lhs": "2",
         "rhs": "3",
     }
+
+
+def test_check_relation_evaluates_the_equations_once(monkeypatch, capsys):
+    calls = []
+    equations = relations._defining_equations
+
+    def counted(*args):
+        calls.append(args)
+        return equations(*args)
+
+    monkeypatch.setattr(relations, "_defining_equations", counted)
+    code, out, _ = _run(
+        monkeypatch,
+        capsys,
+        ["check-relation", "--relation", "lambda-commute", "--lambda", "3"],
+        stdin_text=json.dumps({"a": SHIFT2, "b": DIAG12}),
+    )
+    assert code == 1
+    assert json.loads(out)["holds"] is False
+    assert len(calls) == 1
 
 
 def test_check_relation_embedded_relation(monkeypatch, capsys):
@@ -767,6 +791,45 @@ def test_help_prints_usage_exit_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: drazinkit")
+
+
+def test_cached_parser_leaks_no_state_between_calls(monkeypatch, capsys):
+    commands = [
+        (["compute", "--no-such-flag"], None),
+        (["--help"], None),
+        (["gen", "--relation", "cross-cube", "--count", "1"], None),
+        (["gen", "--count", "1"], None),
+        (["compute"], json.dumps(SHIFT2)),
+    ]
+    alone = []
+    for argv, stdin_text in commands:
+        cli._build_parser.cache_clear()
+        alone.append(_run(monkeypatch, capsys, argv, stdin_text))
+    cli._build_parser.cache_clear()
+    together = [
+        _run(monkeypatch, capsys, argv, stdin_text)
+        for argv, stdin_text in commands
+    ]
+    assert together == alone
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(commands) - 1)
+    assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0]
+    # The second gen still defaults to lambda-commute.
+    assert json.loads(together[3][1])[0]["relation"] == "lambda-commute"
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import drazinkit.cli as c; print(c._build_parser.cache_info().misses)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "0\n"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from drazinkit import (
     random_invertible,
 )
 
-from _naive import add, from_matrix, matmul, matpow, rank as naive_rank, scale, sub
+from _naive import add, from_matrix, matmul, matpow, rank as naive_rank, rref as naive_rref, scale, sub
 
 F5 = PrimeField(5)
 
@@ -281,6 +281,53 @@ def test_rank_matches_naive_oracle():
             m = _random_matrix(field, rng.randint(1, 6), rng.randint(1, 6), rng)
             assert m.rank() == naive_rank(from_matrix(m), p) == m.rref().rank
     assert Matrix.zero(QQ, 3, 4).rank() == 0
+
+
+def _with_repeated_row(m: Matrix, rng: Random) -> Matrix:
+    entries = [[str(x) for x in row] for row in m.to_rows()]
+    entries[rng.randrange(m.rows)] = list(entries[rng.randrange(m.rows)])
+    return Matrix.from_rows(m.field, entries)
+
+
+F3 = PrimeField(3)
+
+
+@pytest.mark.parametrize("order", [PivotOrder.TOP_DOWN, PivotOrder.BOTTOM_UP])
+@pytest.mark.parametrize(
+    "field,make",
+    [
+        (QQ, lambda r, c, rng: _random_matrix(QQ, r, c, rng)),
+        (QQ, _random_rational_matrix),
+        (F3, lambda r, c, rng: _random_residue_matrix(F3, r, c, rng)),
+        (F5, lambda r, c, rng: _random_residue_matrix(F5, r, c, rng)),
+        (P64, lambda r, c, rng: _random_residue_matrix(P64, r, c, rng)),
+    ],
+    ids=["Q-int", "Q-frac", "F3", "F5", "F2^64-59"],
+)
+def test_rref_rank_inner_inverse_equal_reference(order, field, make):
+    """Entry for entry against plain Gauss-Jordan with the same pivot rule.
+
+    This includes the transform rows of the zero rows of ``reduced``, which
+    the invariants of ``test_rref_invariants`` leave free up to scale.
+    """
+    p = field.characteristic or None
+    rng = Random(4040 + (p or 0) % 1000 + len(order.value))
+    for k in range(60):
+        m = make(rng.randint(1, 7), rng.randint(1, 7), rng)
+        if k % 2 and m.rows > 1:
+            m = _with_repeated_row(m, rng)
+        reduced, transform, pivot_cols = naive_rref(from_matrix(m), order.value, p)
+        res = m.rref(order)
+        assert from_matrix(res.reduced) == reduced
+        assert from_matrix(res.transform) == transform
+        assert res.pivot_cols == tuple(pivot_cols)
+        _assert_canonical(res.reduced)
+        _assert_canonical(res.transform)
+        assert m.rank() == len(pivot_cols)
+        g = [[0] * m.rows for _ in range(m.cols)]
+        for row, c in zip(transform, pivot_cols):
+            g[c] = row
+        assert from_matrix(m.inner_inverse(order)) == g
 
 
 def test_rref_reduced_is_order_independent():

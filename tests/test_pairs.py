@@ -265,9 +265,14 @@ class TestExhaustiveSearch:
         assert cross == swapped
 
     def test_cached_hits_memoized_and_equal(self):
+        cached_hits.cache_clear()
         h1 = cached_hits(3, 1, CrossCube(), True)
         h2 = cached_hits(3, 1, CrossCube(), True)
         assert h1 is h2
+        assert cached_hits.cache_info().misses == 1
+        # No default: an omitted argument would be a second cache key.
+        with pytest.raises(TypeError):
+            cached_hits(3, 1, CrossCube())
         assert list(h1) == exhaustive_search(
             SearchSpec(3, 1, CrossCube(), require_nontrivial=True)
         )
