@@ -8,9 +8,12 @@ newline), standard error carries diagnostics.  Exit codes:
 * 1 - a verification mismatch (the report on stdout carries witnesses)
 * 2 - malformed input (error JSON on stderr locates the problem); this
       includes an unknown flag, a missing required flag, a flag value of
-      the wrong type, ``search --jobs`` outside 1..64 and a ``search
-      --budget`` below 1, so every failure leaves as one error JSON, never
-      as usage text
+      the wrong type, ``search --jobs`` outside 1..64, a ``search
+      --budget`` below 1, a search dimension or entry bound out of range,
+      an ``--i-max`` below 1, a family nested past its cap and input that
+      is not UTF-8, each a :class:`ParseError`; ``main`` catches only
+      :class:`DrazinKitError`, so every rejected input leaves as one error
+      JSON, never as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
       for the sum formula, incompatible family, budget exceeded, a result
       entry too long to print, ...)
@@ -106,16 +109,17 @@ def _emit(obj: Any, output: Optional[str]) -> None:
 
 
 def _read_json(path: str) -> Any:
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        try:
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}", {"path": path})
-        source = path
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc}", {"path": source})
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), {"path": source})
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -152,12 +156,21 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
 # family descriptor grammar:  name(arg;arg;...), nested families allowed
 # --------------------------------------------------------------------------
 
+# Deepest nesting of families in one descriptor: parsing and generation recurse
+# once per level.  The default corpora nest at most 3 deep.
+_MAX_FAMILY_DEPTH = 64
+
 
 def _split_args(body: str) -> List[str]:
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(body):
         if ch == "(":
             depth += 1
+            if depth >= _MAX_FAMILY_DEPTH:  # the body is one level in already
+                raise ParseError(
+                    f"family descriptor nests deeper than {_MAX_FAMILY_DEPTH} levels",
+                    {"cap": _MAX_FAMILY_DEPTH},
+                )
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -432,16 +445,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         entry_bound = tuple(
             _int_arg(x, "entry bound") for x in args.entry_bound.split(",")
         )
-    try:
-        spec = SearchSpec(
-            p=args.mod,
-            n=args.dim,
-            relation=rel,
-            entry_bound=entry_bound,
-            require_nontrivial=args.nontrivial,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    spec = SearchSpec(
+        p=args.mod,
+        n=args.dim,
+        relation=rel,
+        entry_bound=entry_bound,
+        require_nontrivial=args.nontrivial,
+    )
     hits = exhaustive_search(spec, jobs=args.jobs, budget=args.budget)
     out: Dict[str, Any] = dict(relation_to_json_fields(rel))
     out.update(
@@ -643,12 +653,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if isinstance(exc, (InternalCertificationFailure, NotNilpotentWithinBound)):
             return 1
         return 3
-    except ValueError as exc:
-        payload = {
-            "error": {"code": "malformed-input", "message": str(exc), "detail": {}}
-        }
-        sys.stderr.write(_canonical(payload))
-        return 2
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ class DrazinKitError(Exception):
         self.detail = dict(detail) if detail else {}
 
 
-class ParseError(DrazinKitError):
-    """Malformed textual or JSON input; ``detail`` locates the offending piece."""
+class ParseError(DrazinKitError, ValueError):
+    """Malformed input or an argument out of its domain; ``detail`` locates the
+    piece or names the value.  A ValueError too, for callers that catch that."""
 
     code = "malformed-input"
 

@@ -410,15 +410,18 @@ class SearchSpec:
     def __post_init__(self):
         field = PrimeField(self.p)  # validates primality
         if not isinstance(self.n, int) or not 1 <= self.n <= 3:
-            raise ValueError(f"search dimension must be 1..3, got {self.n!r}")
+            raise ParseError(
+                f"search dimension must be 1..3, got {self.n!r}", {"n": self.n}
+            )
         if self.entry_bound is not None:
             cleaned = tuple(sorted(set(self.entry_bound)))
             if not cleaned:
-                raise ValueError("entry_bound must be nonempty")
+                raise ParseError("entry_bound must be nonempty", {"entry_bound": []})
             for v in cleaned:
                 if not isinstance(v, int) or not 0 <= v < self.p:
-                    raise ValueError(
-                        f"entry_bound value {v!r} is not a residue mod {self.p}"
+                    raise ParseError(
+                        f"entry_bound value {v!r} is not a residue mod {self.p}",
+                        {"entry_bound": v, "modulus": self.p},
                     )
             object.__setattr__(self, "entry_bound", cleaned)
         if isinstance(self.relation, LambdaCommute):

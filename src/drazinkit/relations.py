@@ -123,7 +123,9 @@ def relation_from_json_fields(
 ) -> RelationKind:
     if kind == "lambda-commute":
         if lam is None:
-            raise ParseError(f"{where}: lambda-commute needs a lambda value")
+            raise ParseError(
+                f"{where}: lambda-commute needs a lambda value", {"at": where}
+            )
         return LambdaCommute(lam)
     if kind == "cross-cube":
         return CrossCube()
@@ -131,7 +133,8 @@ def relation_from_json_fields(
         return SwappedCube()
     raise ParseError(
         f"{where}: unknown relation {kind!r} "
-        "(expected lambda-commute, cross-cube or swapped-cube)"
+        "(expected lambda-commute, cross-cube or swapped-cube)",
+        {"at": where},
     )
 
 
@@ -284,7 +287,9 @@ def _add(items: List[IdentityItem], iid: str, lhs: Matrix, rhs: Matrix) -> None:
 def _check_i_max(i_max: int, cap: int, cap_name: str, field) -> None:
     """Refuse an ``i_max`` below 1 or past ``cap`` before any product is formed."""
     if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 1:
-        raise ValueError(f"i_max must be a positive integer, got {i_max!r}")
+        raise ParseError(
+            f"i_max must be a positive integer, got {i_max!r}", {"i_max": i_max}
+        )
     if i_max > cap:
         raise ExponentOverflow(
             f"i_max {i_max} exceeds the {cap_name} cap {cap} over {field}",
@@ -502,7 +507,9 @@ def lemma35_suite(
     """
     for name, v in (("i", i), ("j", j)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            raise ParseError(
+                f"{name} must be a nonnegative integer, got {v!r}", {name: v}
+            )
     rel = CrossCube()
     ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod

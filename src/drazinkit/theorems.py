@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .drazin import DrazinData, Workspace
-from .errors import CharacteristicTwo, NotNilpotentWithinBound, ShapeMismatch
+from .errors import CharacteristicTwo, NotNilpotentWithinBound, ParseError, ShapeMismatch
 from .fields import FieldScalar
 from .matrices import Matrix, nilpotency_degree
 from .relations import CrossCube, LambdaCommute, _hypothesis
@@ -123,7 +123,7 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     if not u.is_square():
         raise ShapeMismatch("nilpotency needs a square matrix")
     if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+        raise ParseError(f"bound must be nonnegative, got {bound}", {"bound": bound})
     effective = max(bound, 1)
     total = Matrix.identity(u.field, u.rows)
     power = u

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from random import Random
@@ -705,7 +706,117 @@ def test_search_bad_dim_exit_2(monkeypatch, capsys):
         ["search", "--mod", "3", "--dim", "4", "--relation", "cross-cube"],
     )
     assert code == 2
-    assert json.loads(err)["error"]["code"] == "malformed-input"
+    assert json.loads(err) == {
+        "error": {
+            "code": "malformed-input",
+            "message": "search dimension must be 1..3, got 4",
+            "detail": {"n": 4},
+        }
+    }
+
+
+_BAD_UTF8_MESSAGE = (
+    "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, message, detail",
+    [
+        (
+            ["lemmas", "--which", "section-2", "--i-max", "0"],
+            json.dumps(LAMBDA_PAIR),
+            "i_max must be a positive integer, got 0",
+            {"i_max": 0},
+        ),
+        (
+            ["search", "--mod", "3", "--dim", "2", "--entry-bound", "0,7"],
+            None,
+            "entry_bound value 7 is not a residue mod 3",
+            {"entry_bound": 7, "modulus": 3},
+        ),
+        (
+            ["gen", "--field", "Fp", "--mod", "3", "--family", "exhaustive(3;5;0)"],
+            None,
+            "search dimension must be 1..3, got 5",
+            {"n": 5},
+        ),
+        (
+            ["compute", "--input", "undecodable.json"],
+            None,
+            _BAD_UTF8_MESSAGE,
+            {"path": "undecodable.json"},
+        ),
+        (
+            ["check-relation"],
+            json.dumps({**LAMBDA_PAIR, "relation": "zz"}),
+            "input.relation: unknown relation 'zz' "
+            "(expected lambda-commute, cross-cube or swapped-cube)",
+            {"at": "input.relation"},
+        ),
+        (
+            ["check-relation"],
+            json.dumps({"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute"}),
+            "input.relation: lambda-commute needs a lambda value",
+            {"at": "input.relation"},
+        ),
+        (
+            ["lemmas", "--which", "section-2"],
+            json.dumps([{**LAMBDA_PAIR, "relation": "zz"}]),
+            "input[0].relation: unknown relation 'zz' "
+            "(expected lambda-commute, cross-cube or swapped-cube)",
+            {"at": "input[0].relation"},
+        ),
+        (
+            ["lemmas", "--which", "section-2"],
+            json.dumps([{"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute"}]),
+            "input[0].relation: lambda-commute needs a lambda value",
+            {"at": "input[0].relation"},
+        ),
+    ],
+    ids=[
+        "i-max",
+        "entry-bound",
+        "exhaustive-dim",
+        "undecodable-file",
+        "relation",
+        "relation-lambda",
+        "corpus-relation",
+        "corpus-relation-lambda",
+    ],
+)
+def test_rejected_arguments_are_located(
+    monkeypatch, capsys, tmp_path, argv, stdin_text, message, detail
+):
+    monkeypatch.setattr(cli, "exhaustive_search", _no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "undecodable.json").write_bytes(b"[\xff]")
+    code, out, err = _run(monkeypatch, capsys, argv, stdin_text)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {"code": "malformed-input", "message": message, "detail": detail}
+    }
+
+
+def test_undecodable_stdin_exit_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "drazinkit.cli", "compute"],
+        input=b"[\xff]",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": {
+            "code": "malformed-input",
+            "message": _BAD_UTF8_MESSAGE,
+            "detail": {"path": "<stdin>"},
+        }
+    }
 
 
 def test_search_nonprime_mod_exit_2(monkeypatch, capsys):
@@ -938,6 +1049,35 @@ def test_parse_family_grammar():
     ):
         with pytest.raises(ParseError):
             parse_family(bad)
+
+
+def _nested_family(levels):
+    """A descriptor ``levels`` families deep: conjugations of ``zero-b(1)``."""
+    return "conjugated(" * (levels - 1) + "zero-b(1)" + ";1)" * (levels - 1)
+
+
+@pytest.mark.parametrize("levels", [cli._MAX_FAMILY_DEPTH + 1, 1500])
+def test_gen_family_nested_past_cap_exit_2(monkeypatch, capsys, levels):
+    argv = ["gen", "--relation", "cross-cube", "--family", _nested_family(levels)]
+    code, out, err = _run(monkeypatch, capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {
+            "code": "malformed-input",
+            "message": "family descriptor nests deeper than 64 levels",
+            "detail": {"cap": 64},
+        }
+    }
+
+
+def test_gen_family_nested_at_cap(monkeypatch, capsys):
+    levels = cli._MAX_FAMILY_DEPTH
+    argv = ["gen", "--relation", "cross-cube", "--family", _nested_family(levels)]
+    code, out, _ = _run(monkeypatch, capsys, argv)
+    assert code == 0
+    [pair] = json.loads(out)
+    assert pair["provenance"].count("conjugated(") == levels - 1
 
 
 def test_selftest_runs_green(monkeypatch, capsys):

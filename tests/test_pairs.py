@@ -162,14 +162,18 @@ class TestSearchSpec:
     def test_validation(self):
         with pytest.raises(ParseError):
             SearchSpec(4, 1, CrossCube())
+        for kwargs, detail in [
+            ({"n": 0}, {"n": 0}),
+            ({"n": 4}, {"n": 4}),
+            ({"n": 1, "entry_bound": ()}, {"entry_bound": []}),
+            ({"n": 1, "entry_bound": (0, 3)}, {"entry_bound": 3, "modulus": 3}),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                SearchSpec(3, relation=CrossCube(), **kwargs)
+            assert exc.value.detail == detail
+        # still a ValueError, for callers that catch that
         with pytest.raises(ValueError):
             SearchSpec(3, 0, CrossCube())
-        with pytest.raises(ValueError):
-            SearchSpec(3, 4, CrossCube())
-        with pytest.raises(ValueError):
-            SearchSpec(3, 1, CrossCube(), entry_bound=())
-        with pytest.raises(ValueError):
-            SearchSpec(3, 1, CrossCube(), entry_bound=(0, 3))
         with pytest.raises(FieldMismatch):
             SearchSpec(3, 1, LambdaCommute(QQ.scalar(2)))
         # the smallest field is legitimate for searching

@@ -256,8 +256,9 @@ def test_lemma21_rejects_bad_i_max():
     lam = QQ.scalar(2)
     a, b = gen_lambda_pair(WeightedShift(2), lam, 1)
     for bad in (0, -1, True, "3"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as exc:
             lemma21_suite(a, b, lam, bad)
+        assert exc.value.detail == {"i_max": bad}
 
 
 @pytest.mark.parametrize("field,cap", [(QQ, 32), (F5, 128)])
@@ -372,9 +373,15 @@ def test_lemma35_exponent_grid_and_validation():
     for i, j in [(0, 0), (1, 2), (2, 1), (3, 3)]:
         assert lemma35_suite(a, b, i, j).all_pass
         assert lemma35_suite(c, d, i, j).all_pass
-    for bad_i, bad_j in [(-1, 0), (0, -2), (True, 1), (1, "2")]:
-        with pytest.raises(ValueError):
+    for bad_i, bad_j, detail in [
+        (-1, 0, {"i": -1}),
+        (0, -2, {"j": -2}),
+        (True, 1, {"i": True}),
+        (1, "2", {"j": "2"}),
+    ]:
+        with pytest.raises(ParseError) as exc:
             lemma35_suite(a, b, bad_i, bad_j)
+        assert exc.value.detail == detail
 
 
 def test_suites_fail_loudly_off_relation():

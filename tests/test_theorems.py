@@ -13,6 +13,7 @@ from drazinkit import (
     DirectSum,
     Matrix,
     NotNilpotentWithinBound,
+    ParseError,
     PreconditionViolated,
     PrimeField,
     QQ,
@@ -79,8 +80,9 @@ class TestInvertOneMinusNilpotent:
     def test_rejects_non_square_and_bad_bound(self):
         with pytest.raises(ShapeMismatch):
             invert_one_minus_nilpotent(Matrix.zero(QQ, 2, 3), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as exc:
             invert_one_minus_nilpotent(Matrix.zero(QQ, 2), -1)
+        assert exc.value.detail == {"bound": -1}
 
 
 class TestDifferenceFormula:
