@@ -10,8 +10,10 @@ newline), standard error carries diagnostics.  Exit codes:
       includes an unknown flag, a missing required flag, a flag value of
       the wrong type, ``search --jobs`` outside 1..64, a ``search
       --budget`` below 1, a search dimension or entry bound out of range,
-      an ``--i-max`` below 1, a family nested past its cap and input that
-      is not UTF-8, each a :class:`ParseError`; ``main`` catches only
+      an ``--i-max`` below 1, a family nested past its cap, input that is
+      not UTF-8 or holds a JSON integer past the int/str digit limit,
+      closed standard input and a path holding NUL, each a
+      :class:`ParseError`; ``main`` catches only
       :class:`DrazinKitError`, so every rejected input leaves as one error
       JSON, never as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
@@ -39,7 +41,7 @@ from .errors import (
     PreconditionViolated,
     CharacteristicTwo,
 )
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField, QQ, _past_digit_limit
 from .matrices import Matrix
 from .pairs import (
     Conjugated,
@@ -96,11 +98,19 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _refuse_nul(path: str, verb: str) -> None:
+    # open() raises ValueError, not OSError, on a path holding NUL.  A real
+    # argv cannot carry one; a caller of main in the same process can.
+    if "\0" in path:
+        raise ParseError(f"cannot {verb} {path}: embedded null byte", {"path": path})
+
+
 def _emit(obj: Any, output: Optional[str]) -> None:
     text = _canonical(obj)
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
+        _refuse_nul(output, "write")
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -110,6 +120,9 @@ def _emit(obj: Any, output: Optional[str]) -> None:
 
 def _read_json(path: str) -> Any:
     source = "<stdin>" if path == "-" else path
+    if path == "-" and (sys.stdin is None or sys.stdin.closed):  # None: started with fd 0 closed
+        raise ParseError("cannot read <stdin>: standard input is closed", {"path": source})
+    _refuse_nul(path, "read")
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -127,6 +140,8 @@ def _read_json(path: str) -> Any:
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             {"path": source, "line": exc.lineno, "column": exc.colno},
         )
+    except ValueError:  # json raises a plain ValueError for an int past the digit limit
+        raise _past_digit_limit(ParseError, f"{source}: JSON integer", path=source) from None
     except RecursionError:
         raise ParseError(f"{source}: JSON nested too deeply", {"path": source})
 

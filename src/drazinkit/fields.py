@@ -63,13 +63,13 @@ _RATIONAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
 _RESIDUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
-def _past_digit_limit(error, what: str):
+def _past_digit_limit(error, what: str, **detail):
     # Wire text that matched its pattern, and a canonical value, fail to
     # convert only past CPython's int/str digit limit (4,300 by default).
     limit = sys.get_int_max_str_digits()
     return error(
         f"{what} with more than {limit} digits (the interpreter's int/str conversion limit)",
-        {"limit": limit},
+        {"limit": limit, **detail},
     )
 
 

@@ -719,6 +719,18 @@ _BAD_UTF8_MESSAGE = (
     "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
 )
 
+# One digit past the interpreter's int/str conversion limit, which json.loads
+# enforces with a plain ValueError.
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_LONG_INT = "1" * (_DIGIT_LIMIT + 1)
+
+
+def _long_int_message(source):
+    return (
+        f"{source}: JSON integer with more than {_DIGIT_LIMIT} digits "
+        "(the interpreter's int/str conversion limit)"
+    )
+
 
 @pytest.mark.parametrize(
     "argv, stdin_text, message, detail",
@@ -773,6 +785,30 @@ _BAD_UTF8_MESSAGE = (
             "input[0].relation: lambda-commute needs a lambda value",
             {"at": "input[0].relation"},
         ),
+        (
+            ["compute"],
+            _LONG_INT,
+            _long_int_message("<stdin>"),
+            {"limit": _DIGIT_LIMIT, "path": "<stdin>"},
+        ),
+        (
+            ["thm36", "--input", "long.json"],
+            None,
+            _long_int_message("long.json"),
+            {"limit": _DIGIT_LIMIT, "path": "long.json"},
+        ),
+        (
+            ["compute", "--input", "in\0put.json"],
+            None,
+            "cannot read in\0put.json: embedded null byte",
+            {"path": "in\0put.json"},
+        ),
+        (
+            ["compute", "--output", "out\0put.json"],
+            json.dumps(SHIFT2),
+            "cannot write out\0put.json: embedded null byte",
+            {"path": "out\0put.json"},
+        ),
     ],
     ids=[
         "i-max",
@@ -783,6 +819,10 @@ _BAD_UTF8_MESSAGE = (
         "relation-lambda",
         "corpus-relation",
         "corpus-relation-lambda",
+        "long-int-stdin",
+        "long-int-file",
+        "nul-input-path",
+        "nul-output-path",
     ],
 )
 def test_rejected_arguments_are_located(
@@ -791,6 +831,7 @@ def test_rejected_arguments_are_located(
     monkeypatch.setattr(cli, "exhaustive_search", _no_search)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "undecodable.json").write_bytes(b"[\xff]")
+    (tmp_path / "long.json").write_text(f'{{"a": {{"rows": {_LONG_INT}}}}}')
     code, out, err = _run(monkeypatch, capsys, argv, stdin_text)
     assert code == 2
     assert out == ""
@@ -817,6 +858,39 @@ def test_undecodable_stdin_exit_2():
             "detail": {"path": "<stdin>"},
         }
     }
+
+
+_CLOSED_STDIN = {
+    "error": {
+        "code": "malformed-input",
+        "message": "cannot read <stdin>: standard input is closed",
+        "detail": {"path": "<stdin>"},
+    }
+}
+
+
+def test_closed_stdin_exit_2():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m drazinkit.cli compute <&-', sys.executable],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr) == _CLOSED_STDIN
+
+
+@pytest.mark.parametrize("closed", ["none", "closed"])
+def test_closed_stdin_in_process_exit_2(monkeypatch, capsys, closed):
+    stdin = None
+    if closed == "closed":
+        stdin = io.StringIO(json.dumps(SHIFT2))
+        stdin.close()
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = _run(monkeypatch, capsys, ["compute"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == _CLOSED_STDIN
 
 
 def test_search_nonprime_mod_exit_2(monkeypatch, capsys):

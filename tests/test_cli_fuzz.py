@@ -6,7 +6,8 @@ masked by an earlier one.  The wrong thing is a flag value (a bad number,
 choice, scalar or family descriptor, or a lambda with a cube relation), a
 dropped required flag, a stray token, an unwritable ``--output``, or the
 input (a missing file, a document with one field dropped or replaced by
-junk, a truncated or binary one, or one that is not UTF-8).  ``--help``
+junk, a truncated or binary one, one that is not UTF-8, or one holding an
+integer past the interpreter's int/str digit limit).  ``--help``
 comes first in some.  Whatever the input, ``cli.main`` returns an exit code
 in {0, 1, 2, 3} (``--help`` raises ``SystemExit(0)``), no other exception
 escapes, and a refusal (exit 2 or 3) ends stderr with exactly one error
@@ -170,7 +171,9 @@ def _mutated(draw, value):
 def _bad_input(draw, doc):
     """The bytes of ``doc`` with one thing wrong."""
     text = json.dumps(doc).encode("utf-8")
-    how = draw(st.sampled_from(["mutated", "junk", "truncated", "undecodable", "binary"]))
+    how = draw(
+        st.sampled_from(["mutated", "junk", "truncated", "undecodable", "long-int", "binary"])
+    )
     if how == "mutated":
         return json.dumps(draw(_mutated(doc))).encode("utf-8")
     if how == "junk":
@@ -180,6 +183,9 @@ def _bad_input(draw, doc):
     if how == "undecodable":
         at = draw(st.integers(0, len(text)))
         return text[:at] + b"\xff" + text[at:]
+    if how == "long-int":  # past the int/str digit limit, so json.dumps cannot write it
+        digits = b"1" * (sys.get_int_max_str_digits() + 1)
+        return draw(st.sampled_from([digits, b'{"rows": ' + digits + b"}", b"[[" + digits + b"]]"]))
     return draw(st.binary(max_size=12))
 
 
