@@ -16,7 +16,7 @@ from drazinkit import (
     LambdaCommute,
     drazin_inverse,
     evaluate_thm23,
-    gen_lambda_pair,
+    gen_pair,
 )
 
 
@@ -46,7 +46,7 @@ def main():
 
     # A bigger pair: a weighted shift conjugated by a random invertible
     # matrix. The hypothesis and the formula survive conjugation.
-    a2, b2 = gen_lambda_pair(Conjugated(WeightedShift(4), 17), lam, 5)
+    a2, b2 = gen_pair(Conjugated(WeightedShift(4), 17), LambdaCommute(lam), QQ, 5)
     rep2 = evaluate_thm23(a2, b2, lam)
     print("\n4x4 conjugated weighted shift:")
     print("  ind(a) =", drazin_inverse(a2).index, " ind(b) =", drazin_inverse(b2).index)

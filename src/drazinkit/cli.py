@@ -10,9 +10,10 @@ newline), standard error carries diagnostics.  Exit codes:
       includes an unknown flag, a missing required flag, a flag value of
       the wrong type, ``search --jobs`` outside 1..64, a ``search
       --budget`` below 1, a search dimension or entry bound out of range,
-      an ``--i-max`` below 1, a family nested past its cap, input that is
-      not UTF-8 or holds a JSON integer past the int/str digit limit,
-      closed standard input and a path holding NUL, each a
+      an ``--i-max`` below 1, a family nested past its cap, ``gen
+      --lambda`` or ``--seed`` without ``--family``, input that is not
+      UTF-8 or holds a JSON integer past the int/str digit limit, closed
+      standard input and a path holding NUL, each a
       :class:`ParseError`; ``main`` catches only
       :class:`DrazinKitError`, so every rejected input leaves as one error
       JSON, never as usage text
@@ -61,9 +62,7 @@ from .pairs import (
     describe_family,
     exhaustive_hits_corpus,
     exhaustive_search,
-    gen_cube_pair,
-    gen_lambda_pair,
-    gen_swapped_pair,
+    gen_pair,
     pair_from_json_obj,
 )
 from .relations import (
@@ -72,6 +71,7 @@ from .relations import (
     LambdaCommute,
     RelationKind,
     SwappedCube,
+    _RELATIONS,
     det_consistency_diagnostic,
     first_violation,
     lemma21_suite,
@@ -160,7 +160,7 @@ def _field_from_flags(args: argparse.Namespace) -> Field:
 def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind:
     """The relation named by ``--relation``; ``--lambda`` (default 1) is
     parsed over ``field`` for lambda-commute and refused with the others."""
-    if args.relation == "lambda-commute":
+    if args.relation == LambdaCommute.name:
         return LambdaCommute(field.parse("1" if args.lam is None else args.lam))
     if args.lam is not None:
         raise ParseError("--lambda is only meaningful with --relation lambda-commute")
@@ -356,10 +356,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     all_pass = True
     results = []
     for idx, cp in enumerate(corpus):
-        got = relation_to_json_fields(cp.relation)["relation"]
-        if got != relation:
+        if cp.relation.name != relation:
             raise PreconditionViolated(
-                f"{args.which} suites need a {relation} pair, got {got}"
+                f"{args.which} suites need a {relation} pair, got {cp.relation.name}"
             )
         for label, runner in suites:
             report = runner(cp, args.i_max, ws)
@@ -421,18 +420,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
-        pairs = []
-        for k in range(args.count or 1):
-            seed = args.seed + k
-            if isinstance(rel, LambdaCommute):
-                a, b = gen_lambda_pair(fam, rel.lam, seed)
-            elif isinstance(rel, CrossCube):
-                a, b = gen_cube_pair(fam, seed, field)
-            else:
-                a, b = gen_swapped_pair(fam, seed, field)
-            pairs.append(CorpusPair(a, b, rel, describe_family(fam)))
+        seed = 0 if args.seed is None else args.seed
+        pairs = [
+            CorpusPair(*gen_pair(fam, rel, field, seed + k), rel, describe_family(fam))
+            for k in range(args.count or 1)
+        ]
     else:
-        if isinstance(rel, LambdaCommute):
+        # The default corpora are fixed: no lambda or seed chooses them.
+        for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
+            if value is not None:
+                raise ParseError(f"{flag} is only meaningful with --family")
+        if args.relation == LambdaCommute.name:
             pairs = default_lambda_corpus(field)
         else:
             pairs = default_cube_corpus(field, rel)
@@ -559,7 +557,7 @@ def _add_field_flags(sub: argparse.ArgumentParser) -> None:
 def _add_relation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--relation",
-        choices=("lambda-commute", "cross-cube", "swapped-cube"),
+        choices=tuple(cls.name for cls in _RELATIONS),
         default=None,
     )
     sub.add_argument(
@@ -621,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_relation_flags(p)
     p.add_argument("--family", default=None, help="family descriptor; see docs")
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_gen, relation="lambda-commute")
 
     p = subs.add_parser("search", help="exhaustive search over F_p")

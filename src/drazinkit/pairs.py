@@ -27,8 +27,8 @@ Families
 * ``ExhaustiveHit(p, n, ordinal)``: the ordinal-th hit of the exhaustive
   search over F_p, in its canonical order.
 
-Determinism: generation is a pure function of (family, relation, seed),
-and search output is independent of the number of parallel jobs.
+Determinism: generation is a pure function of (family, relation, field,
+seed), and search output is independent of the number of parallel jobs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     InternalCertificationFailure,
     ParseError,
 )
-from .fields import Field, FieldScalar, PrimeField, QQ
+from .fields import Field, FieldScalar, PrimeField
 from .matrices import Matrix
 from .relations import (
     CrossCube,
@@ -71,9 +71,7 @@ __all__ = [
     "SearchSpec",
     "CorpusPair",
     "describe_family",
-    "gen_lambda_pair",
-    "gen_cube_pair",
-    "gen_swapped_pair",
+    "gen_pair",
     "random_invertible",
     "exhaustive_search",
     "cached_hits",
@@ -236,13 +234,7 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
         )
     if kind == "nilpotent-mix":
         k = rng.randint(2, min(3, n)) if n >= 2 else 1
-        z, o = field.zero, field.one
-        jordan = Matrix(
-            field,
-            tuple(
-                tuple(o if j == i + 1 else z for j in range(k)) for i in range(k)
-            ),
-        )
+        jordan = _upper_shift(field, k)
         if k == n:
             return jordan
         tail = Matrix.diagonal(
@@ -255,6 +247,15 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
             [FieldScalar(field, _rand_entry(field, rng)) for _ in range(n)]
             for _ in range(n)
         ],
+    )
+
+
+def _upper_shift(field: Field, n: int) -> Matrix:
+    """The n x n nilpotent Jordan block: ones just above the diagonal."""
+    z, o = field.zero, field.one
+    return Matrix(
+        field,
+        tuple(tuple(o if j == i + 1 else z for j in range(n)) for i in range(n)),
     )
 
 
@@ -275,14 +276,8 @@ def _gen_pair(
             raise IncompatibleFamily(
                 "weighted-shift pairs only satisfy lambda-commutation"
             )
-        n = family.n
-        z, o = field.zero, field.one
-        a = Matrix(
-            field,
-            tuple(tuple(o if j == i + 1 else z for j in range(n)) for i in range(n)),
-        )
-        b = Matrix.diagonal(field, [rel.lam**i for i in range(n)])
-        return a, b
+        b = Matrix.diagonal(field, [rel.lam**i for i in range(family.n)])
+        return _upper_shift(field, family.n), b
 
     if isinstance(family, DiagTripotents):
         if isinstance(rel, LambdaCommute) and rel.lam != 1:
@@ -354,37 +349,20 @@ def _gen_pair(
     raise IncompatibleFamily(f"unknown family {family!r}")
 
 
-def _certified(
+def gen_pair(
     family: PairFamily, rel: RelationKind, field: Field, seed: int
 ) -> Tuple[Matrix, Matrix]:
+    """Pair over ``field`` satisfying ``rel``; deterministic in its arguments.
+
+    The pair is checked against ``rel`` before it is returned.  A lambda
+    over another field than ``field`` raises :class:`FieldMismatch`.
+    """
     a, b = _gen_pair(family, rel, field, seed)
     if not check_relation(a, b, rel):
         raise InternalCertificationFailure(
             f"family {describe_family(family)} emitted a pair violating its relation"
         )
     return a, b
-
-
-def gen_lambda_pair(
-    family: PairFamily, lam: FieldScalar, seed: int
-) -> Tuple[Matrix, Matrix]:
-    """Pair with ``a*b == lam*(b*a)``; deterministic in (family, lam, seed)."""
-    rel = LambdaCommute(lam)
-    return _certified(family, rel, lam.field, seed)
-
-
-def gen_cube_pair(
-    family: PairFamily, seed: int, field: Field = QQ
-) -> Tuple[Matrix, Matrix]:
-    """Pair with ``a**3*b == b*a`` and ``b**3*a == a*b`` over ``field``."""
-    return _certified(family, CrossCube(), field, seed)
-
-
-def gen_swapped_pair(
-    family: PairFamily, seed: int, field: Field = QQ
-) -> Tuple[Matrix, Matrix]:
-    """Pair with ``a*b**3 == b*a`` and ``b*a**3 == a*b`` over ``field``."""
-    return _certified(family, SwappedCube(), field, seed)
 
 
 # --------------------------------------------------------------------------
@@ -748,13 +726,11 @@ def default_lambda_corpus(field: Field) -> List[CorpusPair]:
     """
     pairs: List[CorpusPair] = []
     for li, lam in enumerate(default_lambda_values(field)):
-        one = lam == 1
-        for fi, fam in enumerate(_lambda_families(one, li)):
+        rel = LambdaCommute(lam)
+        for fi, fam in enumerate(_lambda_families(lam == 1, li)):
             seed = 10_000 * (li + 1) + 100 * fi + 7
-            a, b = gen_lambda_pair(fam, lam, seed)
-            pairs.append(
-                CorpusPair(a, b, LambdaCommute(lam), describe_family(fam))
-            )
+            a, b = gen_pair(fam, rel, field, seed)
+            pairs.append(CorpusPair(a, b, rel, describe_family(fam)))
     return pairs
 
 
@@ -798,7 +774,7 @@ def default_cube_corpus(
     pairs: List[CorpusPair] = []
     for fi, fam in enumerate(_CUBE_FAMILIES):
         seed = 20_000 + 100 * fi + 3
-        a, b = _certified(fam, relation, field, seed)
+        a, b = gen_pair(fam, relation, field, seed)
         pairs.append(CorpusPair(a, b, relation, describe_family(fam)))
     return pairs
 

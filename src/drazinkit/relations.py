@@ -41,7 +41,7 @@ triangular number ``i*(i-1)/2``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
 from .drazin import Workspace
 from .errors import (
@@ -84,6 +84,7 @@ __all__ = [
 class LambdaCommute:
     """``a*b == lam*(b*a)`` for a fixed nonzero scalar ``lam``."""
 
+    name: ClassVar[str] = "lambda-commute"
     lam: FieldScalar
 
     def __post_init__(self):
@@ -95,24 +96,25 @@ class LambdaCommute:
 class CrossCube:
     """``a**3*b == b*a`` and ``b**3*a == a*b``."""
 
+    name: ClassVar[str] = "cross-cube"
+
 
 @dataclass(frozen=True)
 class SwappedCube:
     """``a*b**3 == b*a`` and ``b*a**3 == a*b``."""
 
+    name: ClassVar[str] = "swapped-cube"
+
 
 RelationKind = Union[LambdaCommute, CrossCube, SwappedCube]
 
-_RELATION_NAMES = {
-    LambdaCommute: "lambda-commute",
-    CrossCube: "cross-cube",
-    SwappedCube: "swapped-cube",
-}
+# Each relation's ``name`` is its wire name, in JSON and on the command line.
+_RELATIONS = (LambdaCommute, CrossCube, SwappedCube)
 
 
 def relation_to_json_fields(rel: RelationKind) -> Dict[str, Any]:
     """Flat JSON fields: ``{"relation": <kind>}`` plus ``"lambda"`` if any."""
-    out: Dict[str, Any] = {"relation": _RELATION_NAMES[type(rel)]}
+    out: Dict[str, Any] = {"relation": rel.name}
     if isinstance(rel, LambdaCommute):
         out["lambda"] = str(rel.lam)
     return out
@@ -121,21 +123,20 @@ def relation_to_json_fields(rel: RelationKind) -> Dict[str, Any]:
 def relation_from_json_fields(
     kind: Any, lam: Optional[FieldScalar], where: str = "relation"
 ) -> RelationKind:
-    if kind == "lambda-commute":
-        if lam is None:
-            raise ParseError(
-                f"{where}: lambda-commute needs a lambda value", {"at": where}
-            )
-        return LambdaCommute(lam)
-    if kind == "cross-cube":
-        return CrossCube()
-    if kind == "swapped-cube":
-        return SwappedCube()
-    raise ParseError(
-        f"{where}: unknown relation {kind!r} "
-        "(expected lambda-commute, cross-cube or swapped-cube)",
-        {"at": where},
-    )
+    # ``kind`` is any JSON value; ``==`` never raises on a list or an object.
+    cls = next((c for c in _RELATIONS if kind == c.name), None)
+    if cls is None:
+        names = [c.name for c in _RELATIONS]
+        raise ParseError(
+            f"{where}: unknown relation {kind!r} "
+            f"(expected {', '.join(names[:-1])} or {names[-1]})",
+            {"at": where},
+        )
+    if cls is not LambdaCommute:
+        return cls()
+    if lam is None:
+        raise ParseError(f"{where}: lambda-commute needs a lambda value", {"at": where})
+    return LambdaCommute(lam)
 
 
 def _validate_pair(a: Matrix, b: Matrix, rel: RelationKind) -> None:
@@ -209,9 +210,8 @@ def require_relation(
         return
     violation = first_violation(a, b, rel)
     if violation is not None:
-        name = _RELATION_NAMES[type(rel)]
         raise PreconditionViolated(
-            f"pair does not satisfy {name}: {violation['equation']} fails at "
+            f"pair does not satisfy {rel.name}: {violation['equation']} fails at "
             f"entry ({violation['row']}, {violation['col']}): "
             f"{violation['lhs']} != {violation['rhs']}",
             violation,
@@ -513,9 +513,9 @@ def lemma35_suite(
     rel = CrossCube()
     ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
-    da, db = ws.drazin(a).d, ws.drazin(b).d
+    a_data, b_data = ws.drazin(a), ws.drazin(b)
+    da, db = a_data.d, b_data.d
     aaD, bbD = pr(a, da), pr(b, db)
-    eye = Matrix.identity(a.field, a.rows)
     zero = Matrix.zero(a.field, a.rows)
     items: List[IdentityItem] = []
     bj = pw(b, j)
@@ -526,6 +526,6 @@ def lemma35_suite(
     _add(items, "L3.5-4", pr(aaD, pw(a, 3), b, db), pr(da, b, db))
     _add(items, "L3.5-5", pr(aaD, pw(a, 2), b, b, db), pr(aaD, db))
     _add(items, "L3.5-6", pr(aaD, a, pw(b, 2), b, db), pr(da, b, db))
-    _add(items, "L3.5-7", pr(a, b, eye - aaD), zero)
-    _add(items, "L3.5-8", pr(b, a, eye - bbD), zero)
+    _add(items, "L3.5-7", pr(a, b, a_data.pi), zero)
+    _add(items, "L3.5-8", pr(b, a, b_data.pi), zero)
     return IdentityReport.build(rel, items)

@@ -199,12 +199,11 @@ def evaluate_thm36(
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)
     p_b = pr(b, db.d)
-    eye = Matrix.identity(a.field, a.rows)
     eighth = (a.field.scalar(8)).inverse()
     core = 3 * ws.power(a, 3) + 3 * ws.power(b, 3) - a - b
     m1 = eighth * pr(p_b, core, p_a)
-    m2 = pr(da.d, eye - p_b)
-    m3 = pr(eye - p_a, db.d)
+    m2 = pr(da.d, db.pi)
+    m3 = pr(da.pi, db.d)
     m = m1 + m2 + m3
     total = a + b
     direct = ws.drazin(total)

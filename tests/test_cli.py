@@ -16,6 +16,7 @@ from drazinkit.cli import main, parse_family
 from drazinkit import (
     QQ,
     Conjugated,
+    CorpusPair,
     CrossCube,
     DiagTripotents,
     DirectSum,
@@ -24,8 +25,12 @@ from drazinkit import (
     IdentityReport,
     ParseError,
     ScalarTimesIdentity,
+    SwappedCube,
     TrivialZeroB,
     WeightedShift,
+    corpus_to_json_obj,
+    describe_family,
+    gen_pair,
 )
 
 SHIFT2 = {
@@ -560,13 +565,28 @@ def test_gen_count_seeds_vary(monkeypatch, capsys):
 
 
 def test_gen_default_corpus_truncated(monkeypatch, capsys):
-    code, out, _ = _run(
-        monkeypatch,
-        capsys,
-        ["gen", "--relation", "cross-cube", "--count", "4"],
-    )
+    for relation in ("lambda-commute", "cross-cube", "swapped-cube"):
+        argv = ["gen", "--relation", relation]
+        _, full, _ = _run(monkeypatch, capsys, argv)
+        code, out, _ = _run(monkeypatch, capsys, argv + ["--count", "4"])
+        assert code == 0
+        assert json.loads(out) == json.loads(full)[:4]
+
+
+def test_gen_swapped_cube_family(monkeypatch, capsys):
+    family = "conjugated(diag-tripotents(2);3)"
+    argv = ["gen", "--relation", "swapped-cube", "--family", family]
+    code, out, _ = _run(monkeypatch, capsys, argv + ["--count", "2", "--seed", "3"])
     assert code == 0
-    assert len(json.loads(out)) == 4
+    fam, rel = parse_family(family), SwappedCube()
+    expected = [
+        CorpusPair(*gen_pair(fam, rel, QQ, seed), rel, describe_family(fam))
+        for seed in (3, 4)
+    ]
+    assert json.loads(out) == corpus_to_json_obj(expected)
+    for pair in json.loads(out):
+        code, holds, _ = _run(monkeypatch, capsys, ["check-relation"], json.dumps(pair))
+        assert (code, json.loads(holds)["holds"]) == (0, True)
 
 
 def test_gen_incompatible_family_exit_3(monkeypatch, capsys):
@@ -809,6 +829,63 @@ def _long_int_message(source):
             "cannot write out\0put.json: embedded null byte",
             {"path": "out\0put.json"},
         ),
+        (
+            ["gen", "--family", "conjugated(weighted-shift(2;7)"],
+            None,
+            "unbalanced parentheses in family 'weighted-shift(2;7'",
+            {},
+        ),
+        (
+            ["gen", "--family", "direct-sum(zero-b(1));zero-b(1))"],
+            None,
+            "unbalanced parentheses in family 'zero-b(1));zero-b(1)'",
+            {},
+        ),
+        (
+            ["compute"],
+            json.dumps(dict(SHIFT2, entries=[["0", "1"]])),
+            "input.entries: expected 2 rows",
+            {"at": "input.entries"},
+        ),
+        (
+            ["compute"],
+            json.dumps({"field": {"Fp": 5}, "rows": 1, "cols": 1, "entries": [[_LONG_INT]]}),
+            f"input.entries[0][0]: residue with more than {_DIGIT_LIMIT} digits "
+            "(the interpreter's int/str conversion limit)",
+            {"at": "input.entries[0][0]"},
+        ),
+        (
+            ["check-relation"],
+            json.dumps({**LAMBDA_PAIR, "relation": []}),
+            "input.relation: unknown relation [] "
+            "(expected lambda-commute, cross-cube or swapped-cube)",
+            {"at": "input.relation"},
+        ),
+        (
+            ["check-relation"],
+            json.dumps({**LAMBDA_PAIR, "relation": {"x": 1}}),
+            "input.relation: unknown relation {'x': 1} "
+            "(expected lambda-commute, cross-cube or swapped-cube)",
+            {"at": "input.relation"},
+        ),
+        (
+            ["gen", "--lambda", "5", "--count", "200"],
+            None,
+            "--lambda is only meaningful with --family",
+            {},
+        ),
+        (
+            ["gen", "--relation", "cross-cube", "--seed", "99"],
+            None,
+            "--seed is only meaningful with --family",
+            {},
+        ),
+        (
+            ["gen", "--seed", "0"],
+            None,
+            "--seed is only meaningful with --family",
+            {},
+        ),
     ],
     ids=[
         "i-max",
@@ -823,6 +900,15 @@ def _long_int_message(source):
         "long-int-file",
         "nul-input-path",
         "nul-output-path",
+        "family-unclosed",
+        "family-overclosed",
+        "entries-rows",
+        "long-residue",
+        "relation-list",
+        "relation-object",
+        "gen-lambda-without-family",
+        "gen-seed-without-family",
+        "gen-seed-0-without-family",
     ],
 )
 def test_rejected_arguments_are_located(

@@ -44,9 +44,7 @@ from drazinkit import (
     SwappedCube,
     WeightedShift,
     corpus_to_json_obj,
-    gen_cube_pair,
-    gen_lambda_pair,
-    gen_swapped_pair,
+    gen_pair,
 )
 from drazinkit.cli import _MAX_FAMILY_DEPTH, _WHICH, main
 
@@ -95,17 +93,13 @@ def _pairs_by_relation():
     one that satisfies none of the three."""
     out = {"lambda-commute": [], "cross-cube": [], "swapped-cube": []}
     for field in (QQ, PrimeField(5)):
-        lam = field.scalar(2)
-        out["lambda-commute"].append(
-            _pair_obj(*gen_lambda_pair(WeightedShift(3), lam, 1), LambdaCommute(lam))
-        )
-        for family, seed in ((DiagTripotents(3), 2), (Conjugated(DiagTripotents(2), 3), 0)):
-            out["cross-cube"].append(
-                _pair_obj(*gen_cube_pair(family, seed, field), CrossCube())
-            )
-        out["swapped-cube"].append(
-            _pair_obj(*gen_swapped_pair(DiagTripotents(2), 4, field), SwappedCube())
-        )
+        for family, rel, seed in (
+            (WeightedShift(3), LambdaCommute(field.scalar(2)), 1),
+            (DiagTripotents(3), CrossCube(), 2),
+            (Conjugated(DiagTripotents(2), 3), CrossCube(), 0),
+            (DiagTripotents(2), SwappedCube(), 4),
+        ):
+            out[rel.name].append(_pair_obj(*gen_pair(family, rel, field, seed), rel))
     a, b = (Matrix.from_rows(QQ, rows) for rows in ([[1, 2], [3, 4]], [[0, 1], [1, 0]]))
     for kind, rel in (
         ("lambda-commute", LambdaCommute(QQ.scalar(2))),

@@ -35,8 +35,8 @@ PUBLIC_NAMES = {
     # pairs
     "WeightedShift", "DiagTripotents", "ScalarTimesIdentity", "DirectSum",
     "Conjugated", "TrivialZeroB", "ExhaustiveHit", "PairFamily", "SearchSpec",
-    "CorpusPair", "describe_family", "gen_lambda_pair", "gen_cube_pair",
-    "gen_swapped_pair", "random_invertible", "exhaustive_search", "cached_hits",
+    "CorpusPair", "describe_family", "gen_pair", "random_invertible",
+    "exhaustive_search", "cached_hits",
     "default_lambda_values", "default_lambda_corpus", "default_cube_corpus",
     "exhaustive_hits_corpus", "corpus_to_json_obj", "corpus_from_json_obj",
     "pair_from_json_obj", "DEFAULT_SEARCH_BUDGET",
@@ -45,7 +45,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned_and_unique():
     assert set(drazinkit.__all__) == PUBLIC_NAMES
-    assert len(drazinkit.__all__) == len(PUBLIC_NAMES) == 85
+    assert len(drazinkit.__all__) == len(PUBLIC_NAMES) == 83
 
 
 def test_each_name_is_its_submodule_object():

@@ -36,9 +36,7 @@ from drazinkit import (
     describe_family,
     exhaustive_hits_corpus,
     exhaustive_search,
-    gen_cube_pair,
-    gen_lambda_pair,
-    gen_swapped_pair,
+    gen_pair,
     random_invertible,
 )
 
@@ -77,7 +75,7 @@ class TestFamilies:
         )
 
     def test_weighted_shift_worked_instance(self):
-        a, b = gen_lambda_pair(WeightedShift(2), QQ.scalar(2), 1)
+        a, b = gen_pair(WeightedShift(2), LambdaCommute(QQ.scalar(2)), QQ, 1)
         assert _entries(a) == (("0", "1"), ("0", "0"))
         assert b == Matrix.diagonal(QQ, [1, 2])
 
@@ -89,64 +87,73 @@ class TestFamilies:
             Conjugated(TrivialZeroB(2), 12),
             DirectSum(WeightedShift(2), TrivialZeroB(1)),
         ]:
-            p1 = gen_lambda_pair(fam, lam, 77)
-            p2 = gen_lambda_pair(fam, lam, 77)
+            p1 = gen_pair(fam, LambdaCommute(lam), lam.field, 77)
+            p2 = gen_pair(fam, LambdaCommute(lam), lam.field, 77)
             assert p1 == p2
-        c1 = gen_cube_pair(DiagTripotents(4), 55)
-        c2 = gen_cube_pair(DiagTripotents(4), 55)
+        c1 = gen_pair(DiagTripotents(4), CrossCube(), QQ, 55)
+        c2 = gen_pair(DiagTripotents(4), CrossCube(), QQ, 55)
         assert c1 == c2
 
     def test_seed_changes_seeded_families(self):
         lam = QQ.scalar(2)
-        a1, _ = gen_lambda_pair(TrivialZeroB(3), lam, 1)
-        a2, _ = gen_lambda_pair(TrivialZeroB(3), lam, 2)
+        a1, _ = gen_pair(TrivialZeroB(3), LambdaCommute(lam), lam.field, 1)
+        a2, _ = gen_pair(TrivialZeroB(3), LambdaCommute(lam), lam.field, 2)
         assert a1 != a2
 
     def test_all_outputs_certified(self):
         lam5 = F5.scalar(3)
-        a, b = gen_lambda_pair(WeightedShift(3), lam5, 4)
+        a, b = gen_pair(WeightedShift(3), LambdaCommute(lam5), lam5.field, 4)
         assert check_relation(a, b, LambdaCommute(lam5))
-        c, d = gen_cube_pair(Conjugated(DiagTripotents(3), 13), 5, F5)
+        c, d = gen_pair(Conjugated(DiagTripotents(3), 13), CrossCube(), F5, 5)
         assert check_relation(c, d, CrossCube())
-        e, f = gen_swapped_pair(ScalarTimesIdentity(2, 1), 6)
+        e, f = gen_pair(ScalarTimesIdentity(2, 1), SwappedCube(), QQ, 6)
         assert check_relation(e, f, SwappedCube())
 
+    @pytest.mark.parametrize(
+        "family",
+        [WeightedShift(2), Conjugated(WeightedShift(2), 3), DiagTripotents(2), TrivialZeroB(2)],
+    )
+    @pytest.mark.parametrize("lam_field, field", [(QQ, F5), (F5, QQ)])
+    def test_lambda_over_another_field_raises(self, family, lam_field, field):
+        with pytest.raises(FieldMismatch):
+            gen_pair(family, LambdaCommute(lam_field.scalar(1)), field, 0)
+
     def test_conjugated_preserves_relation_not_matrices(self):
-        lam = QQ.scalar(2)
-        plain_a, plain_b = gen_lambda_pair(WeightedShift(3), lam, 9)
-        conj_a, conj_b = gen_lambda_pair(Conjugated(WeightedShift(3), 8), lam, 9)
+        rel = LambdaCommute(QQ.scalar(2))
+        plain_a, plain_b = gen_pair(WeightedShift(3), rel, QQ, 9)
+        conj_a, conj_b = gen_pair(Conjugated(WeightedShift(3), 8), rel, QQ, 9)
         assert (conj_a, conj_b) != (plain_a, plain_b)
-        assert check_relation(conj_a, conj_b, LambdaCommute(lam))
+        assert check_relation(conj_a, conj_b, rel)
         # conjugation preserves the index profile
         assert compute_index(conj_a) == compute_index(plain_a)
 
     def test_incompatible_family_paths(self):
         lam2 = QQ.scalar(2)
         with pytest.raises(IncompatibleFamily):
-            gen_cube_pair(WeightedShift(2), 1)
+            gen_pair(WeightedShift(2), CrossCube(), QQ, 1)
         with pytest.raises(IncompatibleFamily):
-            gen_lambda_pair(DiagTripotents(2), lam2, 1)
+            gen_pair(DiagTripotents(2), LambdaCommute(lam2), lam2.field, 1)
         with pytest.raises(IncompatibleFamily):
-            gen_lambda_pair(ScalarTimesIdentity(2, 2), lam2, 1)
+            gen_pair(ScalarTimesIdentity(2, 2), LambdaCommute(lam2), lam2.field, 1)
         with pytest.raises(IncompatibleFamily):
             # scale 5 vanishes mod 5
-            gen_lambda_pair(ScalarTimesIdentity(2, 5), F5.scalar(1), 1)
+            gen_pair(ScalarTimesIdentity(2, 5), LambdaCommute(F5.scalar(1)), F5, 1)
         with pytest.raises(IncompatibleFamily):
             # cube relations need scale**3 == scale
-            gen_cube_pair(ScalarTimesIdentity(2, 2), 1)
+            gen_pair(ScalarTimesIdentity(2, 2), CrossCube(), QQ, 1)
         with pytest.raises(IncompatibleFamily):
-            gen_cube_pair(DiagTripotents(3, ((1, 0), (0, 1))), 1)
+            gen_pair(DiagTripotents(3, ((1, 0), (0, 1))), CrossCube(), QQ, 1)
         with pytest.raises(IncompatibleFamily):
-            gen_cube_pair(DiagTripotents(2, ((2, 0), (0, 1))), 1)
+            gen_pair(DiagTripotents(2, ((2, 0), (0, 1))), CrossCube(), QQ, 1)
         with pytest.raises(IncompatibleFamily):
             # hits live over F_3, not the rationals
-            gen_cube_pair(ExhaustiveHit(3, 1, 0), 1)
+            gen_pair(ExhaustiveHit(3, 1, 0), CrossCube(), QQ, 1)
         with pytest.raises(IncompatibleFamily) as exc:
-            gen_cube_pair(ExhaustiveHit(3, 1, 99), 1, F3)
+            gen_pair(ExhaustiveHit(3, 1, 99), CrossCube(), F3, 1)
         assert "out of range" in str(exc.value)
 
     def test_exhaustive_hit_family_indexes_canonical_order(self):
-        a, b = gen_cube_pair(ExhaustiveHit(3, 1, 0), 0, F3)
+        a, b = gen_pair(ExhaustiveHit(3, 1, 0), CrossCube(), F3, 0)
         hits = cached_hits(3, 1, CrossCube(), True)
         assert (a, b) == hits[0]
 

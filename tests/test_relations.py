@@ -33,9 +33,7 @@ from drazinkit import (
     drazin_inverse,
     exhaustive_hits_corpus,
     first_violation,
-    gen_cube_pair,
-    gen_lambda_pair,
-    gen_swapped_pair,
+    gen_pair,
     lambda_exponent_cap,
     lemma21_suite,
     lemma22_suite,
@@ -216,10 +214,10 @@ def test_identity_report_mechanics():
 
 def test_relations_closed_under_conjugation_and_direct_sum():
     lam = QQ.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(3), lam, 7)
+    a, b = gen_pair(WeightedShift(3), LambdaCommute(lam), lam.field, 7)
     s = random_invertible(QQ, 3, 99)
     assert check_relation(s * a * s.inverse(), s * b * s.inverse(), LambdaCommute(lam))
-    a2, b2 = gen_lambda_pair(WeightedShift(2), lam, 8)
+    a2, b2 = gen_pair(WeightedShift(2), LambdaCommute(lam), lam.field, 8)
     assert check_relation(a.direct_sum(a2), b.direct_sum(b2), LambdaCommute(lam))
 
     c, d = _nc_pair()
@@ -231,7 +229,7 @@ def test_relations_closed_under_conjugation_and_direct_sum():
 def test_lemma21_matches_naive_oracle():
     """Recompute the i-th power identities with plain Fraction arithmetic."""
     lam = QQ.scalar(3)
-    a, b = gen_lambda_pair(WeightedShift(3), lam, 1)
+    a, b = gen_pair(WeightedShift(3), LambdaCommute(lam), lam.field, 1)
     rep = lemma21_suite(a, b, lam, 3)
     assert rep.all_pass
     an, bn = from_matrix(a), from_matrix(b)
@@ -254,7 +252,7 @@ def test_lemma21_matches_naive_oracle():
 
 def test_lemma21_rejects_bad_i_max():
     lam = QQ.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(2), lam, 1)
+    a, b = gen_pair(WeightedShift(2), LambdaCommute(lam), lam.field, 1)
     for bad in (0, -1, True, "3"):
         with pytest.raises(ParseError) as exc:
             lemma21_suite(a, b, lam, bad)
@@ -265,7 +263,7 @@ def test_lemma21_rejects_bad_i_max():
 def test_lemma21_exponent_cap(field, cap):
     assert lambda_exponent_cap(field) == cap
     lam = field.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(2), lam, 1)
+    a, b = gen_pair(WeightedShift(2), LambdaCommute(lam), lam.field, 1)
     # checked before any work: even a pair that breaks the relation gets
     # the cap error, not PreconditionViolated
     for bad_lam in (lam, field.scalar(3)):
@@ -277,14 +275,14 @@ def test_lemma21_exponent_cap(field, cap):
 
 def test_lemma21_requires_relation():
     lam = QQ.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(2), lam, 1)
+    a, b = gen_pair(WeightedShift(2), LambdaCommute(lam), lam.field, 1)
     with pytest.raises(PreconditionViolated):
         lemma21_suite(a, b, QQ.scalar(5), 2)
 
 
 def test_lemma22_identity_ids_and_pass():
     lam = QQ.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(4), lam, 3)
+    a, b = gen_pair(WeightedShift(4), LambdaCommute(lam), lam.field, 3)
     rep = lemma22_suite(a, b, lam)
     assert rep.all_pass
     assert [it.identity_id for it in rep.items] == [
@@ -305,12 +303,12 @@ def test_lemma22_across_families(field):
         (WeightedShift(5), 12),
         (Conjugated(WeightedShift(3), 17), 13),
     ]:
-        a, b = gen_lambda_pair(fam, lam, seed)
+        a, b = gen_pair(fam, LambdaCommute(lam), lam.field, seed)
         assert lemma22_suite(a, b, lam).all_pass
 
 
 def test_lemma31_pass_and_cap():
-    a, b = gen_cube_pair(DiagTripotents(3), 21)
+    a, b = gen_pair(DiagTripotents(3), CrossCube(), QQ, 21)
     assert lemma31_suite(a, b, 4).all_pass
     assert cube_exponent_cap(QQ) == 4
     with pytest.raises(ExponentOverflow) as exc:
@@ -318,14 +316,14 @@ def test_lemma31_pass_and_cap():
     assert exc.value.detail == {"i_max": 5, "cap": 4}
     # residues do not grow, so the cap is looser over a prime field
     assert cube_exponent_cap(F5) == 8
-    a5, b5 = gen_cube_pair(DiagTripotents(3), 21, F5)
+    a5, b5 = gen_pair(DiagTripotents(3), CrossCube(), F5, 21)
     assert lemma31_suite(a5, b5, 5).all_pass
     c, d = _nc_pair()
     assert lemma31_suite(c, d, 5).all_pass
 
 
 def test_lemma32_pass_including_noncommuting():
-    a, b = gen_cube_pair(DiagTripotents(3), 22)
+    a, b = gen_pair(DiagTripotents(3), CrossCube(), QQ, 22)
     rep = lemma32_suite(a, b)
     assert rep.all_pass
     assert len(rep.items) == 12
@@ -343,7 +341,7 @@ def test_lemma32_one_sided_orientation_matters():
 
 
 def test_lemma33_swapped_pairs():
-    a, b = gen_swapped_pair(DiagTripotents(3), 23)
+    a, b = gen_pair(DiagTripotents(3), SwappedCube(), QQ, 23)
     rep = lemma33_suite(a, b)
     assert rep.all_pass
     assert len(rep.items) == 9
@@ -359,7 +357,7 @@ def test_lemma33_swapped_pairs():
 
 def test_lemma34_pass():
     for fam, seed in [(DiagTripotents(2), 31), (DiagTripotents(3), 32)]:
-        a, b = gen_cube_pair(fam, seed)
+        a, b = gen_pair(fam, CrossCube(), QQ, seed)
         rep = lemma34_suite(a, b)
         assert rep.all_pass
         assert len(rep.items) == 8
@@ -368,7 +366,7 @@ def test_lemma34_pass():
 
 
 def test_lemma35_exponent_grid_and_validation():
-    a, b = gen_cube_pair(DiagTripotents(3), 33)
+    a, b = gen_pair(DiagTripotents(3), CrossCube(), QQ, 33)
     c, d = _nc_pair()
     for i, j in [(0, 0), (1, 2), (2, 1), (3, 3)]:
         assert lemma35_suite(a, b, i, j).all_pass

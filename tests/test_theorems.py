@@ -11,6 +11,7 @@ from drazinkit import (
     CrossCube,
     DiagTripotents,
     DirectSum,
+    LambdaCommute,
     Matrix,
     NotNilpotentWithinBound,
     ParseError,
@@ -24,8 +25,7 @@ from drazinkit import (
     drazin_inverse,
     evaluate_thm23,
     evaluate_thm36,
-    gen_cube_pair,
-    gen_lambda_pair,
+    gen_pair,
     invert_one_minus_nilpotent,
 )
 
@@ -109,7 +109,7 @@ class TestDifferenceFormula:
         ]
         for field, fam, lam_int, seed in cases:
             lam = field.scalar(lam_int)
-            a, b = gen_lambda_pair(fam, lam, seed)
+            a, b = gen_pair(fam, LambdaCommute(lam), lam.field, seed)
             rep = evaluate_thm23(a, b, lam)
             assert rep.match, (field, fam, lam_int, seed)
             deg = rep.residual_nilpotency_degree
@@ -118,7 +118,7 @@ class TestDifferenceFormula:
     def test_formula_value_satisfies_axioms_naively(self):
         # independent check: x is THE Drazin inverse of a-b per the axioms
         lam = QQ.scalar(2)
-        a, b = gen_lambda_pair(WeightedShift(3), lam, 48)
+        a, b = gen_pair(WeightedShift(3), LambdaCommute(lam), lam.field, 48)
         rep = evaluate_thm23(a, b, lam)
         diff = a - b
         k = drazin_inverse(diff).index
@@ -126,7 +126,7 @@ class TestDifferenceFormula:
 
     def test_lambda_one_is_plain_commuting(self):
         lam = QQ.scalar(1)
-        a, b = gen_lambda_pair(DiagTripotents(3), lam, 49)
+        a, b = gen_pair(DiagTripotents(3), LambdaCommute(lam), lam.field, 49)
         assert evaluate_thm23(a, b, lam).match
 
     def test_precondition_enforced(self):
@@ -169,7 +169,7 @@ class TestSumFormula:
                 (Conjugated(DiagTripotents(3), 29), 54),
                 (DirectSum(DiagTripotents(2), TrivialZeroB(1)), 55),
             ]:
-                a, b = gen_cube_pair(fam, seed, field)
+                a, b = gen_pair(fam, CrossCube(), field, seed)
                 rep = evaluate_thm36(a, b)
                 assert rep.match, (field, fam, seed)
                 assert rep.projectors_orthogonal
@@ -204,7 +204,7 @@ class TestSumFormula:
             evaluate_thm36(a, b)
 
     def test_sum_formula_value_satisfies_axioms_naively(self):
-        a, b = gen_cube_pair(DiagTripotents(3, ((1, -1, 0), (-1, 1, 1))), 56)
+        a, b = gen_pair(DiagTripotents(3, ((1, -1, 0), (-1, 1, 1))), CrossCube(), QQ, 56)
         rep = evaluate_thm36(a, b)
         total = a + b
         k = drazin_inverse(total).index
@@ -245,7 +245,7 @@ class TestMutationSensitivity:
             (DiagTripotents(3, ((1, -1, 0), (-1, 1, 1))), 62),
             (Conjugated(DiagTripotents(3), 29), 63),
         ]:
-            a, b = gen_cube_pair(fam, seed)
+            a, b = gen_pair(fam, CrossCube(), QQ, seed)
             wrong = self._mutated_thm36_value(a, b)
             right = drazin_inverse(a + b).d
             if wrong != right:

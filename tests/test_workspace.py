@@ -25,7 +25,7 @@ from drazinkit import (
     evaluate_thm23,
     evaluate_thm36,
     exhaustive_hits_corpus,
-    gen_lambda_pair,
+    gen_pair,
     lemma22_suite,
     lemma32_suite,
     require_relation,
@@ -170,7 +170,7 @@ def test_failing_pair_still_raises_in_a_used_workspace():
 
 def test_lambda_suites_share_drazin_data():
     lam = QQ.scalar(2)
-    a, b = gen_lambda_pair(WeightedShift(3), lam, 4)
+    a, b = gen_pair(WeightedShift(3), LambdaCommute(lam), lam.field, 4)
     ws = Workspace()
     lemma22_suite(a, b, lam, ws=ws)
     evaluate_thm23(a, b, lam, ws=ws)
