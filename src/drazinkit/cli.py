@@ -10,7 +10,8 @@ newline), standard error carries diagnostics.  Exit codes:
       includes an unknown flag, a missing required flag, a flag value of
       the wrong type, ``search --jobs`` outside 1..64, a ``search
       --budget`` below 1, a search dimension or entry bound out of range,
-      an ``--i-max`` below 1, a family nested past its cap, ``gen
+      an ``--i-max`` below 1, a family nested past its cap, a matrix
+      or family of more than 64 rows or columns (the dimension cap), ``gen
       --lambda`` or ``--seed`` without ``--family``, input that is not
       UTF-8 or holds a JSON integer past the int/str digit limit, closed
       standard input and a path holding NUL, each a
@@ -43,7 +44,7 @@ from .errors import (
     CharacteristicTwo,
 )
 from .fields import Field, PrimeField, QQ, _past_digit_limit
-from .matrices import Matrix
+from .matrices import Matrix, _check_dimension
 from .pairs import (
     Conjugated,
     CorpusPair,
@@ -150,10 +151,12 @@ def _field_from_flags(args: argparse.Namespace) -> Field:
     name = getattr(args, "field", None) or "Q"
     if name == "Q":
         if getattr(args, "mod", None) is not None:
-            raise ParseError("--mod is only meaningful with --field Fp")
+            raise ParseError(
+                "--mod is only meaningful with --field Fp", {"field": name, "mod": args.mod}
+            )
         return QQ
     if getattr(args, "mod", None) is None:
-        raise ParseError("--field Fp requires --mod p")
+        raise ParseError("--field Fp requires --mod p", {"field": name, "mod": None})
     return PrimeField(args.mod)
 
 
@@ -163,7 +166,10 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
     if args.relation == LambdaCommute.name:
         return LambdaCommute(field.parse("1" if args.lam is None else args.lam))
     if args.lam is not None:
-        raise ParseError("--lambda is only meaningful with --relation lambda-commute")
+        raise ParseError(
+            "--lambda is only meaningful with --relation lambda-commute",
+            {"lambda": args.lam, "relation": args.relation},
+        )
     return relation_from_json_fields(args.relation, None)
 
 
@@ -189,12 +195,14 @@ def _split_args(body: str) -> List[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError(f"unbalanced parentheses in family {body!r}")
+                raise ParseError(
+                    f"unbalanced parentheses in family {body!r}", {"family": body}
+                )
         elif ch == ";" and depth == 0:
             parts.append(body[start:i])
             start = i + 1
     if depth:
-        raise ParseError(f"unbalanced parentheses in family {body!r}")
+        raise ParseError(f"unbalanced parentheses in family {body!r}", {"family": body})
     parts.append(body[start:])
     return [p.strip() for p in parts]
 
@@ -203,14 +211,25 @@ def _int_arg(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}")
+        raise ParseError(
+            f"{what} must be an integer, got {text!r}", {what.replace(" ", "_"): text}
+        )
 
 
 def _size_arg(text: str) -> int:
     n = _int_arg(text, "n")
     if n < 1:
-        raise ParseError(f"n must be positive, got {n}")
+        raise ParseError(f"n must be positive, got {n}", {"n": n})
+    _check_dimension(n, "family size")
     return n
+
+
+def _family_size(family: PairFamily) -> int:
+    if isinstance(family, DirectSum):
+        return _family_size(family.left) + _family_size(family.right)
+    if isinstance(family, Conjugated):
+        return _family_size(family.inner)
+    return family.n
 
 
 def parse_family(text: str) -> PairFamily:
@@ -225,7 +244,9 @@ def parse_family(text: str) -> PairFamily:
     text = text.strip()
     open_at = text.find("(")
     if open_at < 0 or not text.endswith(")"):
-        raise ParseError(f"family descriptor {text!r} must look like name(args)")
+        raise ParseError(
+            f"family descriptor {text!r} must look like name(args)", {"family": text}
+        )
     name = text[:open_at].strip()
     args = _split_args(text[open_at + 1 : -1])
     if name == "weighted-shift" and len(args) == 1:
@@ -246,14 +267,16 @@ def parse_family(text: str) -> PairFamily:
     if name == "conjugated" and len(args) == 2:
         return Conjugated(parse_family(args[0]), _int_arg(args[1], "seed"))
     if name == "direct-sum" and len(args) == 2:
-        return DirectSum(parse_family(args[0]), parse_family(args[1]))
+        family = DirectSum(parse_family(args[0]), parse_family(args[1]))
+        _check_dimension(_family_size(family), "family size")
+        return family
     if name == "exhaustive" and len(args) == 3:
         return ExhaustiveHit(
             _int_arg(args[0], "p"),
             _size_arg(args[1]),
             _int_arg(args[2], "ordinal"),
         )
-    raise ParseError(f"unknown family descriptor {text!r}")
+    raise ParseError(f"unknown family descriptor {text!r}", {"family": text})
 
 
 # --------------------------------------------------------------------------
@@ -279,24 +302,24 @@ def _thm36_holds(cp: CorpusPair, i_max: int, ws: Workspace) -> bool:
 # suite replaced here (by a test or a tracer) is the one that runs.  Every
 # runner of one invocation shares that invocation's Workspace.
 _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
-    ("L2.1", "lambda-commute", lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
-    ("L2.2", "lambda-commute", lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
-    ("T2.3", "lambda-commute", lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).match),
-    ("L3.1", "cross-cube", lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
-    ("L3.2", "cross-cube", lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
-    ("L3.3", "swapped-cube", lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
-    ("L3.4", "cross-cube", lambda cp, i_max, ws: lemma34_suite(cp.a, cp.b, ws=ws)),
-    ("L3.5[i=0,j=0]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
-    ("L3.5[i=1,j=2]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
-    ("L3.5[i=2,j=1]", "cross-cube", lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
-    ("T3.6", "cross-cube", _thm36_holds),
+    ("L2.1", LambdaCommute.name, lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
+    ("L2.2", LambdaCommute.name, lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
+    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).match),
+    ("L3.1", CrossCube.name, lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
+    ("L3.2", CrossCube.name, lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
+    ("L3.3", SwappedCube.name, lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
+    ("L3.4", CrossCube.name, lambda cp, i_max, ws: lemma34_suite(cp.a, cp.b, ws=ws)),
+    ("L3.5[i=0,j=0]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
+    ("L3.5[i=1,j=2]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
+    ("L3.5[i=2,j=1]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
+    ("T3.6", CrossCube.name, _thm36_holds),
 )
 
 # ``lemmas --which`` choices: the relation whose L rows each one runs.
 _WHICH = {
-    "section-2": "lambda-commute",
-    "section-3": "cross-cube",
-    "lemma-3.3": "swapped-cube",
+    "section-2": LambdaCommute.name,
+    "section-3": CrossCube.name,
+    "lemma-3.3": SwappedCube.name,
 }
 
 
@@ -327,7 +350,8 @@ def _cmd_check_relation(args: argparse.Namespace) -> int:
         rel = embedded
     else:
         raise ParseError(
-            "no relation given: pass --relation or embed one in the input"
+            "no relation given: pass --relation or embed one in the input",
+            {"relation": None},
         )
     violation = first_violation(a, b, rel)
     holds = violation is None
@@ -396,7 +420,8 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
         lam = rel.lam
     else:
         raise ParseError(
-            "no lambda given: pass --lambda or embed relation/lambda in the input"
+            "no lambda given: pass --lambda or embed relation/lambda in the input",
+            {"lambda": None},
         )
     report = evaluate_thm23(a, b, lam)
     _emit(report.to_json_obj(), args.output)
@@ -416,7 +441,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
     rel = _relation_from_flags(args, field)
     if args.count is not None and args.count < 1:
-        raise ParseError(f"--count must be positive, got {args.count}")
+        raise ParseError(f"--count must be positive, got {args.count}", {"count": args.count})
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
@@ -427,10 +452,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         ]
     else:
         # The default corpora are fixed: no lambda or seed chooses them.
-        for flag, value in (("--lambda", args.lam), ("--seed", args.seed)):
+        for flag, value in (("lambda", args.lam), ("seed", args.seed)):
             if value is not None:
-                raise ParseError(f"{flag} is only meaningful with --family")
-        if args.relation == LambdaCommute.name:
+                raise ParseError(
+                    f"--{flag} is only meaningful with --family", {flag: value, "family": None}
+                )
+        if isinstance(rel, LambdaCommute):
             pairs = default_lambda_corpus(field)
         else:
             pairs = default_cube_corpus(field, rel)
@@ -441,7 +468,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.jobs < 1:
-        raise ParseError(f"--jobs must be positive, got {args.jobs}")
+        raise ParseError(f"--jobs must be positive, got {args.jobs}", {"jobs": args.jobs})
     if args.jobs > _MAX_JOBS:
         raise ParseError(
             f"--jobs {args.jobs} exceeds the cap of {_MAX_JOBS}",
@@ -490,13 +517,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         raise CharacteristicTwo(
             "the selftest exercises the sum formula, which needs 2 invertible"
         )
-    corpora = {
-        "lambda-commute": default_lambda_corpus(field),
-        "cross-cube": default_cube_corpus(field)
-        + exhaustive_hits_corpus(3, 2, CrossCube()),
-        "swapped-cube": default_cube_corpus(field, SwappedCube())
-        + exhaustive_hits_corpus(3, 2, SwappedCube()),
-    }
+    corpora = {LambdaCommute.name: default_lambda_corpus(field)}
+    for rel in (CrossCube(), SwappedCube()):
+        corpora[rel.name] = default_cube_corpus(field, rel) + exhaustive_hits_corpus(3, 2, rel)
     ws = Workspace()
     suites: List[Dict[str, Any]] = []
     for label, relation, runner in _CATALOG:
@@ -620,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="family descriptor; see docs")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_gen, relation="lambda-commute")
+    p.set_defaults(handler=_cmd_gen, relation=LambdaCommute.name)
 
     p = subs.add_parser("search", help="exhaustive search over F_p")
     _add_common(p, with_input=False)
@@ -642,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help=f"worker processes, 1..{_MAX_JOBS}"
     )
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(handler=_cmd_search, relation="lambda-commute")
+    p.set_defaults(handler=_cmd_search, relation=LambdaCommute.name)
 
     p = subs.add_parser("selftest", help="run the default corpus end to end")
     _add_common(p, with_input=False)

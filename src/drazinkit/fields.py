@@ -318,11 +318,11 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
-            raise ParseError(f"modulus must be an integer >= 2, got {p!r}")
+            raise ParseError(f"modulus must be an integer >= 2, got {p!r}", {"modulus": p})
         if p >= _MAX_MODULUS:
-            raise ParseError(f"modulus {p} too large (must be < 2**64)")
+            raise ParseError(f"modulus {p} too large (must be < 2**64)", {"modulus": p})
         if not is_prime(p):
-            raise ParseError(f"modulus {p} is not prime")
+            raise ParseError(f"modulus {p} is not prime", {"modulus": p})
         self.p = p
 
     @property

@@ -31,6 +31,20 @@ __all__ = [
 ]
 
 
+# Largest row or column count accepted from input: a JSON matrix, or the total
+# size of a family descriptor.  Checked before any matrix is built; over Q a
+# dense Drazin inverse takes about a second at n = 32 and grows steeply.
+_MAX_DIMENSION = 64
+
+
+def _check_dimension(n: int, what: str) -> None:
+    if n > _MAX_DIMENSION:
+        raise ParseError(
+            f"{what} {n} exceeds the dimension cap of {_MAX_DIMENSION}",
+            {"n": n, "cap": _MAX_DIMENSION},
+        )
+
+
 class PivotOrder(Enum):
     """Row-scan direction used when selecting a pivot inside a column."""
 
@@ -432,6 +446,7 @@ class Matrix:
                     f"{where}.{name}: expected a positive integer, got {v!r}",
                     {"at": f"{where}.{name}"},
                 )
+            _check_dimension(v, f"{where}.{name}")
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != rows:
             raise ParseError(

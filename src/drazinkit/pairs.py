@@ -34,7 +34,6 @@ seed), and search output is independent of the number of parallel jobs.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -569,8 +568,11 @@ def exhaustive_search(
     if jobs <= 1 or len(shard_args) == 1:
         chunks = [_search_shard(arg) for arg in shard_args]
     else:
-        # Prefer fork: it needs no __main__ re-import in the workers, so the
-        # search stays usable from any host program.  Spawn is the fallback.
+        # Imported here: only a parallel search pays for it.  Prefer fork: it
+        # needs no __main__ re-import in the workers, so the search stays
+        # usable from any host program.  Spawn is the fallback.
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         with ctx.Pool(min(jobs, len(shard_args))) as pool:
@@ -678,7 +680,7 @@ def default_lambda_values(field: Field) -> List[FieldScalar]:
     return [field.scalar(v) for v in (1, 2, 3)]
 
 
-def _lambda_families(lam_is_one: bool, li: int) -> List[PairFamily]:
+def _lambda_families(field: Field, lam_is_one: bool, li: int) -> List[PairFamily]:
     fams: List[PairFamily] = [WeightedShift(n) for n in (2, 3, 4, 5)]
     fams += [
         Conjugated(WeightedShift(n), 100 + 10 * li + n) for n in (2, 3, 4)
@@ -708,7 +710,8 @@ def _lambda_families(lam_is_one: bool, li: int) -> List[PairFamily]:
         fams += [
             ScalarTimesIdentity(2, 2),
             ScalarTimesIdentity(3, -1),
-            Conjugated(ScalarTimesIdentity(2, 3), 600),
+            # 3 is not a unit of F_3, where the scale is 2 instead.
+            Conjugated(ScalarTimesIdentity(2, 2 if field.characteristic == 3 else 3), 600),
             DiagTripotents(2, ((1, 0), (-1, 0))),
             DiagTripotents(3, ((1, -1, 0), (0, 1, -1))),
             Conjugated(DiagTripotents(3, None), 700),
@@ -727,7 +730,7 @@ def default_lambda_corpus(field: Field) -> List[CorpusPair]:
     pairs: List[CorpusPair] = []
     for li, lam in enumerate(default_lambda_values(field)):
         rel = LambdaCommute(lam)
-        for fi, fam in enumerate(_lambda_families(lam == 1, li)):
+        for fi, fam in enumerate(_lambda_families(field, lam == 1, li)):
             seed = 10_000 * (li + 1) + 100 * fi + 7
             a, b = gen_pair(fam, rel, field, seed)
             pairs.append(CorpusPair(a, b, rel, describe_family(fam)))

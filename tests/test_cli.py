@@ -1,5 +1,6 @@
 """CLI contract: canonical JSON, exit codes, determinism."""
 
+import ast
 import dataclasses
 import io
 import json
@@ -11,6 +12,7 @@ from random import Random
 import pytest
 
 import drazinkit.cli as cli
+import drazinkit.matrices as matrices
 import drazinkit.relations as relations
 from drazinkit.cli import main, parse_family
 from drazinkit import (
@@ -23,6 +25,7 @@ from drazinkit import (
     ExhaustiveHit,
     IdentityItem,
     IdentityReport,
+    Matrix,
     ParseError,
     ScalarTimesIdentity,
     SwappedCube,
@@ -833,13 +836,13 @@ def _long_int_message(source):
             ["gen", "--family", "conjugated(weighted-shift(2;7)"],
             None,
             "unbalanced parentheses in family 'weighted-shift(2;7'",
-            {},
+            {"family": "weighted-shift(2;7"},
         ),
         (
             ["gen", "--family", "direct-sum(zero-b(1));zero-b(1))"],
             None,
             "unbalanced parentheses in family 'zero-b(1));zero-b(1)'",
-            {},
+            {"family": "zero-b(1));zero-b(1)"},
         ),
         (
             ["compute"],
@@ -872,19 +875,133 @@ def _long_int_message(source):
             ["gen", "--lambda", "5", "--count", "200"],
             None,
             "--lambda is only meaningful with --family",
-            {},
+            {"lambda": "5", "family": None},
         ),
         (
             ["gen", "--relation", "cross-cube", "--seed", "99"],
             None,
             "--seed is only meaningful with --family",
-            {},
+            {"seed": 99, "family": None},
         ),
         (
             ["gen", "--seed", "0"],
             None,
             "--seed is only meaningful with --family",
-            {},
+            {"seed": 0, "family": None},
+        ),
+        (
+            ["gen", "--field", "Q", "--mod", "3"],
+            None,
+            "--mod is only meaningful with --field Fp",
+            {"field": "Q", "mod": 3},
+        ),
+        (
+            ["gen", "--field", "Fp"],
+            None,
+            "--field Fp requires --mod p",
+            {"field": "Fp", "mod": None},
+        ),
+        (
+            ["gen", "--relation", "swapped-cube", "--lambda", "2"],
+            None,
+            "--lambda is only meaningful with --relation lambda-commute",
+            {"lambda": "2", "relation": "swapped-cube"},
+        ),
+        (
+            ["gen", "--family", "weighted-shift(x)"],
+            None,
+            "n must be an integer, got 'x'",
+            {"n": "x"},
+        ),
+        (
+            ["search", "--mod", "3", "--dim", "1", "--entry-bound", "0,,1"],
+            None,
+            "entry bound must be an integer, got ''",
+            {"entry_bound": ""},
+        ),
+        (
+            ["gen", "--family", "direct-sum(zero-b(1);weighted-shift(0))"],
+            None,
+            "n must be positive, got 0",
+            {"n": 0},
+        ),
+        (
+            ["gen", "--family", "weighted-shift"],
+            None,
+            "family descriptor 'weighted-shift' must look like name(args)",
+            {"family": "weighted-shift"},
+        ),
+        (
+            ["gen", "--family", "conjugated(zero-b(1))"],
+            None,
+            "unknown family descriptor 'conjugated(zero-b(1))'",
+            {"family": "conjugated(zero-b(1))"},
+        ),
+        (
+            ["check-relation"],
+            json.dumps({"a": SHIFT2, "b": DIAG12}),
+            "no relation given: pass --relation or embed one in the input",
+            {"relation": None},
+        ),
+        (
+            ["thm23"],
+            json.dumps({"a": SHIFT2, "b": DIAG12}),
+            "no lambda given: pass --lambda or embed relation/lambda in the input",
+            {"lambda": None},
+        ),
+        (
+            ["gen", "--count", "-2"],
+            None,
+            "--count must be positive, got -2",
+            {"count": -2},
+        ),
+        (
+            ["search", "--mod", "3", "--dim", "1", "--jobs", "0"],
+            None,
+            "--jobs must be positive, got 0",
+            {"jobs": 0},
+        ),
+        (
+            ["gen", "--field", "Fp", "--mod", "1"],
+            None,
+            "modulus must be an integer >= 2, got 1",
+            {"modulus": 1},
+        ),
+        (
+            ["search", "--mod", str(2**64 + 13), "--dim", "1"],
+            None,
+            f"modulus {2**64 + 13} too large (must be < 2**64)",
+            {"modulus": 2**64 + 13},
+        ),
+        (
+            ["selftest", "--field", "Fp", "--mod", "4"],
+            None,
+            "modulus 4 is not prime",
+            {"modulus": 4},
+        ),
+        (
+            ["compute"],
+            json.dumps({"field": "Q", "rows": 10**8, "cols": 1, "entries": []}),
+            "input.rows 100000000 exceeds the dimension cap of 64",
+            {"n": 10**8, "cap": 64},
+        ),
+        (
+            ["thm36"],
+            json.dumps({"a": SHIFT2, "b": dict(SHIFT2, cols=65)}),
+            "input.b.cols 65 exceeds the dimension cap of 64",
+            {"n": 65, "cap": 64},
+        ),
+        (
+            ["gen", "--family", "weighted-shift(100000000)"],
+            None,
+            "family size 100000000 exceeds the dimension cap of 64",
+            {"n": 10**8, "cap": 64},
+        ),
+        (
+            ["gen", "--family", "conjugated(direct-sum(weighted-shift(40);zero-b(25));3)"],
+            None,
+            "family size 65 exceeds the dimension cap of 64",
+            {"n": 65, "cap": 64},
         ),
     ],
     ids=[
@@ -909,6 +1026,25 @@ def _long_int_message(source):
         "gen-lambda-without-family",
         "gen-seed-without-family",
         "gen-seed-0-without-family",
+        "mod-with-field-q",
+        "field-fp-without-mod",
+        "lambda-with-cube-relation",
+        "family-n-not-an-integer",
+        "entry-bound-not-an-integer",
+        "family-n-below-one",
+        "family-without-args",
+        "family-unknown",
+        "no-relation",
+        "no-lambda",
+        "count-below-one",
+        "jobs-below-one",
+        "modulus-below-two",
+        "modulus-too-large",
+        "modulus-not-prime",
+        "matrix-rows-past-cap",
+        "matrix-cols-past-cap",
+        "family-past-cap",
+        "direct-sum-past-cap",
     ],
 )
 def test_rejected_arguments_are_located(
@@ -1240,6 +1376,32 @@ def test_gen_family_nested_at_cap(monkeypatch, capsys):
     assert pair["provenance"].count("conjugated(") == levels - 1
 
 
+def test_dimension_cap_itself_is_accepted():
+    # Parsing builds no matrix; the one matrix built here is a single row.
+    cap = matrices._MAX_DIMENSION
+    assert parse_family(f"weighted-shift({cap})") == WeightedShift(cap)
+    assert parse_family(f"conjugated(direct-sum(weighted-shift(40);zero-b({cap - 40}));3)") == (
+        Conjugated(DirectSum(WeightedShift(40), TrivialZeroB(cap - 40)), 3)
+    )
+    row = {"field": {"Fp": 5}, "rows": 1, "cols": cap, "entries": [["1"] * cap]}
+    assert Matrix.from_json_obj(row).cols == cap
+
+
+def test_cli_spells_no_relation_name():
+    """The relation classes are the one place a wire name is spelled: no
+    string constant in the CLI's source equals one.  A message that merely
+    contains a name is allowed."""
+    names = {cls.name for cls in relations._RELATIONS}
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    spelled = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
+    ]
+    assert spelled == []
+
+
 def test_selftest_runs_green(monkeypatch, capsys):
     code, out, err = _run(monkeypatch, capsys, ["selftest"])
     assert code == 0
@@ -1263,6 +1425,16 @@ def test_selftest_runs_green(monkeypatch, capsys):
     assert all(s["passed"] for s in obj["suites"])
     # progress notes go to stderr, one per suite
     assert len([ln for ln in err.splitlines() if ": " in ln]) == len(labels)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_selftest_passes_over_small_primes(monkeypatch, capsys, p):
+    # Over F_3 the lambda = 1 block scales I by 2, since 3 is 0 there.
+    code, out, _ = _run(monkeypatch, capsys, ["selftest", "--field", "Fp", "--mod", str(p)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["field"] == {"Fp": p}
+    assert obj["all_pass"] is True
 
 
 def test_selftest_characteristic_two_exit_3(monkeypatch, capsys):

@@ -10,8 +10,9 @@ junk, a truncated or binary one, one that is not UTF-8, or one holding an
 integer past the interpreter's int/str digit limit).  ``--help``
 comes first in some.  Whatever the input, ``cli.main`` returns an exit code
 in {0, 1, 2, 3} (``--help`` raises ``SystemExit(0)``), no other exception
-escapes, and a refusal (exit 2 or 3) ends stderr with exactly one error
-JSON object and writes nothing to stdout.
+escapes, a refusal (exit 2 or 3) ends stderr with exactly one error JSON
+object and writes nothing to stdout, and a malformed-input refusal (exit 2)
+says what it refused in a nonempty ``detail``.
 
 The work per example stays small: a search space holds at most 3**8 pairs
 and runs with ``--jobs 1`` (a larger ``--jobs`` is refused before any
@@ -219,6 +220,8 @@ _BAD_FAMILIES = st.one_of(
             "exhaustive(3;2;99999)",
             "exhaustive(4;2;0)",
             "exhaustive(3;0;0)",
+            "weighted-shift(65)",
+            "direct-sum(zero-b(40);conjugated(zero-b(25);1))",
             "conjugated(zero-b(1);x)",
             "direct-sum(zero-b(1))",
             "unknown(1)",
@@ -424,6 +427,8 @@ def check_invocation(invocation):
         assert sorted(error) == ["code", "detail", "message"]
         assert isinstance(error["message"], str) and isinstance(error["detail"], dict)
         assert (error["code"] == "malformed-input") == (code == 2), (argv, error)
+        if code == 2:
+            assert error["detail"], (argv, error)
 
 
 @pytest.fixture(scope="module")
