@@ -22,7 +22,7 @@ again and again (the identity catalog over a corpus) compute each once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import IndexTooLarge, InternalCertificationFailure, ShapeMismatch
@@ -180,9 +180,12 @@ class Workspace:
     :func:`~drazinkit.relations.require_relation`; failures are never
     recorded, so a bad pair raises every time.
 
-    A workspace keeps every matrix it has seen alive, so it should live
-    for one run (one CLI invocation) and no longer.  ``drazin_computed``
-    and ``drazin_reused`` count the :meth:`drazin` calls that computed an
+    Every matrix a workspace stores is interned (:meth:`intern`): it keeps
+    the first object of each value and hands that one out, so its lookups,
+    and the suites' comparisons of what it hands out, mostly compare by
+    identity.  A workspace keeps every matrix it has seen alive, so it
+    should live for one run (one CLI invocation) and no longer.
+    ``drazin_computed`` and ``drazin_reused`` count the :meth:`drazin` calls that computed an
     inverse and those that found one; ``products_computed`` and
     ``products_reused`` count the steps of :meth:`prod` (the squarings of
     :meth:`power` included) likewise.
@@ -198,12 +201,22 @@ class Workspace:
         self._drazin: Dict[Matrix, DrazinData] = {}
         self._powers: Dict[Tuple[Matrix, int], Matrix] = {}
         self._products: Dict[Tuple[Matrix, Matrix], Matrix] = {}
+        self._interned: Dict[Matrix, Matrix] = {}
+
+    def intern(self, m: Matrix) -> Matrix:
+        """The first matrix of ``m``'s value this workspace was given."""
+        return self._interned.setdefault(m, m)
 
     def drazin(self, a: Matrix) -> DrazinData:
         """The certified Drazin data of ``a`` under this workspace's order."""
         data = self._drazin.get(a)
         if data is None:
-            data = self._drazin[a] = drazin_inverse(a, self.order)
+            data = drazin_inverse(a, self.order)
+            intern = self.intern
+            a = intern(a)
+            data = self._drazin[a] = replace(
+                data, source=a, d=intern(data.d), pi=intern(data.pi)
+            )
             self.drazin_computed += 1
         else:
             self.drazin_reused += 1
@@ -222,7 +235,7 @@ class Workspace:
             key = (p, f)
             q = products.get(key)
             if q is None:
-                q = products[key] = p * f
+                q = products[key] = self.intern(p * f)
                 self.products_computed += 1
             else:
                 self.products_reused += 1
@@ -240,7 +253,7 @@ class Workspace:
         p = self._powers.get(key)
         if p is None:
             if e < 2:
-                p = a**e
+                p = self.intern(a**e)
             else:
                 h = self.power(a, e >> 1)
                 p = self.prod(h, h, a) if e & 1 else self.prod(h, h)

@@ -11,22 +11,25 @@ A :class:`Field` instance is the value-like descriptor attached to every
 scalar and matrix (structural equality, JSON encoding) and knows only what
 the field alone decides: :meth:`Field.reduce`, the canonical raw value of
 an integer or ``Fraction`` expression; inversion and exponentiation; the
-batched product kernel; and the wire codec.  Raw values are
+matrix hooks below; and the wire codec.  Raw values are
 ``fractions.Fraction`` for the rationals and plain ``int`` residues for
-prime fields, so sums, differences and products are written with Python's
-operators on raw values, followed by one ``reduce`` per result.
+prime fields, so scalar sums, differences and products are written with
+Python's operators on raw values, followed by one ``reduce`` per result.
 User-facing code sees only :class:`FieldScalar`.
 
-Matrix products go through one batched kernel, :meth:`Field.dot`, called
-once per product with every row of the left factor and every column of the
-right one.  Both fields run it as integer multiply-accumulate with one
-normalization per entry rather than one per scalar operation: over the
-rationals each row and each column is first scaled to integers by the lcm
-of its denominators, and each entry becomes a single ``Fraction`` of the
-integer dot product over the two scales; over ``F_p`` each entry is one
-integer sum reduced once mod ``p``.  Elimination uses the same integer
-forms through three hooks (:meth:`Field.integer_rows`,
-:meth:`Field.combine` and :meth:`Field.divide_row`).
+Matrices do not hold raw values: a ``Matrix`` keeps integer rows over one
+positive denominator, canonical (see :mod:`drazinkit.matrices`), and over
+``F_p`` the denominator is always 1.  So both fields run one integer
+kernel, and a field adds only where they differ.  :meth:`Field.normalize`
+makes ``rows / den`` canonical: over the rationals one gcd pass over the
+rows and ``den``, skipped when ``den`` is 1; over ``F_p`` one ``% p`` per
+entry.  :meth:`Field.dot`, the batched product kernel, is called once per
+product with every integer row of the left factor and every integer column
+of the right one: integer multiply-accumulate, then one normalization of
+the result.  Elimination clears columns with :meth:`Field.combine` and
+divides each row by its final scale with :meth:`Field.unscale`.
+:meth:`Field.from_values` and :meth:`Field.value` convert between the
+stored form and per-entry raw values.
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
@@ -38,6 +41,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Any
@@ -102,7 +106,8 @@ class Field:
     """A scalar domain.  Instances are immutable and compare structurally.
 
     Raw values combine with Python's ``+ - *`` and one :meth:`reduce` per
-    result; a field adds :meth:`inv`, :meth:`pow`, :meth:`dot` and the codec.
+    result; a field adds :meth:`inv`, :meth:`pow`, the hooks on stored
+    matrices and the codec.
     """
 
     __slots__ = ()
@@ -136,36 +141,61 @@ class Field:
             x, e = self.inv(x), -e
         return pow(x, e, self.characteristic or None)
 
-    def dot(self, rows, cols):
+    # -- stored matrices: a Matrix keeps integer rows over one denominator
+    # ``den`` (see :mod:`drazinkit.matrices`); over F_p ``den`` is always 1.
+    def from_values(self, data):
+        """Rows of canonical raw values as the canonical ``(rows, den)``."""
+        raise NotImplementedError
+
+    def value(self, n: int, den: int):
+        """The canonical raw value of the stored entry ``n / den``."""
+        raise NotImplementedError
+
+    def normalize(self, rows, den):
+        """The canonical form of the matrix ``rows / den``.
+
+        ``rows`` is a tuple of int row tuples and ``den`` a positive int.
+        Over the rationals the rows and ``den`` are divided by their gcd;
+        over ``F_p`` (``den`` 1) each entry is reduced mod ``p``.
+        """
+        raise NotImplementedError
+
+    def dot(self, rows, cols, den):
         """The batched product kernel: every row-by-column dot product.
 
-        ``rows`` are the rows of the left factor and ``cols`` the columns of
-        the right one, all of one length and holding canonical raw values.
-        Returns the tuple of row tuples ``out[i][j] = sum(rows[i][k] *
-        cols[j][k])``, canonical, so ``Matrix.__mul__`` is one call.
+        ``rows`` are the integer rows of the left factor and ``cols`` the
+        integer columns of the right one, and ``den`` the product of their
+        denominators.  Returns the canonical ``(rows, den)`` of the product,
+        so ``Matrix.__mul__`` is one call.
         """
         raise NotImplementedError
 
     # -- elimination hooks: Matrix._eliminate keeps each row as ints, a
     # nonzero multiple of the row, and forms no scalar until the end.
-    def integer_rows(self, rows):
-        """Each row as ``(ints, d)``, ints equal to ``d * row``, ``d != 0``."""
-        raise NotImplementedError
-
     def combine(self, lead, row, g, pivot):
-        """``lead * row - g * pivot`` on ints, at a smaller nonzero scale."""
+        """``lead * row - g * pivot`` on ints, at a smaller nonzero scale:
+        over the rationals divided by the gcd of its entries, over ``F_p``
+        reduced mod ``p``."""
         raise NotImplementedError
 
-    def divide_row(self, ints, s):
-        """The canonical raw values of ``ints / s``, for a nonzero int ``s``."""
+    def unscale(self, rows, scales):
+        """The rows ``rows[i] / scales[i]``, for nonzero int ``scales``, over
+        one denominator: ``(int rows, den)`` with ``den > 0``, for
+        :meth:`normalize` to make canonical.  Over the rationals ``den`` is
+        the lcm of the scales; over ``F_p`` each row is multiplied by the
+        inverse of its scale and ``den`` is 1."""
         raise NotImplementedError
 
     def from_int(self, n: int):
         raise NotImplementedError
 
-    def encode(self, x) -> str:
+    def encode(self, x, den: int = 1) -> str:
+        """Wire text of the raw value ``x``, or of the stored entry ``x / den``."""
+        if den != 1:
+            g = gcd(x, den)
+            x, den = x // g, den // g
         try:
-            return str(x)
+            return str(x) if den == 1 else f"{x}/{den}"
         except ValueError:
             raise _past_digit_limit(OutputTooLarge, "result entry") from None
 
@@ -207,21 +237,6 @@ class Field:
         raise NotImplementedError
 
 
-def _integer_scaled(vectors):
-    """Each rational vector as (integer numerators, d): ``v == nums / d``.
-
-    ``d`` is the lcm of the vector's denominators, so ``nums`` are integers.
-    """
-    out = []
-    for v in vectors:
-        d = lcm(*[x.denominator for x in v])
-        if d == 1:  # the common case; skips a multiply and a division per entry
-            out.append(([x.numerator for x in v], 1))
-        else:
-            out.append(([x.numerator * (d // x.denominator) for x in v], d))
-    return out
-
-
 class RationalField(Field):
     """The field of rationals; a stateless singleton exported as ``QQ``."""
 
@@ -239,35 +254,41 @@ class RationalField(Field):
             raise DivisionByZero("division by zero in QQ")
         return self.one / x
 
-    def dot(self, rows, cols):
-        # Integer multiply-accumulate: one gcd per entry (in the Fraction
-        # constructor), none per term.  A zero entry is the shared
-        # ``self.zero``, not a fresh Fraction: stored products (a Workspace)
-        # hold mostly zeros.
-        scaled_cols = _integer_scaled(cols)
-        zero = self.zero
-        return tuple(
-            [
-                tuple(
-                    [
-                        Fraction(s, rd * cd) if (s := sum(map(mul, rn, cn))) else zero
-                        for cn, cd in scaled_cols
-                    ]
-                )
-                for rn, rd in _integer_scaled(rows)
-            ]
-        )
+    def from_values(self, data):
+        # Over the lcm of the entries' denominators the form is canonical.
+        den = lcm(*[x.denominator for row in data for x in row])
+        rows = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in data])
+        return rows, den
 
-    integer_rows = staticmethod(_integer_scaled)
+    def value(self, n, den):
+        return Fraction(n, den)
+
+    def normalize(self, rows, den):
+        if den == 1:
+            return rows, 1
+        g = gcd(den, *chain.from_iterable(rows))
+        if g == 1:
+            return rows, den
+        return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+    def dot(self, rows, cols, den):
+        # Integer multiply-accumulate, then one gcd pass over the result,
+        # skipped when both factors are integer matrices (``den`` 1).
+        return self.normalize(
+            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in rows]), den
+        )
 
     def combine(self, lead, row, g, pivot):
         ints = [lead * x - g * y for x, y in zip(row, pivot)]
         d = gcd(*ints)
         return ints if d < 2 else [x // d for x in ints]
 
-    def divide_row(self, ints, s):
-        f = self.inv(s)
-        return [f * x for x in ints]
+    def unscale(self, rows, scales):
+        den = lcm(*scales)
+        return [
+            row if (f := den // s) == 1 else [f * x for x in row]
+            for row, s in zip(rows, scales)
+        ], den
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -334,29 +355,39 @@ class PrimeField(Field):
 
     from_int = reduce
 
-    def integer_rows(self, rows):
-        return [(list(row), 1) for row in rows]
+    def from_values(self, data):
+        return data, 1
+
+    def value(self, n, den):
+        return n
+
+    def normalize(self, rows, den):
+        p = self.p
+        return tuple([tuple([x % p for x in row]) for row in rows]), 1
 
     def combine(self, lead, row, g, pivot):
         p = self.p
         return [(lead * x - g * y) % p for x, y in zip(row, pivot)]
 
-    def divide_row(self, ints, s):
-        if s == 1:
-            return ints
-        f, p = self.inv(s), self.p
-        return [f * x % p for x in ints]
+    def unscale(self, rows, scales):
+        out = []
+        for row, s in zip(rows, scales):
+            if s != 1:
+                f = self.inv(s)
+                row = [f * x for x in row]
+            out.append(row)
+        return out, 1
 
     def inv(self, x):
         if x == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
         return pow(x, self.p - 2, self.p)
 
-    def dot(self, rows, cols):
+    def dot(self, rows, cols, den):
         # Accumulate in ZZ, reduce once per entry.  (A list comprehension
         # builds the tuple faster than a generator does.)
         p = self.p
-        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows])
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows]), 1
 
     def parse_raw(self, text: str):
         if not _RESIDUE_RE.fullmatch(text):

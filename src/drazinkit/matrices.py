@@ -1,10 +1,17 @@
 """Dense exact matrices and Gauss-Jordan elimination kernels.
 
-A :class:`Matrix` stores its :class:`~drazinkit.fields.Field` once and keeps
-entries as a tuple of row tuples of raw field values, so the product
-kernel runs directly on raw scalars; elimination runs on integer multiples
-of the rows (see ``Matrix._eliminate``).  Matrices are immutable; all
-operators return new instances and refuse mixed fields or shapes.
+A :class:`Matrix` stores its :class:`~drazinkit.fields.Field` once and its
+entries as integer rows over one denominator: ``_num``, a tuple of int row
+tuples, and ``_den``, a positive int with ``gcd(_den, every entry) == 1``
+(so a zero matrix has ``_den`` 1).  Over ``F_p`` the rows hold the
+canonical residues and ``_den`` is always 1.  The form is canonical, so
+equality and hashing compare ``(_den, _num)``, and products, sums and
+elimination all run on plain ints, for both fields; a product is one call
+of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.  Only
+:meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data`` build per-entry
+raw values (``Fraction`` over Q), and the codec writes each entry from
+``(n, _den)`` with one gcd.  Matrices are immutable; all operators return
+new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit: columns are processed left to right, and within a column
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
+from operator import add, sub
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import FieldMismatch, ParseError, ShapeMismatch, SingularMatrix
@@ -68,21 +77,51 @@ class RrefResult:
     pivot_cols: Tuple[int, ...]
 
 
+_new = object.__new__
+
+
+def _make(field: Field, num, den: int) -> "Matrix":
+    """A matrix from its canonical stored form, unchecked."""
+    m = _new(Matrix)
+    m.field = field
+    m.rows = len(num)
+    m.cols = len(num[0])
+    m._num = num
+    m._den = den
+    return m
+
+
+def _canonical(field: Field, num, den: int) -> "Matrix":
+    """A matrix from ``num / den``, any int rows over a positive ``den``."""
+    return _make(field, *field.normalize(num, den))
+
+
+def _times(rows, s: int):
+    """The int rows ``rows`` times ``s``."""
+    return rows if s == 1 else tuple([tuple([s * x for x in row]) for row in rows])
+
+
 class Matrix:
     """Immutable dense matrix over ``QQ`` or a prime field."""
 
     # ``_hash`` is filled on the first hash() call: matrices key the
-    # Drazin and power tables of a Workspace, and hashing a tuple of
-    # Fractions runs in Python.
-    __slots__ = ("field", "rows", "cols", "_data", "_hash")
+    # Drazin and power tables of a Workspace.
+    __slots__ = ("field", "rows", "cols", "_num", "_den", "_hash")
 
     def __init__(self, field: Field, data: Tuple[Tuple[Any, ...], ...]):
         # Trusted constructor: ``data`` must already hold canonical raw
-        # values.  External callers should use from_rows / zero / identity.
+        # values, which are stored as integer rows over one denominator.
+        # External callers should use from_rows / zero / identity.
         self.field = field
         self.rows = len(data)
         self.cols = len(data[0])
-        self._data = data
+        self._num, self._den = field.from_values(data)
+
+    @property
+    def _data(self) -> Tuple[Tuple[Any, ...], ...]:
+        """The entries as canonical raw values, built on each access."""
+        value, den = self.field.value, self._den
+        return tuple(tuple(value(n, den) for n in row) for row in self._num)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -108,17 +147,14 @@ class Matrix:
         cols = rows if cols is None else cols
         if rows < 1 or cols < 1:
             raise ShapeMismatch("dimensions must be positive")
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return _make(field, ((0,) * cols,) * rows, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         if n < 1:
             raise ShapeMismatch("dimensions must be positive")
-        z, o = field.zero, field.one
-        return cls(
-            field,
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
+        return _make(
+            field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), 1
         )
 
     @classmethod
@@ -137,7 +173,7 @@ class Matrix:
 
     # -- basic accessors ----------------------------------------------------
     def entry(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.field, self._data[i][j])
+        return FieldScalar(self.field, self.field.value(self._num[i][j], self._den))
 
     def to_rows(self) -> List[List[FieldScalar]]:
         return [[FieldScalar(self.field, x) for x in row] for row in self._data]
@@ -146,30 +182,32 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._data for x in row)
+        return not any(map(any, self._num))
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        o = self.field.one
-        return all(
-            x == (o if i == j else self.field.zero)
-            for i, row in enumerate(self._data)
-            for j, x in enumerate(row)
+        return (
+            self.is_square()
+            and self._den == 1
+            and all(
+                x == (1 if i == j else 0)
+                for i, row in enumerate(self._num)
+                for j, x in enumerate(row)
+            )
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self._data)))
+        return _make(self.field, tuple(zip(*self._num)), self._den)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         """Block-diagonal sum, self in the top-left corner."""
         self._check_field(other)
-        z = self.field.zero
-        top = tuple(row + tuple(z for _ in range(other.cols)) for row in self._data)
-        bottom = tuple(
-            tuple(z for _ in range(self.cols)) + row for row in other._data
-        )
-        return Matrix(self.field, top + bottom)
+        den = lcm(self._den, other._den)
+        right, left = (0,) * other.cols, (0,) * self.cols
+        top = tuple(row + right for row in _times(self._num, den // self._den))
+        bottom = tuple(left + row for row in _times(other._num, den // other._den))
+        # Canonical already: a prime dividing ``den`` divides one of the two
+        # denominators fully, and that block keeps an entry it does not divide.
+        return _make(self.field, top + bottom, den)
 
     # -- ring operations -----------------------------------------------------
     def _check_field(self, other: "Matrix") -> None:
@@ -179,6 +217,15 @@ class Matrix:
                 f"cannot combine matrices over {self.field} and {other.field}"
             )
 
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        # ``op`` entrywise on both operands over the lcm of their denominators.
+        den = lcm(self._den, other._den)
+        left = _times(self._num, den // self._den)
+        right = _times(other._num, den // other._den)
+        return _canonical(
+            self.field, tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(left, right)), den
+        )
+
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -187,14 +234,7 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        red = self.field.reduce
-        return Matrix(
-            self.field,
-            tuple(
-                tuple(red(x + y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(self._data, other._data)
-            ),
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -204,23 +244,15 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
             )
-        red = self.field.reduce
-        return Matrix(
-            self.field,
-            tuple(
-                tuple(red(x - y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(self._data, other._data)
-            ),
-        )
+        return self._entrywise(other, sub)
 
     def __neg__(self):
-        red = self.field.reduce
-        return Matrix(self.field, tuple(tuple(red(-x) for x in row) for row in self._data))
+        return _canonical(self.field, _times(self._num, -1), self._den)
 
     def _scale(self, raw) -> "Matrix":
-        red = self.field.reduce
-        return Matrix(
-            self.field, tuple(tuple(red(raw * x) for x in row) for row in self._data)
+        # ``raw`` is n/d over the rationals and a residue (d 1) over F_p.
+        return _canonical(
+            self.field, _times(self._num, raw.numerator), self._den * raw.denominator
         )
 
     def __mul__(self, other):
@@ -230,8 +262,9 @@ class Matrix:
                 raise ShapeMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            return Matrix(
-                self.field, self.field.dot(self._data, tuple(zip(*other._data)))
+            F = self.field
+            return _make(
+                F, *F.dot(self._num, tuple(zip(*other._num)), self._den * other._den)
             )
         if isinstance(other, FieldScalar):
             if other.field != self.field:
@@ -280,22 +313,22 @@ class Matrix:
     def __eq__(self, other):
         # Identity first: a Workspace hands out the matrices it stores, so
         # the operands of most comparisons in a catalog run are one object.
+        # The stored form is canonical, so equal values store equal ints.
         if self is other:
             return True
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
             (other.field is self.field or self.field == other.field)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.field, self._data))
+            self._hash = hash((self.field, self._den, self._num))
             return self._hash
 
     def __reduce__(self):
@@ -317,12 +350,12 @@ class Matrix:
         ``reduced`` is unique (independent of ``order``); ``transform`` need
         not be when the matrix has nontrivial left null space.
         """
-        F = self.field
-        rows, pivot_cols = self._eliminate(order, full=True)
+        F, w = self.field, self.cols
+        (rows, den), pivot_cols = self._eliminate(order, full=True)
         return RrefResult(
-            reduced=Matrix(F, tuple(tuple(row[: self.cols]) for row in rows)),
+            reduced=_canonical(F, tuple(tuple(row[:w]) for row in rows), den),
             rank=len(pivot_cols),
-            transform=Matrix(F, tuple(tuple(row[self.cols :]) for row in rows)),
+            transform=_canonical(F, tuple(tuple(row[w:]) for row in rows), den),
             pivot_cols=tuple(pivot_cols),
         )
 
@@ -332,28 +365,33 @@ class Matrix:
     def _eliminate(self, order: PivotOrder, full: bool):
         """The elimination loop of :meth:`rref` and :meth:`rank`.
 
-        Returns ``(rows, pivot_cols)``.  With ``full`` each row of ``rows``
-        is a row of ``[reduced | transform]`` in canonical raw values, as
-        :meth:`rref` describes.  Without it only the rows below each pivot
-        are cleared and ``rows`` is None: enough for the pivot columns,
-        hence the rank, at a fraction of the work.
+        Returns ``(rows, pivot_cols)``.  With ``full``, ``rows`` is the
+        field's ``(int rows, den)`` of ``[reduced | transform]``, as
+        :meth:`rref` describes, not yet normalized.  Without it only the
+        rows below each pivot are cleared and ``rows`` is None: enough for
+        the pivot columns, hence the rank, at a fraction of the work.
 
         The loop is fraction-free.  Each row is held as ints, a nonzero
-        multiple of the row plain Gauss-Jordan holds (the field's
-        ``integer_rows``), and a column is cleared by the field's
-        ``combine``: ``row := lead * row - g * pivot_row`` at a small scale.
-        A multiple has the same zero entries, hence the same pivots.  Only
-        at the end is each row divided by its scale: a pivot row by its
-        leading entry, a zero row of ``reduced`` by its transform entry in
-        the column of the row it started as, which is 1 in Gauss-Jordan.
+        multiple of the row plain Gauss-Jordan holds: it starts as the
+        stored row at scale ``_den``, beside ``_den`` times a row of the
+        identity.  A column is cleared by the field's ``combine``:
+        ``row := lead * row - g * pivot_row`` at a small scale.  A multiple
+        has the same zero entries, hence the same pivots.  Only at the end
+        is each row divided by its scale (the field's ``unscale``): a pivot
+        row by its leading entry, a zero row of ``reduced`` by its
+        transform entry in the column of the row it started as, which is 1
+        in Gauss-Jordan.
         """
         F = self.field
         combine = F.combine
         n, w = self.rows, self.cols
-        m = [
-            ints + [d if j == i else 0 for j in range(n)] if full else ints
-            for i, (ints, d) in enumerate(F.integer_rows(self._data))
-        ]
+        den = self._den
+        m = list(self._num)
+        if full:
+            m = [
+                row + tuple([den if j == i else 0 for j in range(n)])
+                for i, row in enumerate(m)
+            ]
         origin = list(range(n))
         piv = 0
         pivot_cols = []
@@ -388,7 +426,7 @@ class Matrix:
             return None, pivot_cols
         scales = [m[k][c] for k, c in enumerate(pivot_cols)]
         scales += [m[i][w + origin[i]] for i in range(piv, n)]
-        return [F.divide_row(row, s) for row, s in zip(m, scales)], pivot_cols
+        return F.unscale(m, scales), pivot_cols
 
     def inverse(self) -> "Matrix":
         """Exact inverse of a square full-rank matrix."""
@@ -413,19 +451,20 @@ class Matrix:
         rank-deficient inputs.  The zero matrix yields ``G = 0``.
         """
         res = self.rref(order)
-        F = self.field
-        g = [[F.zero] * self.rows for _ in range(self.cols)]
+        t = res.transform
+        g = [(0,) * self.rows] * self.cols
         for k, jc in enumerate(res.pivot_cols):
-            g[jc] = list(res.transform._data[k])
-        return Matrix(F, tuple(tuple(row) for row in g))
+            g[jc] = t._num[k]
+        return _canonical(self.field, tuple(g), t._den)
 
     # -- JSON -------------------------------------------------------------------
     def to_json_obj(self) -> dict:
+        encode, den = self.field.encode, self._den
         return {
             "field": self.field.to_json_obj(),
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[self.field.encode(x) for x in row] for row in self._data],
+            "entries": [[encode(n, den) for n in row] for row in self._num],
         }
 
     @classmethod
@@ -474,9 +513,8 @@ class Matrix:
         return cls(field, tuple(data))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.encode(x) for x in row) for row in self._data
-        )
+        encode, den = self.field.encode, self._den
+        body = "; ".join(" ".join(encode(n, den) for n in row) for row in self._num)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
 
 

@@ -309,12 +309,14 @@ def lambda_exponent_cap(field) -> int:
 
 def _hypothesis(
     a: Matrix, b: Matrix, rel: RelationKind, ws: Optional[Workspace]
-) -> Workspace:
-    """Check a suite's relation and return the workspace it runs in: the
-    caller's, or a fresh one when the suite is called on its own."""
+) -> Tuple[Matrix, Matrix, Workspace]:
+    """Check a suite's relation and return the operands, interned, and the
+    workspace the suite runs in: the caller's, or a fresh one when the
+    suite is called on its own."""
     ws = Workspace() if ws is None else ws
+    a, b = ws.intern(a), ws.intern(b)
     require_relation(a, b, rel, ws=ws)
-    return ws
+    return a, b, ws
 
 
 def lemma21_suite(
@@ -333,7 +335,7 @@ def lemma21_suite(
     """
     _check_i_max(i_max, lambda_exponent_cap(a.field), "lambda-power", a.field)
     rel = LambdaCommute(lam)
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     ab, ba = pr(a, b), pr(b, a)
     items: List[IdentityItem] = []
@@ -357,7 +359,7 @@ def lemma22_suite(
     projector commutations ``a*a^D`` with ``b`` and ``b*b^D`` with ``a``.
     """
     rel = LambdaCommute(lam)
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pr = ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
     dab = ws.drazin(pr(a, b)).d
@@ -385,7 +387,7 @@ def lemma31_suite(
     """
     _check_i_max(i_max, cube_exponent_cap(a.field), "3^i growth", a.field)
     rel = CrossCube()
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     items: List[IdentityItem] = []
     ab, ba = pr(a, b), pr(b, a)
@@ -405,7 +407,7 @@ def lemma32_suite(
 ) -> IdentityReport:
     """Drazin-inverse identities under the cross-cube relation (12 items)."""
     rel = CrossCube()
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
     aaD, bbD = pr(a, da), pr(b, db)
@@ -440,7 +442,7 @@ def lemma33_suite(
     the index to <= 1); uniqueness then forces the equality.
     """
     rel = SwappedCube()
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
     items: List[IdentityItem] = []
@@ -470,7 +472,7 @@ def lemma34_suite(
     chain end to end.
     """
     rel = CrossCube()
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     da, db = ws.drazin(a).d, ws.drazin(b).d
     x1 = pr(da, db)
@@ -511,7 +513,7 @@ def lemma35_suite(
                 f"{name} must be a nonnegative integer, got {v!r}", {name: v}
             )
     rel = CrossCube()
-    ws = _hypothesis(a, b, rel, ws)
+    a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
     a_data, b_data = ws.drazin(a), ws.drazin(b)
     da, db = a_data.d, b_data.d

@@ -154,7 +154,7 @@ def evaluate_thm23(
     and the formula's products come from ``ws`` (a fresh :class:`Workspace`
     by default).
     """
-    ws = _hypothesis(a, b, LambdaCommute(lam), ws)
+    a, b, ws = _hypothesis(a, b, LambdaCommute(lam), ws)
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)
@@ -194,7 +194,7 @@ def evaluate_thm36(
         raise CharacteristicTwo(
             "the sum formula needs 2 invertible; characteristic 2 is excluded"
         )
-    ws = _hypothesis(a, b, CrossCube(), ws)
+    a, b, ws = _hypothesis(a, b, CrossCube(), ws)
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -199,29 +200,44 @@ def test_scalar_str_is_wire_format():
     assert json.loads(json.dumps(str(x))) == "-7/3"
 
 
-def test_rational_dot_shares_the_zero():
-    """Zero entries of a rational product are the one ``QQ.zero``."""
+def test_product_kernel_is_naive_matmul_in_canonical_form():
+    """``dot`` on integer rows over a denominator gives the naive product,
+    stored as integer rows over the least positive denominator (1 over F_p)."""
     rng = Random(11)
     F = Fraction
 
-    def rand(r, c):
+    def rand(p, r, c):
+        if p:
+            return [[rng.choice([0, rng.randrange(p)]) for _ in range(c)] for _ in range(r)]
         return [
             [rng.choice([F(0), F(rng.randint(-3, 3), rng.randint(1, 4))]) for _ in range(c)]
             for _ in range(r)
         ]
 
-    # 1/2 * 2 - 1 * 1 cancels to zero; an all-zero row gives zeros.
-    cases = [([[F(1, 2), F(-1)], [F(0), F(0)]], [[F(2), F(3)], [F(1), F(0)]])]
-    for _ in range(40):
-        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        cases.append((rand(r, k), rand(k, c)))
-    zeros = 0
-    for x, y in cases:
-        got = QQ.dot(tuple(map(tuple, x)), tuple(zip(*y)))
-        assert [list(row) for row in got] == matmul(x, y)
-        for v in (v for row in got for v in row):
-            assert type(v) is Fraction
-            if not v:
-                assert v is QQ.zero
-                zeros += 1
-    assert zeros > 0
+    def stored(x):
+        # integer rows over one denominator, as a Matrix keeps them
+        den = lcm(*[F(v).denominator for row in x for v in row])
+        return tuple(tuple(int(v * den) for v in row) for row in x), den
+
+    reduced = 0
+    for field in (QQ, PrimeField(5)):
+        p = field.characteristic or None
+        # 1/2 * 2 - 1 * 1 cancels to zero; an all-zero row gives zeros.
+        cases = [([[F(1, 2), F(-1)], [F(0), F(0)]], [[F(2), F(3)], [F(1), F(0)]])]
+        cases = cases if not p else []
+        for _ in range(40):
+            r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            cases.append((rand(p, r, k), rand(p, k, c)))
+        for x, y in cases:
+            (xr, xd), (yr, yd) = stored(x), stored(y)
+            rows, den = field.dot(xr, tuple(zip(*yr)), xd * yd)
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert all(type(v) is int for row in rows for v in row)
+            got = [[v if p else F(v, den) for v in row] for row in rows]
+            assert got == matmul(x, y, p)
+            if p:
+                assert den == 1 and all(0 <= v < p for row in rows for v in row)
+            else:
+                assert den > 0 and gcd(den, *[v for row in rows for v in row]) == 1
+                reduced += den < xd * yd
+    assert reduced > 0

@@ -198,9 +198,9 @@ def dot_calls(monkeypatch):
     for cls in (RationalField, PrimeField):
         kernel = cls.dot
 
-        def counted(self, rows, cols, kernel=kernel):
+        def counted(self, *args, kernel=kernel):
             calls.append(self)
-            return kernel(self, rows, cols)
+            return kernel(self, *args)
 
         monkeypatch.setattr(cls, "dot", counted)
     return calls
@@ -459,7 +459,7 @@ def test_equality_hash():
 def test_hash_is_kept_and_follows_value():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     h = hash(a)
-    assert hash(a) == h == hash((QQ, a._data))
+    assert hash(a) == h
     # An equal matrix reached another way, hashed before or after, agrees.
     half = Matrix.from_rows(QQ, [[1, 2], [Fraction(3, 2), 2]])
     b = Matrix.diagonal(QQ, [1, 2]) * half

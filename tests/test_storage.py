@@ -1,0 +1,198 @@
+"""Matrix storage against the naive oracle, under generated matrices.
+
+A :class:`Matrix` keeps integer rows over one positive denominator
+(``_num``, ``_den``) in a canonical form.  Each operation is checked
+against ``tests/_naive.py``, which works on plain ``Fraction`` and ``int``
+lists, over Q, F_5 and F_7.  Every result must also be canonical: ``_den``
+positive and coprime to the entries, 1 for a zero matrix and over F_p, so
+that equal matrices built by different routes are equal and hash equal.
+
+Rational entries are ``n/d`` with ``|n| <= 10**6`` and ``d <= 50``, with
+zeros and small integers frequent so that sums cancel and ranks drop.
+Shapes go up to 5x5.  The examples are derandomized, so every run checks
+the same matrices.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from drazinkit import Matrix, PivotOrder, PrimeField, QQ
+
+from _naive import add, eye, eye_mod, from_matrix, matmul, matpow, rank, rref, scale, sub
+
+SETTINGS = settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+FIELDS = (QQ, PrimeField(5), PrimeField(7))
+ORDERS = {"top-down": PivotOrder.TOP_DOWN, "bottom-up": PivotOrder.BOTTOM_UP}
+
+
+def _entries(field):
+    if field.characteristic:
+        return st.one_of(st.just(0), st.integers(0, field.characteristic - 1))
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-2, 2).map(Fraction),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 50)),
+    )
+
+
+@st.composite
+def _matrices(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(1, 5)) if rows is None else rows
+    cols = draw(st.integers(1, 5)) if cols is None else cols
+    entries = _entries(field)
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _case(draw, square=False, pair=False, inner=False):
+    """``(field, p, x, y)``: naive rows ``x`` and, with ``pair``, ``y`` of
+    the same shape, or with ``inner`` of a shape that ``x * y`` accepts."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    x = draw(_matrices(field, n, n if square else None))
+    y = None
+    if pair:
+        y = draw(_matrices(field, len(x), len(x[0])))
+    elif inner:
+        y = draw(_matrices(field, len(x[0])))
+    return field, field.characteristic or None, x, y
+
+
+def _build(field, rows):
+    return Matrix.from_rows(field, rows)
+
+
+def _check(m, want, p):
+    """``m`` is canonical and equals the naive rows ``want``."""
+    num, den = m._num, m._den
+    assert type(num) is tuple and all(type(row) is tuple for row in num)
+    assert all(type(v) is int for row in num for v in row)
+    assert type(den) is int and den > 0
+    assert gcd(den, *[v for row in num for v in row]) == 1
+    if p is not None:
+        assert den == 1 and all(0 <= v < p for row in num for v in row)
+    if m.is_zero():
+        assert den == 1
+    assert from_matrix(m) == want
+
+
+def _normalized(rows, p):
+    # The oracle's values in the form from_matrix gives.
+    return [[v % p if p else Fraction(v) for v in row] for row in rows]
+
+
+@SETTINGS
+@given(_case(pair=True))
+def test_entrywise_operations(case):
+    field, p, x, y = case
+    a, b = _build(field, x), _build(field, y)
+    _check(a + b, add(x, y, p), p)
+    _check(a - b, sub(x, y, p), p)
+    _check(-a, _normalized(scale(-1, x, p), p), p)
+    _check(a - a, _normalized(scale(0, x, p), p), p)
+    # a scalar n/d, and an int
+    s = Fraction(-3, 7) if p is None else 3
+    scalar = QQ.scalar(-3, 7) if p is None else field.scalar(3)
+    _check(scalar * a, _normalized(scale(s, x, p), p), p)
+    _check(a * 6, _normalized(scale(6, x, p), p), p)
+
+
+@SETTINGS
+@given(_case(inner=True))
+def test_product(case):
+    field, p, x, y = case
+    _check(_build(field, x) * _build(field, y), matmul(x, y, p), p)
+
+
+@SETTINGS
+@given(_case(square=True), st.integers(0, 4))
+def test_power(case, e):
+    field, p, x, _ = case
+    _check(_build(field, x) ** e, _normalized(matpow(x, e, p), p), p)
+
+
+@SETTINGS
+@given(_case(), st.data())
+def test_transpose_and_direct_sum(case, data):
+    field, p, x, _ = case
+    y = data.draw(_matrices(field))
+    a, b = _build(field, x), _build(field, y)
+    _check(a.transpose(), _normalized([list(c) for c in zip(*x)], p), p)
+    zero = 0 if p else Fraction(0)
+    w = len(x[0]) + len(y[0])
+    want = [row + [zero] * len(y[0]) for row in x] + [[zero] * len(x[0]) + row for row in y]
+    assert all(len(row) == w for row in want)
+    _check(a.direct_sum(b), _normalized(want, p), p)
+
+
+@SETTINGS
+@given(_case())
+def test_elimination(case):
+    field, p, x, _ = case
+    a = _build(field, x)
+    assert a.rank() == rank(x, p)
+    for name, order in ORDERS.items():
+        reduced, transform, pivots = rref(x, name, p)
+        res = a.rref(order)
+        _check(res.reduced, reduced, p)
+        _check(res.transform, transform, p)
+        assert res.pivot_cols == tuple(pivots) and res.rank == len(pivots)
+        # the inner inverse: row k of the transform at row pivots[k]
+        zero = 0 if p else Fraction(0)
+        g = [[zero] * len(x) for _ in range(len(x[0]))]
+        for k, c in enumerate(pivots):
+            g[c] = transform[k]
+        gm = a.inner_inverse(order)
+        _check(gm, g, p)
+        assert matmul(matmul(x, g, p), x, p) == _normalized(x, p)
+        if len(pivots) == len(x) == len(x[0]):
+            inv = a.inverse()
+            _check(inv, transform, p)
+            n = len(x)
+            assert matmul(x, transform, p) == (eye_mod(n) if p else eye(n))
+
+
+@SETTINGS
+@given(_case())
+def test_codec(case):
+    field, p, x, _ = case
+    a = _build(field, x)
+    obj = a.to_json_obj()
+    assert obj["entries"] == [[str(v if p else Fraction(v)) for v in row] for row in x]
+    back = Matrix.from_json_obj(obj)
+    _check(back, _normalized(x, p), p)
+    assert back == a and hash(back) == hash(a)
+
+
+@SETTINGS
+@given(_case(pair=True))
+def test_equal_values_by_different_routes(case):
+    field, p, x, y = case
+    a, b = _build(field, x), _build(field, y)
+    routes = [
+        (a + b) - b,
+        a.transpose().transpose(),
+        a * Matrix.identity(field, a.cols),
+        Matrix.identity(field, a.rows) * a,
+        Matrix(field, a._data),
+        Matrix.from_json_obj(a.to_json_obj()),
+        -(-a),
+    ]
+    if p is None:
+        routes.append(QQ.scalar(1, 7) * (a * 7))
+    for m in routes:
+        _check(m, _normalized(x, p), p)
+        assert m == a and hash(m) == hash(a)
+    assert len({a, *routes}) == 1
+    # and a different value is unequal, also where only the denominator differs
+    if not a.is_zero():
+        assert a != 2 * a and 2 * a != a

@@ -113,6 +113,28 @@ def test_prod_forms_each_step_once():
     assert (ws.products_computed, ws.products_reused) == (3, 3)
 
 
+def test_workspace_hands_out_the_first_object_of_each_value():
+    ws = Workspace()
+
+    def fresh(rows):
+        return Matrix.from_rows(QQ, rows)
+
+    x = fresh([[1, 2], [3, 4]])
+    assert ws.intern(x) is x and ws.intern(fresh([[1, 2], [3, 4]])) is x
+    assert ws.power(fresh([[1, 2], [3, 4]]), 1) is x
+    xy = ws.prod(x, fresh([[0, 1], [0, 0]]))
+    assert ws.intern(fresh([[0, 1], [0, 3]])) is xy
+    data = ws.drazin(fresh([[0, 1], [0, 3]]))
+    assert data.source is xy
+    assert ws.intern(fresh([[0, "1/9"], [0, "1/3"]])) is data.d
+    assert ws.intern(fresh([[1, "-1/3"], [0, 0]])) is data.pi
+    # a suite's operands are the stored objects, whatever the caller passed
+    a, b = ws.intern(fresh([[1, 0], [0, 2]])), ws.intern(fresh([[3, 0], [0, 4]]))
+    lemma22_suite(fresh([[1, 0], [0, 2]]), fresh([[3, 0], [0, 4]]), QQ.scalar(1), ws=ws)
+    ((held_a, held_b, _),) = ws.relations_held
+    assert held_a is a and held_b is b
+
+
 @pytest.mark.parametrize("field", [QQ, F5])
 def test_workspace_order_is_the_only_order(monkeypatch, field):
     orders = []
