@@ -4,7 +4,8 @@ Finds every pair of n x n matrices over F_p (optionally with entries
 restricted to a subset) satisfying a relation, and returns them in a
 canonical order that does not depend on how many processes did the
 search.  For each a, only the b that solve the relation's equation that
-is linear in b are visited (meet in the middle on two halves of b).
+is linear in b are visited: one elimination mod p fixes the pivot entries
+of b from the free ones.
 
 Run:  python3 demos/04_search.py
 """

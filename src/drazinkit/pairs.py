@@ -34,6 +34,7 @@ seed), and search output is independent of the number of parallel jobs.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -468,46 +469,87 @@ def _sylvester_columns(
     return cols
 
 
-def _images(
-    cols: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], sign: int, p: int, nn: int
+def _product_is_zero(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> bool:
+    # Whether x*y == 0, exiting at the first nonzero entry.
+    for i in range(n):
+        base = i * n
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s += x[base + k] * y[k * n + j]
+            if s % p:
+                return False
+    return True
+
+
+def _kernel(
+    cols: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], p: int
 ) -> List[Tuple[int, ...]]:
-    """``sign * sum(x_k * cols[k])`` for every ``x`` in ``domain**len(cols)``.
+    """Every ``b`` in ``domain**len(cols)`` with ``sum(b[k]*cols[k]) == 0``
+    mod ``p``, in lexicographic order.
 
-    The images come in the order ``itertools.product`` yields the ``x``.
+    The matrix with columns ``cols`` is row-reduced mod ``p``.  The entries
+    of ``b`` at its free columns range over ``domain``; each one at a pivot
+    column is then fixed by its row, and ``b`` is kept only if that value
+    lies in ``domain`` too.
     """
-    images = [(0,) * nn]
-    for col in cols:
-        scaled = [tuple(sign * d * v % p for v in col) for d in domain]
-        images = [
-            tuple([(u + v) % p for u, v in zip(img, s)])
-            for img in images
-            for s in scaled
-        ]
-    return images
+    rows = [list(row) for row in zip(*cols)]
+    pivots: List[int] = []
+    for c in range(len(cols)):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pivot_row = rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                g = row[c]
+                rows[i] = [(u - g * v) % p for u, v in zip(row, pivot_row)]
+        pivots.append(c)
+    free = [c for c in range(len(cols)) if c not in pivots]
+    # b[pivots[k]] == -sum(rows[k][f] * b[f] for f in free)
+    fixed = [(c, [-rows[k][f] % p for f in free]) for k, c in enumerate(pivots)]
+    allowed = set(domain)
+    solutions = []
+    for x in itertools.product(domain, repeat=len(free)):
+        b = [0] * len(cols)
+        for f, v in zip(free, x):
+            b[f] = v
+        for c, coeffs in fixed:
+            v = sum(map(operator.mul, coeffs, x)) % p
+            if v not in allowed:
+                break
+            b[c] = v
+        else:
+            solutions.append(tuple(b))
+    solutions.sort()
+    return solutions
 
 
-def _search_shard(args: Tuple[SearchSpec, int]) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _search_shard(
+    args: Tuple[SearchSpec, int],
+    cubes: Optional[Dict[Tuple[int, ...], Tuple[int, ...]]] = None,
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All hits whose first matrix starts with the given leading entry.
 
     For a fixed ``a`` each relation has one equation ``L(b) == 0`` that is
     linear in ``b``: ``a*b - lam*b*a`` (lambda-commute), ``a**3*b - b*a``
     (cross-cube) or ``b*a**3 - a*b`` (swapped-cube, formed as its negative,
-    which has the same zeros).  The entries of ``b``
-    split into a head ``x1`` and a tail ``x2``; a dict maps each ``L(x2)``
-    to its tails in order, and each head in order picks the bucket of
-    ``-L(x1)`` (meet in the middle), so ``(a, b)`` comes out in
-    lexicographic order.  Each candidate then meets the relation's other
-    equation, if any, and the nontrivial filter.
+    which has the same zeros).  :func:`_kernel` row-reduces the matrix of
+    ``L`` and lists its solutions in the domain, sorted, so ``(a, b)``
+    comes out in lexicographic order.  Each candidate then meets the
+    relation's other equation, if any, and the nontrivial filter.  Each
+    cube is formed once per ``cubes`` memo, which a caller may share
+    across the shards of one search.
     """
     spec, lead = args
     p, n = spec.p, spec.n
-    nn = n * n
-    half = nn // 2
     domain = spec.domain()
     rel = spec.relation
-    heads = list(itertools.product(domain, repeat=half))
-    tails = list(itertools.product(domain, repeat=nn - half))
-    cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    if cubes is None:
+        cubes = {}
 
     def cube(m: Tuple[int, ...]) -> Tuple[int, ...]:
         if m not in cubes:
@@ -515,7 +557,7 @@ def _search_shard(args: Tuple[SearchSpec, int]) -> List[Tuple[Tuple[int, ...], T
         return cubes[m]
 
     hits = []
-    for rest in itertools.product(domain, repeat=nn - 1):
+    for rest in itertools.product(domain, repeat=n * n - 1):
         a = (lead,) + rest
         if isinstance(rel, LambdaCommute):
             cols = _sylvester_columns(a, a, rel.lam.value, n, p)
@@ -523,21 +565,16 @@ def _search_shard(args: Tuple[SearchSpec, int]) -> List[Tuple[Tuple[int, ...], T
             cols = _sylvester_columns(cube(a), a, 1, n, p)
         else:
             cols = _sylvester_columns(a, cube(a), 1, n, p)
-        buckets: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for key, x2 in zip(_images(cols[half:], domain, 1, p, nn), tails):
-            buckets.setdefault(key, []).append(x2)
-        for key, x1 in zip(_images(cols[:half], domain, -1, p, nn), heads):
-            for x2 in buckets.get(key, ()):
-                b = x1 + x2
-                if isinstance(rel, CrossCube):
-                    if not _products_equal(cube(b), a, a, b, n, p):
-                        continue
-                elif isinstance(rel, SwappedCube):
-                    if not _products_equal(a, cube(b), b, a, n, p):
-                        continue
-                if spec.require_nontrivial and not any(_flat_mul(a, b, n, p)):
+        for b in _kernel(cols, domain, p):
+            if isinstance(rel, CrossCube):
+                if not _products_equal(cube(b), a, a, b, n, p):
                     continue
-                hits.append((a, b))
+            elif isinstance(rel, SwappedCube):
+                if not _products_equal(a, cube(b), b, a, n, p):
+                    continue
+            if spec.require_nontrivial and _product_is_zero(a, b, n, p):
+                continue
+            hits.append((a, b))
     return hits
 
 
@@ -566,7 +603,9 @@ def exhaustive_search(
     domain = spec.domain()
     shard_args = [(spec, lead) for lead in domain]
     if jobs <= 1 or len(shard_args) == 1:
-        chunks = [_search_shard(arg) for arg in shard_args]
+        # One cube memo for the whole search; a pool shard keeps its own.
+        cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        chunks = [_search_shard(arg, cubes) for arg in shard_args]
     else:
         # Imported here: only a parallel search pays for it.  Prefer fork: it
         # needs no __main__ re-import in the workers, so the search stays

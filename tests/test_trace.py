@@ -4,7 +4,9 @@
 reads ``Matrix._data``, so a change to the library's storage or names can
 silently leave a layer unwrapped or break ``--trace 1``.  One traced
 drazin-q pass must report every per-layer metric of ``BENCHMARK.json``
-with the work counts below.  The files under ``perfbench/`` are only read.
+with the work counts below, and one traced search pass the space it
+covers and the hits it finds, with no matrix product.  The files under
+``perfbench/`` are only read.
 """
 
 import json
@@ -15,10 +17,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_drazin_q_trace_reports_every_layer():
+def _traced_pass(workload):
     proc = subprocess.run(
         [
-            sys.executable, "perfbench/run.py", "--workload", "drazin-q",
+            sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "0", "--seconds", "0", "--trace", "1",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -26,6 +28,11 @@ def test_drazin_q_trace_reports_every_layer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
+    return result
+
+
+def test_drazin_q_trace_reports_every_layer():
+    result = _traced_pass("drazin-q")
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert len(names) == 34
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -33,3 +40,10 @@ def test_drazin_q_trace_reports_every_layer():
     assert metrics["matrices.max_entry_bits"] == 41
     assert metrics["matrices.mul.calls"] == metrics["fields.dot.calls"] == 2181
     assert metrics["matrices.rref.calls"] == metrics["drazin.drazin_inverse.calls"] == 240
+
+
+def test_search_trace_counts_space_and_hits():
+    metrics = {name: m["value"] for name, m in _traced_pass("search")["metrics"].items()}
+    assert metrics["pairs.search.space"] == 1_958_307
+    assert metrics["pairs.search.hits"] == 6_064
+    assert metrics["matrices.mul.calls"] == 0
