@@ -171,8 +171,7 @@ class Workspace:
     A run that evaluates the identity catalog over a corpus asks for the
     same few Drazin inverses, powers and products many times; a workspace
     computes each once, keyed by matrix value.  Every inverse comes from
-    :func:`drazin_inverse` under the workspace's one pivot order, so it is
-    certified, and reuse never crosses pivot orders.  :meth:`prod` forms a
+    :func:`drazin_inverse`, so it is certified.  :meth:`prod` forms a
     product of matrices left to right and looks each step up by its
     ``(left, right)`` operand values; exact arithmetic makes the stored
     product equal to a fresh one.  ``relations_held`` records the
@@ -191,8 +190,7 @@ class Workspace:
     :meth:`power` included) likewise.
     """
 
-    def __init__(self, order: PivotOrder = PivotOrder.TOP_DOWN):
-        self.order = order
+    def __init__(self):
         self.drazin_computed = 0
         self.drazin_reused = 0
         self.products_computed = 0
@@ -208,10 +206,10 @@ class Workspace:
         return self._interned.setdefault(m, m)
 
     def drazin(self, a: Matrix) -> DrazinData:
-        """The certified Drazin data of ``a`` under this workspace's order."""
+        """The certified Drazin data of ``a``."""
         data = self._drazin.get(a)
         if data is None:
-            data = drazin_inverse(a, self.order)
+            data = drazin_inverse(a)
             intern = self.intern
             a = intern(a)
             data = self._drazin[a] = replace(

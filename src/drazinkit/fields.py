@@ -28,8 +28,9 @@ product with every integer row of the left factor and every integer column
 of the right one: integer multiply-accumulate, then one normalization of
 the result.  Elimination clears columns with :meth:`Field.combine` and
 divides each row by its final scale with :meth:`Field.unscale`.
-:meth:`Field.from_values` and :meth:`Field.value` convert between the
-stored form and per-entry raw values.
+:meth:`Field.value` gives the raw value of one stored entry.  Rows of raw
+values need no hook to become integer rows: a ``Fraction`` and an ``int``
+both have a numerator and a denominator (see ``Matrix.from_rows``).
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
@@ -143,10 +144,6 @@ class Field:
 
     # -- stored matrices: a Matrix keeps integer rows over one denominator
     # ``den`` (see :mod:`drazinkit.matrices`); over F_p ``den`` is always 1.
-    def from_values(self, data):
-        """Rows of canonical raw values as the canonical ``(rows, den)``."""
-        raise NotImplementedError
-
     def value(self, n: int, den: int):
         """The canonical raw value of the stored entry ``n / den``."""
         raise NotImplementedError
@@ -254,12 +251,6 @@ class RationalField(Field):
             raise DivisionByZero("division by zero in QQ")
         return self.one / x
 
-    def from_values(self, data):
-        # Over the lcm of the entries' denominators the form is canonical.
-        den = lcm(*[x.denominator for row in data for x in row])
-        rows = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in data])
-        return rows, den
-
     def value(self, n, den):
         return Fraction(n, den)
 
@@ -354,9 +345,6 @@ class PrimeField(Field):
         return x % self.p
 
     from_int = reduce
-
-    def from_values(self, data):
-        return data, 1
 
     def value(self, n, den):
         return n

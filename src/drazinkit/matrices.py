@@ -7,11 +7,14 @@ tuples, and ``_den``, a positive int with ``gcd(_den, every entry) == 1``
 canonical residues and ``_den`` is always 1.  The form is canonical, so
 equality and hashing compare ``(_den, _num)``, and products, sums and
 elimination all run on plain ints, for both fields; a product is one call
-of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.  Only
-:meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data`` build per-entry
-raw values (``Fraction`` over Q), and the codec writes each entry from
-``(n, _den)`` with one gcd.  Matrices are immutable; all operators return
-new instances and refuse mixed fields or shapes.
+of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.
+``Matrix(field, num, den)`` takes this form as it is.  Per-entry raw values
+(``Fraction`` over Q) enter only through :meth:`Matrix.from_rows`,
+:meth:`Matrix.diagonal` and :meth:`Matrix.from_json_obj`, and leave only
+through :meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data``; the
+codec writes each entry from ``(n, _den)`` with one gcd.  Matrices are
+immutable; all operators return new instances and refuse mixed fields or
+shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit: columns are processed left to right, and within a column
@@ -77,23 +80,17 @@ class RrefResult:
     pivot_cols: Tuple[int, ...]
 
 
-_new = object.__new__
-
-
-def _make(field: Field, num, den: int) -> "Matrix":
-    """A matrix from its canonical stored form, unchecked."""
-    m = _new(Matrix)
-    m.field = field
-    m.rows = len(num)
-    m.cols = len(num[0])
-    m._num = num
-    m._den = den
-    return m
-
-
 def _canonical(field: Field, num, den: int) -> "Matrix":
     """A matrix from ``num / den``, any int rows over a positive ``den``."""
-    return _make(field, *field.normalize(num, den))
+    return Matrix(field, *field.normalize(num, den))
+
+
+def _from_raw(field: Field, data) -> "Matrix":
+    """A matrix from rows of canonical raw values, over the lcm of their
+    denominators, where it is canonical (an int residue has denominator 1)."""
+    den = lcm(*[x.denominator for row in data for x in row])
+    num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in data])
+    return Matrix(field, num, den)
 
 
 def _times(rows, s: int):
@@ -108,14 +105,14 @@ class Matrix:
     # Drazin and power tables of a Workspace.
     __slots__ = ("field", "rows", "cols", "_num", "_den", "_hash")
 
-    def __init__(self, field: Field, data: Tuple[Tuple[Any, ...], ...]):
-        # Trusted constructor: ``data`` must already hold canonical raw
-        # values, which are stored as integer rows over one denominator.
-        # External callers should use from_rows / zero / identity.
+    def __init__(self, field: Field, num: Tuple[Tuple[int, ...], ...], den: int):
+        """The matrix ``num / den`` in its canonical stored form (see the
+        module docstring), unchecked; :meth:`from_rows` takes other values."""
         self.field = field
-        self.rows = len(data)
-        self.cols = len(data[0])
-        self._num, self._den = field.from_values(data)
+        self.rows = len(num)
+        self.cols = len(num[0])
+        self._num = num
+        self._den = den
 
     @property
     def _data(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -140,20 +137,20 @@ class Matrix:
             elif len(entries) != width:
                 raise ShapeMismatch("rows have inconsistent lengths")
             data.append(entries)
-        return cls(field, tuple(data))
+        return _from_raw(field, data)
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: Optional[int] = None) -> "Matrix":
         cols = rows if cols is None else cols
         if rows < 1 or cols < 1:
             raise ShapeMismatch("dimensions must be positive")
-        return _make(field, ((0,) * cols,) * rows, 1)
+        return Matrix(field, ((0,) * cols,) * rows, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         if n < 1:
             raise ShapeMismatch("dimensions must be positive")
-        return _make(
+        return Matrix(
             field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), 1
         )
 
@@ -164,11 +161,8 @@ class Matrix:
         vals = [field.scalar(x).value for x in entries]
         z = field.zero
         n = len(vals)
-        return cls(
-            field,
-            tuple(
-                tuple(vals[i] if i == j else z for j in range(n)) for i in range(n)
-            ),
+        return _from_raw(
+            field, [[vals[i] if i == j else z for j in range(n)] for i in range(n)]
         )
 
     # -- basic accessors ----------------------------------------------------
@@ -176,7 +170,7 @@ class Matrix:
         return FieldScalar(self.field, self.field.value(self._num[i][j], self._den))
 
     def to_rows(self) -> List[List[FieldScalar]]:
-        return [[FieldScalar(self.field, x) for x in row] for row in self._data]
+        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -196,7 +190,7 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return _make(self.field, tuple(zip(*self._num)), self._den)
+        return Matrix(self.field, tuple(zip(*self._num)), self._den)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         """Block-diagonal sum, self in the top-left corner."""
@@ -207,7 +201,7 @@ class Matrix:
         bottom = tuple(left + row for row in _times(other._num, den // other._den))
         # Canonical already: a prime dividing ``den`` divides one of the two
         # denominators fully, and that block keeps an entry it does not divide.
-        return _make(self.field, top + bottom, den)
+        return Matrix(self.field, top + bottom, den)
 
     # -- ring operations -----------------------------------------------------
     def _check_field(self, other: "Matrix") -> None:
@@ -263,7 +257,7 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
             F = self.field
-            return _make(
+            return Matrix(
                 F, *F.dot(self._num, tuple(zip(*other._num)), self._den * other._den)
             )
         if isinstance(other, FieldScalar):
@@ -334,7 +328,7 @@ class Matrix:
     def __reduce__(self):
         # Pickle without ``_hash``: field hashes hash strings, which differ
         # between interpreters started with different hash seeds.
-        return (Matrix, (self.field, self._data))
+        return (Matrix, (self.field, self._num, self._den))
 
     # -- elimination kernels ---------------------------------------------------
     def rref(self, order: PivotOrder = PivotOrder.TOP_DOWN) -> RrefResult:
@@ -509,8 +503,8 @@ class Matrix:
                     out.append(field.parse_raw(text))
                 except ParseError as exc:
                     raise ParseError(f"{loc}: {exc}", {"at": loc}) from exc
-            data.append(tuple(out))
-        return cls(field, tuple(data))
+            data.append(out)
+        return _from_raw(field, data)
 
     def __repr__(self):
         encode, den = self.field.encode, self._den
@@ -526,11 +520,19 @@ def nilpotency_degree(m: Matrix, cap: Optional[int] = None) -> Optional[int]:
     """
     if not m.is_square():
         raise ShapeMismatch("nilpotency is defined for square matrices")
-    limit = m.rows if cap is None else cap
+    return _powers_until_zero(m, m.rows if cap is None else cap)[1]
+
+
+def _powers_until_zero(m: Matrix, limit: int) -> Tuple[List[Matrix], Optional[int]]:
+    """``(powers, k)``: ``k`` is the smallest ``k <= limit`` with ``m**k == 0``
+    (None if there is none) and ``powers`` holds the nonzero ``m, m**2, ...``
+    before it.  No power past ``m**limit`` is formed."""
+    powers = []
     power = m
     for k in range(1, limit + 1):
         if power.is_zero():
-            return k
+            return powers, k
+        powers.append(power)
         if k < limit:
             power = power * m
-    return None
+    return powers, None

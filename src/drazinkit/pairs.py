@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -185,9 +186,9 @@ def _rand_unit(field: Field, rng: Random):
     return rng.randrange(1, field.characteristic)
 
 
-def _rand_entry(field: Field, rng: Random):
+def _rand_entry(field: Field, rng: Random) -> int:
     if field.characteristic == 0:
-        return field.from_int(rng.randint(-3, 3))
+        return rng.randint(-3, 3)
     return rng.randrange(field.characteristic)
 
 
@@ -200,12 +201,9 @@ def random_invertible(field: Field, n: int, seed: int) -> Matrix:
     rng = Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    z, o = field.zero, field.one
-    p_rows = tuple(
-        tuple(o if j == perm[i] else z for j in range(n)) for i in range(n)
-    )
-    lower = [[o if i == j else z for j in range(n)] for i in range(n)]
-    upper = [[o if i == j else z for j in range(n)] for i in range(n)]
+    p_rows = tuple(tuple(int(j == perm[i]) for j in range(n)) for i in range(n))
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
             if rng.random() < 0.6:
@@ -213,9 +211,10 @@ def random_invertible(field: Field, n: int, seed: int) -> Matrix:
         for j in range(i + 1, n):
             if rng.random() < 0.6:
                 upper[i][j] = _rand_entry(field, rng)
-    pm = Matrix(field, p_rows)
-    lm = Matrix(field, tuple(tuple(r) for r in lower))
-    um = Matrix(field, tuple(tuple(r) for r in upper))
+    # Integer entries, each a residue over F_p: the stored form with den 1.
+    pm = Matrix(field, p_rows, 1)
+    lm = Matrix(field, tuple(map(tuple, lower)), 1)
+    um = Matrix(field, tuple(map(tuple, upper)), 1)
     return pm * lm * um
 
 
@@ -228,10 +227,7 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
     if kind == "invertible":
         return random_invertible(field, n, _mix(seed, 1))
     if kind == "diagonal":
-        return Matrix.diagonal(
-            field,
-            [FieldScalar(field, _rand_entry(field, rng)) for _ in range(n)],
-        )
+        return Matrix.diagonal(field, [_rand_entry(field, rng) for _ in range(n)])
     if kind == "nilpotent-mix":
         k = rng.randint(2, min(3, n)) if n >= 2 else 1
         jordan = _upper_shift(field, k)
@@ -242,20 +238,14 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
         )
         return jordan.direct_sum(tail)
     return Matrix.from_rows(
-        field,
-        [
-            [FieldScalar(field, _rand_entry(field, rng)) for _ in range(n)]
-            for _ in range(n)
-        ],
+        field, [[_rand_entry(field, rng) for _ in range(n)] for _ in range(n)]
     )
 
 
 def _upper_shift(field: Field, n: int) -> Matrix:
     """The n x n nilpotent Jordan block: ones just above the diagonal."""
-    z, o = field.zero, field.one
     return Matrix(
-        field,
-        tuple(tuple(o if j == i + 1 else z for j in range(n)) for i in range(n)),
+        field, tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n)), 1
     )
 
 
@@ -274,7 +264,8 @@ def _gen_pair(
     if isinstance(family, WeightedShift):
         if not isinstance(rel, LambdaCommute):
             raise IncompatibleFamily(
-                "weighted-shift pairs only satisfy lambda-commutation"
+                "weighted-shift pairs only satisfy lambda-commutation",
+                {"family": describe_family(family), "relation": rel.name},
             )
         b = Matrix.diagonal(field, [rel.lam**i for i in range(family.n)])
         return _upper_shift(field, family.n), b
@@ -282,7 +273,8 @@ def _gen_pair(
     if isinstance(family, DiagTripotents):
         if isinstance(rel, LambdaCommute) and rel.lam != 1:
             raise IncompatibleFamily(
-                "diagonal tripotents commute, so lambda must be 1"
+                "diagonal tripotents commute, so lambda must be 1",
+                {"family": describe_family(family), "lambda": str(rel.lam)},
             )
         if family.pattern is None:
             rng = Random(_mix(seed, 3))
@@ -291,21 +283,31 @@ def _gen_pair(
             return a, b
         pa, pb = family.pattern
         if len(pa) != family.n or len(pb) != family.n:
-            raise IncompatibleFamily("pattern length differs from n")
+            raise IncompatibleFamily(
+                "pattern length differs from n",
+                {"n": family.n, "lengths": [len(pa), len(pb)]},
+            )
         if any(x not in _TRIPOTENT_ENTRIES for x in pa + pb):
-            raise IncompatibleFamily("tripotent patterns use entries -1, 0, 1 only")
+            raise IncompatibleFamily(
+                "tripotent patterns use entries -1, 0, 1 only",
+                {"entries": sorted({x for x in pa + pb if x not in _TRIPOTENT_ENTRIES})},
+            )
         return Matrix.diagonal(field, pa), Matrix.diagonal(field, pb)
 
     if isinstance(family, ScalarTimesIdentity):
         n, scale = family.n, family.scale
         if field.from_int(scale) == field.zero:
-            raise IncompatibleFamily("scale must be a unit of the field")
+            raise IncompatibleFamily(
+                "scale must be a unit of the field",
+                {"scale": scale, "field": field.to_json_obj()},
+            )
         a = Matrix.diagonal(field, [scale] * n)
         rng = Random(_mix(seed, 5))
         if isinstance(rel, LambdaCommute):
             if rel.lam != 1:
                 raise IncompatibleFamily(
-                    "scalar multiples of I commute, so lambda must be 1"
+                    "scalar multiples of I commute, so lambda must be 1",
+                    {"family": describe_family(family), "lambda": str(rel.lam)},
                 )
             b = Matrix.diagonal(
                 field, [FieldScalar(field, _rand_unit(field, rng)) for _ in range(n)]
@@ -313,7 +315,8 @@ def _gen_pair(
             return a, b
         if scale not in (1, -1):
             raise IncompatibleFamily(
-                "cube relations need a**3 == a, so scale must be 1 or -1"
+                "cube relations need a**3 == a, so scale must be 1 or -1",
+                {"scale": scale, "relation": rel.name},
             )
         return a, _seeded_tripotent_diag(field, n, rng)
 
@@ -336,17 +339,19 @@ def _gen_pair(
         hit_field = PrimeField(family.p)
         if field != hit_field:
             raise IncompatibleFamily(
-                f"exhaustive hits live over F_{family.p}, not {field}"
+                f"exhaustive hits live over F_{family.p}, not {field}",
+                {"family": describe_family(family), "field": field.to_json_obj()},
             )
         hits = cached_hits(family.p, family.n, rel, True)
         if not 0 <= family.ordinal < len(hits):
             raise IncompatibleFamily(
                 f"ordinal {family.ordinal} out of range: "
-                f"{len(hits)} nontrivial hits at p={family.p}, n={family.n}"
+                f"{len(hits)} nontrivial hits at p={family.p}, n={family.n}",
+                {"ordinal": family.ordinal, "hits": len(hits)},
             )
         return hits[family.ordinal]
 
-    raise IncompatibleFamily(f"unknown family {family!r}")
+    raise IncompatibleFamily(f"unknown family {family!r}", {"family": repr(family)})
 
 
 def gen_pair(
@@ -579,7 +584,7 @@ def _search_shard(
 
 
 def _unflatten(field: PrimeField, flat: Tuple[int, ...], n: int) -> Matrix:
-    return Matrix(field, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
+    return Matrix(field, tuple(flat[i * n : (i + 1) * n] for i in range(n)), 1)
 
 
 def exhaustive_search(
@@ -590,8 +595,10 @@ def exhaustive_search(
     Output is ordered lexicographically by the row-major entry tuple of
     ``a`` then ``b`` and is byte-identical for any ``jobs`` count: the
     space is sharded on the leading entry of ``a`` and shard results are
-    concatenated in domain order.  Raises BudgetExceeded before touching
-    the space if its size exceeds ``budget``.
+    concatenated in domain order.  The pool has at most ``jobs`` workers,
+    one per shard and one per CPU; with one, the search runs in this
+    process.  Raises BudgetExceeded before touching the space if its size
+    exceeds ``budget``.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     size = spec.space_size()
@@ -602,7 +609,8 @@ def exhaustive_search(
         )
     domain = spec.domain()
     shard_args = [(spec, lead) for lead in domain]
-    if jobs <= 1 or len(shard_args) == 1:
+    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    if workers <= 1:
         # One cube memo for the whole search; a pool shard keeps its own.
         cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         chunks = [_search_shard(arg, cubes) for arg in shard_args]
@@ -614,7 +622,7 @@ def exhaustive_search(
 
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(min(jobs, len(shard_args))) as pool:
+        with ctx.Pool(workers) as pool:
             chunks = pool.map(_search_shard, shard_args)
     field = PrimeField(spec.p)
     return [

@@ -89,7 +89,9 @@ class LambdaCommute:
 
     def __post_init__(self):
         if self.lam.is_zero():
-            raise ZeroLambda("the commutation constant must be nonzero")
+            raise ZeroLambda(
+                "the commutation constant must be nonzero", {"lambda": str(self.lam)}
+            )
 
 
 @dataclass(frozen=True)

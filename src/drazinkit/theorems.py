@@ -39,7 +39,7 @@ from typing import Optional
 from .drazin import DrazinData, Workspace
 from .errors import CharacteristicTwo, NotNilpotentWithinBound, ParseError, ShapeMismatch
 from .fields import FieldScalar
-from .matrices import Matrix, nilpotency_degree
+from .matrices import Matrix, _powers_until_zero, nilpotency_degree
 from .relations import CrossCube, LambdaCommute, _hypothesis
 
 __all__ = [
@@ -124,16 +124,9 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
         raise ShapeMismatch("nilpotency needs a square matrix")
     if bound < 0:
         raise ParseError(f"bound must be nonnegative, got {bound}", {"bound": bound})
-    effective = max(bound, 1)
-    total = Matrix.identity(u.field, u.rows)
-    power = u
-    powers = []
-    for _ in range(1, effective + 1):
-        if power.is_zero():
-            return total
-        powers.append(power)
-        total = total + power
-        power = power * u
+    powers, degree = _powers_until_zero(u, max(bound, 1))
+    if degree is not None:
+        return sum(powers, Matrix.identity(u.field, u.rows))
     ranks = [p.rank() for p in powers]
     raise NotNilpotentWithinBound(
         f"matrix is not nilpotent within bound {bound}: power ranks {ranks}",

@@ -471,7 +471,7 @@ _UNPICKLE_AND_HASH = """
 import pickle, sys
 from drazinkit import Matrix, PrimeField, QQ
 for m in pickle.loads(sys.stdin.buffer.read()):
-    fresh = Matrix(m.field, m._data)
+    fresh = Matrix.from_rows(m.field, m._data)
     assert m == fresh and hash(m) == hash(fresh), m
 """
 

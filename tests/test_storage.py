@@ -13,8 +13,10 @@ Shapes go up to 5x5.  The examples are derandomized, so every run checks
 the same matrices.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -183,12 +185,16 @@ def test_equal_values_by_different_routes(case):
         a.transpose().transpose(),
         a * Matrix.identity(field, a.cols),
         Matrix.identity(field, a.rows) * a,
-        Matrix(field, a._data),
+        Matrix.diagonal(field, [1] * a.rows) * a,
+        Matrix.from_rows(field, a._data),
         Matrix.from_json_obj(a.to_json_obj()),
         -(-a),
     ]
     if p is None:
         routes.append(QQ.scalar(1, 7) * (a * 7))
+        scales = range(2, a.rows + 2)
+        inverses = Matrix.diagonal(QQ, [QQ.scalar(1, k) for k in scales])
+        routes.append(inverses * (Matrix.diagonal(QQ, list(scales)) * a))
     for m in routes:
         _check(m, _normalized(x, p), p)
         assert m == a and hash(m) == hash(a)
@@ -196,3 +202,26 @@ def test_equal_values_by_different_routes(case):
     # and a different value is unequal, also where only the denominator differs
     if not a.is_zero():
         assert a != 2 * a and 2 * a != a
+
+
+def test_the_stored_form_is_the_only_constructor():
+    # No module defines or calls a second way to build a matrix, and every
+    # ``Matrix(...)`` outside matrices.py passes the stored form.
+    src = Path(__file__).resolve().parent.parent / "src" / "drazinkit"
+    gone = {"_make", "from_values"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in gone, where
+            elif isinstance(node, ast.Name):
+                assert node.id not in gone, where
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in gone, where
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Matrix"
+                and path.name != "matrices.py"
+            ):
+                assert len(node.args) == 3 and not node.keywords, where

@@ -27,6 +27,7 @@ from drazinkit import (
     evaluate_thm36,
     gen_pair,
     invert_one_minus_nilpotent,
+    nilpotency_degree,
 )
 
 from _naive import drazin_axioms_hold, from_matrix
@@ -76,6 +77,31 @@ class TestInvertOneMinusNilpotent:
             invert_one_minus_nilpotent(eye, 4)
         assert exc.value.code == "not-nilpotent-within-bound"
         assert exc.value.detail == {"ranks": [3, 3, 3, 3]}
+
+    @pytest.mark.parametrize(
+        "u, bound, products",
+        [
+            (_shift(QQ, 3), 3, 2),
+            (_shift(QQ, 3), 10, 2),
+            (Matrix.zero(QQ, 2), 0, 0),
+            (_shift(QQ, 2), 0, 0),
+            (Matrix.identity(QQ, 3), 4, 3),
+        ],
+    )
+    def test_no_power_past_the_bound(self, monkeypatch, u, bound, products):
+        # Both walks over the powers of ``u`` form u**2, u**3, ... up to the
+        # first zero one or to u**max(bound, 1), and no product more.
+        formed = []
+        mul = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda x, y: formed.append(y) or mul(x, y))
+        try:
+            invert_one_minus_nilpotent(u, bound)
+        except NotNilpotentWithinBound:
+            pass
+        assert len(formed) == products
+        formed.clear()
+        nilpotency_degree(u, max(bound, 1))
+        assert len(formed) == products
 
     def test_rejects_non_square_and_bad_bound(self):
         with pytest.raises(ShapeMismatch):
