@@ -323,10 +323,10 @@ _WHICH = {
 }
 
 
-# Upper bound of ``search --jobs``.  The search forks one worker per job (up
-# to one per leading entry of ``a``), so an unbounded value could ask for
-# thousands of processes.  Fixed rather than the CPU count, so the same
-# command is valid on every host.
+# Upper bound of ``search --jobs``.  The search always runs in this one
+# process, so the value no longer changes anything; the flag and its range
+# stay so that every command that was valid stays valid, and every command
+# that was refused stays refused.
 _MAX_JOBS = 64
 
 
@@ -382,7 +382,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     for idx, cp in enumerate(corpus):
         if cp.relation.name != relation:
             raise PreconditionViolated(
-                f"{args.which} suites need a {relation} pair, got {cp.relation.name}"
+                f"{args.which} suites need a {relation} pair, got {cp.relation.name}",
+                {"relation": cp.relation.name, "expected": relation},
             )
         for label, runner in suites:
             report = runner(cp, args.i_max, ws)
@@ -412,7 +413,8 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
     a, b, rel = pair_from_json_obj(_read_json(args.input))
     if rel is not None and not isinstance(rel, LambdaCommute):
         raise PreconditionViolated(
-            "the difference formula needs a lambda-commuting pair"
+            "the difference formula needs a lambda-commuting pair",
+            {"relation": rel.name, "expected": LambdaCommute.name},
         )
     if args.lam is not None:
         lam = a.field.parse(args.lam)
@@ -431,7 +433,10 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
 def _cmd_thm36(args: argparse.Namespace) -> int:
     a, b, rel = pair_from_json_obj(_read_json(args.input))
     if rel is not None and not isinstance(rel, CrossCube):
-        raise PreconditionViolated("the sum formula needs a cross-cube pair")
+        raise PreconditionViolated(
+            "the sum formula needs a cross-cube pair",
+            {"relation": rel.name, "expected": CrossCube.name},
+        )
     report = evaluate_thm36(a, b)
     _emit(report.to_json_obj(), args.output)
     return 0 if report.match else 1
@@ -492,7 +497,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         entry_bound=entry_bound,
         require_nontrivial=args.nontrivial,
     )
-    hits = exhaustive_search(spec, jobs=args.jobs, budget=args.budget)
+    hits = exhaustive_search(spec, budget=args.budget)
     out: Dict[str, Any] = dict(relation_to_json_fields(rel))
     out.update(
         {
@@ -515,7 +520,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
     if field.characteristic == 2:
         raise CharacteristicTwo(
-            "the selftest exercises the sum formula, which needs 2 invertible"
+            "the selftest exercises the sum formula, which needs 2 invertible",
+            {"field": field.to_json_obj()},
         )
     corpora = {LambdaCommute.name: default_lambda_corpus(field)}
     for rel in (CrossCube(), SwappedCube()):
@@ -662,7 +668,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drop hits with a*b == 0",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, help=f"worker processes, 1..{_MAX_JOBS}"
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"1..{_MAX_JOBS}; changes nothing, the search runs in one process",
     )
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=_cmd_search, relation=LambdaCommute.name)

@@ -64,7 +64,10 @@ class DrazinData:
 
 def _require_square(a: Matrix, what: str) -> None:
     if not a.is_square():
-        raise ShapeMismatch(f"{what} requires a square matrix, got {a.rows}x{a.cols}")
+        raise ShapeMismatch(
+            f"{what} requires a square matrix, got {a.rows}x{a.cols}",
+            {"rows": a.rows, "cols": a.cols},
+        )
 
 
 def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
@@ -97,7 +100,13 @@ def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
 
 
 def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
-    """Check the three Drazin equations for ``candidate`` at ``index``.
+    """Check the three Drazin equations for ``candidate`` at ``index``, and
+    that ``index`` is the least exponent at which they hold.
+
+    The equations hold at every exponent from the Drazin index on, so they
+    alone do not certify the index.  With ``pi = I - a*candidate``,
+    ``a**(index - 1) * pi`` (that is ``a**(index - 1) - a**index *
+    candidate``) is nonzero exactly when ``index`` is minimal.
 
     Pure predicate, no exceptions for a wrong candidate: returns False.
     """
@@ -108,9 +117,10 @@ def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
         return False
     if index < 0:
         return False
-    return _equations_hold(
-        a, candidate, a * candidate, a**index, a ** (index + 1)
-    )
+    a_k = a**index
+    if not _equations_hold(a, candidate, a * candidate, a_k, a_k * a):
+        return False
+    return index == 0 or a ** (index - 1) != a_k * candidate
 
 
 def _equations_hold(

@@ -28,14 +28,13 @@ Families
   search over F_p, in its canonical order.
 
 Determinism: generation is a pure function of (family, relation, field,
-seed), and search output is independent of the number of parallel jobs.
+seed), and search output is a pure function of its ``SearchSpec``.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -533,28 +532,22 @@ def _kernel(
     return solutions
 
 
-def _search_shard(
-    args: Tuple[SearchSpec, int],
-    cubes: Optional[Dict[Tuple[int, ...], Tuple[int, ...]]] = None,
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All hits whose first matrix starts with the given leading entry.
+def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every hit as a pair of row-major residue tuples, in ``(a, b)`` order.
 
     For a fixed ``a`` each relation has one equation ``L(b) == 0`` that is
     linear in ``b``: ``a*b - lam*b*a`` (lambda-commute), ``a**3*b - b*a``
     (cross-cube) or ``b*a**3 - a*b`` (swapped-cube, formed as its negative,
     which has the same zeros).  :func:`_kernel` row-reduces the matrix of
-    ``L`` and lists its solutions in the domain, sorted, so ``(a, b)``
-    comes out in lexicographic order.  Each candidate then meets the
-    relation's other equation, if any, and the nontrivial filter.  Each
-    cube is formed once per ``cubes`` memo, which a caller may share
-    across the shards of one search.
+    ``L`` and lists its solutions in the domain, sorted; ``a`` runs over
+    the sorted domain, so ``(a, b)`` comes out in lexicographic order.
+    Each candidate then meets the relation's other equation, if any, and
+    the nontrivial filter.  Each cube is formed once per search.
     """
-    spec, lead = args
     p, n = spec.p, spec.n
     domain = spec.domain()
     rel = spec.relation
-    if cubes is None:
-        cubes = {}
+    cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def cube(m: Tuple[int, ...]) -> Tuple[int, ...]:
         if m not in cubes:
@@ -562,8 +555,7 @@ def _search_shard(
         return cubes[m]
 
     hits = []
-    for rest in itertools.product(domain, repeat=n * n - 1):
-        a = (lead,) + rest
+    for a in itertools.product(domain, repeat=n * n):
         if isinstance(rel, LambdaCommute):
             cols = _sylvester_columns(a, a, rel.lam.value, n, p)
         elif isinstance(rel, CrossCube):
@@ -588,17 +580,14 @@ def _unflatten(field: PrimeField, flat: Tuple[int, ...], n: int) -> Matrix:
 
 
 def exhaustive_search(
-    spec: SearchSpec, jobs: int = 1, budget: Optional[int] = None
+    spec: SearchSpec, budget: Optional[int] = None
 ) -> List[Tuple[Matrix, Matrix]]:
     """Every pair in the search space satisfying the relation, in order.
 
     Output is ordered lexicographically by the row-major entry tuple of
-    ``a`` then ``b`` and is byte-identical for any ``jobs`` count: the
-    space is sharded on the leading entry of ``a`` and shard results are
-    concatenated in domain order.  The pool has at most ``jobs`` workers,
-    one per shard and one per CPU; with one, the search runs in this
-    process.  Raises BudgetExceeded before touching the space if its size
-    exceeds ``budget``.
+    ``a`` then ``b``.  The search runs in the calling process.  Raises
+    BudgetExceeded before touching the space if its size exceeds
+    ``budget``.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     size = spec.space_size()
@@ -607,28 +596,10 @@ def exhaustive_search(
             f"search space has {size} pairs, over the budget of {limit}",
             {"size": size, "budget": limit},
         )
-    domain = spec.domain()
-    shard_args = [(spec, lead) for lead in domain]
-    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
-    if workers <= 1:
-        # One cube memo for the whole search; a pool shard keeps its own.
-        cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        chunks = [_search_shard(arg, cubes) for arg in shard_args]
-    else:
-        # Imported here: only a parallel search pays for it.  Prefer fork: it
-        # needs no __main__ re-import in the workers, so the search stays
-        # usable from any host program.  Spawn is the fallback.
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(workers) as pool:
-            chunks = pool.map(_search_shard, shard_args)
     field = PrimeField(spec.p)
     return [
         (_unflatten(field, fa, spec.n), _unflatten(field, fb, spec.n))
-        for chunk in chunks
-        for fa, fb in chunk
+        for fa, fb in _search_flat(spec)
     ]
 
 
@@ -636,7 +607,7 @@ def exhaustive_search(
 def cached_hits(
     p: int, n: int, relation: RelationKind, require_nontrivial: bool
 ) -> Tuple[Tuple[Matrix, Matrix], ...]:
-    """Memoized single-process search, for corpus builders and families.
+    """Memoized search, for corpus builders and families.
     No argument has a default, so that one search has one cache key."""
     spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=require_nontrivial)
     return tuple(exhaustive_search(spec))

@@ -144,17 +144,23 @@ def relation_from_json_fields(
 def _validate_pair(a: Matrix, b: Matrix, rel: RelationKind) -> None:
     if a.field != b.field:
         raise FieldMismatch(
-            f"pair mixes fields {a.field} and {b.field}"
+            f"pair mixes fields {a.field} and {b.field}",
+            {"a": a.field.to_json_obj(), "b": b.field.to_json_obj()},
         )
     if not (a.is_square() and b.is_square()):
-        raise ShapeMismatch("relations are defined for square matrices")
+        raise ShapeMismatch(
+            "relations are defined for square matrices",
+            {"a": [a.rows, a.cols], "b": [b.rows, b.cols]},
+        )
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatch(
-            f"pair mixes shapes {a.rows}x{a.cols} and {b.rows}x{b.cols}"
+            f"pair mixes shapes {a.rows}x{a.cols} and {b.rows}x{b.cols}",
+            {"a": [a.rows, a.cols], "b": [b.rows, b.cols]},
         )
     if isinstance(rel, LambdaCommute) and rel.lam.field != a.field:
         raise FieldMismatch(
-            f"lambda lives over {rel.lam.field}, the pair over {a.field}"
+            f"lambda lives over {rel.lam.field}, the pair over {a.field}",
+            {"lambda": rel.lam.field.to_json_obj(), "pair": a.field.to_json_obj()},
         )
 
 

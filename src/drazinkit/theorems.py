@@ -185,7 +185,8 @@ def evaluate_thm36(
     """
     if a.field.characteristic == 2:
         raise CharacteristicTwo(
-            "the sum formula needs 2 invertible; characteristic 2 is excluded"
+            "the sum formula needs 2 invertible; characteristic 2 is excluded",
+            {"field": a.field.to_json_obj()},
         )
     a, b, ws = _hypothesis(a, b, CrossCube(), ws)
     pr = ws.prod

@@ -6,6 +6,9 @@ Every check is exact (zero tolerance); each test prints one line
 time is asserted against the stated budget.
 """
 
+import contextlib
+import io
+import json
 import time
 from random import Random
 
@@ -37,6 +40,7 @@ from drazinkit import (
     lemma34_suite,
     lemma35_suite,
 )
+from drazinkit.cli import main
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -234,13 +238,20 @@ def test_criterion_6_search_determinism_completeness():
         got = {(str(a.entry(0, 0)), str(b.entry(0, 0))) for a, b in small}
         assert got == {("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")}
         assert len(small) == 4
-        spec = SearchSpec(3, 2, CrossCube(), require_nontrivial=True)
-        assert exhaustive_search(spec, jobs=1) == exhaustive_search(spec, jobs=8)
+        argv = ["search", "--mod", "3", "--dim", "2", "--relation", "cross-cube"]
+        outs = []
+        for jobs in ("1", "8"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv + ["--nontrivial", "--jobs", jobs]) == 0
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["count"] == 340
 
     _report(
         6,
         "n=1 nontrivial hits over F_3 are exactly {1,2} x {1,2}; "
-        "n=2 output identical for jobs=1 and jobs=8",
+        "n=2 search output identical for --jobs 1 and --jobs 8",
         60.0,
         body,
     )

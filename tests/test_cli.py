@@ -341,7 +341,18 @@ def test_thm23_wrong_embedded_relation_exit_3(monkeypatch, capsys):
     pair = {"a": SHIFT2, "b": DIAG12, "relation": "cross-cube"}
     code, _, err = _run(monkeypatch, capsys, ["thm23"], stdin_text=json.dumps(pair))
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "precondition-violated"
+    error = json.loads(err)["error"]
+    assert error["code"] == "precondition-violated"
+    assert error["detail"] == {"relation": "cross-cube", "expected": "lambda-commute"}
+
+
+def test_thm36_wrong_embedded_relation_exit_3(monkeypatch, capsys):
+    pair = {"a": SHIFT2, "b": DIAG12, "relation": "lambda-commute", "lambda": "2"}
+    code, out, err = _run(monkeypatch, capsys, ["thm36"], stdin_text=json.dumps(pair))
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["message"] == "the sum formula needs a cross-cube pair"
+    assert error["detail"] == {"relation": "lambda-commute", "expected": "cross-cube"}
 
 
 def _diag(values):
@@ -391,7 +402,9 @@ def test_thm36_characteristic_two_exit_3(monkeypatch, capsys):
     pair = {"a": zero2, "b": zero2}
     code, _, err = _run(monkeypatch, capsys, ["thm36"], stdin_text=json.dumps(pair))
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "characteristic-two"
+    error = json.loads(err)["error"]
+    assert error["code"] == "characteristic-two"
+    assert error["detail"] == {"field": {"Fp": 2}}
 
 
 def test_lemmas_section2_small_corpus(monkeypatch, capsys):
@@ -479,7 +492,9 @@ def test_lemmas_kind_mismatch_exit_3(monkeypatch, capsys):
         stdin_text=json.dumps(corpus),
     )
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "precondition-violated"
+    error = json.loads(err)["error"]
+    assert error["code"] == "precondition-violated"
+    assert error["detail"] == {"relation": "cross-cube", "expected": "lambda-commute"}
 
 
 def _failing_report(a, b, ws=None):
@@ -660,6 +675,8 @@ def test_search_n1_frozen(monkeypatch, capsys):
 
 
 def test_search_jobs_byte_identical(monkeypatch, capsys):
+    # Any attempt to start a worker pool fails the import.
+    monkeypatch.setitem(sys.modules, "multiprocessing", None)
     base = [
         "search",
         "--mod",
@@ -1137,7 +1154,7 @@ def test_search_nonpositive_jobs_exit_2(monkeypatch, capsys, jobs):
     assert json.loads(err)["error"]["code"] == "malformed-input"
 
 
-def _no_search(spec, jobs=1, budget=None):
+def _no_search(spec, budget=None):
     raise AssertionError("the search must not start")
 
 
@@ -1151,8 +1168,8 @@ def test_search_jobs_past_cap_exit_2(monkeypatch, capsys):
     error = json.loads(err)["error"]
     assert error["code"] == "malformed-input"
     assert error["detail"] == {"jobs": cap + 1, "cap": cap}
-    # The cap itself is accepted; a stand-in search starts no process.
-    monkeypatch.setattr(cli, "exhaustive_search", lambda spec, jobs, budget: [])
+    # The cap itself is accepted; a stand-in takes the search's place.
+    monkeypatch.setattr(cli, "exhaustive_search", lambda spec, budget: [])
     code, out, _ = _run(monkeypatch, capsys, argv + ["--jobs", str(cap)])
     assert code == 0
     assert json.loads(out)["count"] == 0
@@ -1442,7 +1459,9 @@ def test_selftest_characteristic_two_exit_3(monkeypatch, capsys):
         monkeypatch, capsys, ["selftest", "--field", "Fp", "--mod", "2"]
     )
     assert code == 3
-    assert json.loads(err)["error"]["code"] == "characteristic-two"
+    error = json.loads(err)["error"]
+    assert error["code"] == "characteristic-two"
+    assert error["detail"] == {"field": {"Fp": 2}}
 
 
 def _small_selftest_corpora(monkeypatch):

@@ -11,12 +11,12 @@ integer past the interpreter's int/str digit limit).  ``--help``
 comes first in some.  Whatever the input, ``cli.main`` returns an exit code
 in {0, 1, 2, 3} (``--help`` raises ``SystemExit(0)``), no other exception
 escapes, a refusal (exit 2 or 3) ends stderr with exactly one error JSON
-object and writes nothing to stdout, and a malformed-input refusal (exit 2),
-like every refusal of ``gen``, says what it refused in a nonempty ``detail``.
+object and writes nothing to stdout, and every refusal (exit 2 or 3) says
+what it refused in a nonempty ``detail``.
 
 The work per example stays small: a search space holds at most 3**8 pairs
-and runs with ``--jobs 1`` (a larger ``--jobs`` is refused before any
-process starts), matrices are at most 3x3, a family has at most two leaves
+and runs with ``--jobs 1`` (the search runs in one process whatever
+``--jobs`` says), matrices are at most 3x3, a family has at most two leaves
 of size at most 3 (or nests right at the cap), and ``selftest`` only runs
 where it refuses at once.
 Each subcommand gets its own examples, derandomized, so every run sends
@@ -427,8 +427,7 @@ def check_invocation(invocation):
         assert sorted(error) == ["code", "detail", "message"]
         assert isinstance(error["message"], str) and isinstance(error["detail"], dict)
         assert (error["code"] == "malformed-input") == (code == 2), (argv, error)
-        if code == 2 or argv[0] == "gen":
-            assert error["detail"], (argv, error)
+        assert error["detail"], (argv, error)
 
 
 @pytest.fixture(scope="module")

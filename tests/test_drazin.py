@@ -18,7 +18,7 @@ from drazinkit import (
     group_inverse,
 )
 
-from _naive import drazin_axioms_hold, from_matrix
+from _naive import drazin_axioms_hold, from_matrix, matmul, matpow
 
 F5 = PrimeField(5)
 
@@ -137,6 +137,42 @@ def test_index_examples():
         compute_index(Matrix.zero(QQ, 2, 3))
 
 
+def _naive_index_is_minimal(a, d, k, p=None) -> bool:
+    # a**(k - 1) * (I - a*d) != 0, written as a**(k - 1) != a**k * d.
+    return k == 0 or matpow(a, k - 1, p) != matmul(matpow(a, k, p), d, p)
+
+
+@pytest.mark.parametrize(
+    "a, d, k",
+    [
+        (
+            _shift(QQ, 3).direct_sum(Matrix.diagonal(QQ, [2])),
+            Matrix.zero(QQ, 3).direct_sum(Matrix.diagonal(QQ, ["1/2"])),
+            3,
+        ),
+        (Matrix.zero(QQ, 3), Matrix.zero(QQ, 3), 1),
+        (Matrix.identity(QQ, 2), Matrix.identity(QQ, 2), 0),
+        (Matrix.diagonal(F5, [2, 0]), Matrix.diagonal(F5, [3, 0]), 1),
+        (
+            _shift(F5, 2).direct_sum(Matrix.diagonal(F5, [3])),
+            Matrix.zero(F5, 2).direct_sum(Matrix.diagonal(F5, [2])),
+            2,
+        ),
+    ],
+)
+def test_certify_requires_the_least_index(a, d, k):
+    """The equations hold at every exponent from the index on; certify
+    accepts the index alone."""
+    p = a.field.characteristic or None
+    na, nd = from_matrix(a), from_matrix(d)
+    for j in range(k + 4):
+        holds = drazin_axioms_hold(na, nd, j, p)
+        assert holds == (j >= k)
+        assert _naive_index_is_minimal(na, nd, j, p) == (j <= k)
+        assert certify(a, d, j) == (j == k)
+    assert not certify(a, d, k + 1)
+
+
 def test_group_inverse_accepts_index_leq_1():
     a = Matrix.diagonal(QQ, [3, 0, -2])
     data = group_inverse(a)
@@ -196,6 +232,7 @@ def test_randomized_axioms_and_determinism(field, p):
         assert top.d == bot.d
         assert top.index == bot.index == compute_index(a)
         assert certify(a, top.d, top.index)
+        assert not certify(a, top.d, top.index + 1)
         assert drazin_axioms_hold(from_matrix(a), from_matrix(top.d), top.index, p)
         # spectral projector: idempotent, annihilates d
         assert top.pi * top.pi == top.pi
@@ -225,8 +262,9 @@ def test_drazin_commutes_with_conjugation():
 
 
 def test_non_square_rejected():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch) as exc:
         drazin_inverse(Matrix.zero(QQ, 2, 3))
+    assert exc.value.detail == {"rows": 2, "cols": 3}
 
 
 @pytest.mark.parametrize("field", [QQ, F5])

@@ -160,14 +160,18 @@ def test_require_relation_raises_with_detail():
 
 def test_validation_rejects_bad_pairs():
     a = Matrix.identity(QQ, 2)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch) as exc:
         check_relation(a, Matrix.identity(F5, 2), CrossCube())
-    with pytest.raises(ShapeMismatch):
+    assert exc.value.detail == {"a": "Q", "b": {"Fp": 5}}
+    with pytest.raises(ShapeMismatch) as exc:
         check_relation(a, Matrix.identity(QQ, 3), CrossCube())
-    with pytest.raises(ShapeMismatch):
+    assert exc.value.detail == {"a": [2, 2], "b": [3, 3]}
+    with pytest.raises(ShapeMismatch) as exc:
         check_relation(Matrix.zero(QQ, 2, 3), Matrix.zero(QQ, 2, 3), CrossCube())
-    with pytest.raises(FieldMismatch):
+    assert exc.value.detail == {"a": [2, 3], "b": [2, 3]}
+    with pytest.raises(FieldMismatch) as exc:
         check_relation(a, a, LambdaCommute(F5.scalar(1)))
+    assert exc.value.detail == {"lambda": {"Fp": 5}, "pair": "Q"}
 
 
 def test_det_consistency_diagnostic():

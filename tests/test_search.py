@@ -14,8 +14,6 @@ Under each relation ``a*b == 0`` holds exactly when ``b*a == 0`` does, so
 the nontrivial filter keeps all three facts.
 """
 
-import multiprocessing
-import os
 from functools import lru_cache
 
 import pytest
@@ -93,44 +91,6 @@ def test_search_equals_brute_force(p, n, name, lam, bound, nontrivial):
     domain = bound if bound is not None else range(p)
     expected = _naive.search_hits(p, n, name, lam, domain, nontrivial)
     assert [(_naive.from_matrix(a), _naive.from_matrix(b)) for a, b in hits] == expected
-
-
-def test_jobs_2_equals_jobs_1_on_bounded_n3():
-    spec = SearchSpec(3, 3, CrossCube(), (0, 2), True)
-    assert exhaustive_search(spec, jobs=2) == exhaustive_search(spec, jobs=1)
-
-
-@pytest.mark.parametrize(
-    "jobs,cpus,workers",
-    [(10_000, None, None), (10_000, 1, None), (10_000, 3, 3), (10_000, 16, 5), (2, 16, 2)],
-)
-def test_pool_never_outgrows_the_cpus_or_the_shards(monkeypatch, jobs, cpus, workers):
-    # A fake pool records its size and maps in this process, so no worker
-    # starts; ``workers`` None means the search must not ask for a pool.
-    sizes = []
-
-    class FakePool:
-        def __init__(self, n):
-            sizes.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return [fn(arg) for arg in args]
-
-    class FakeContext:
-        Pool = FakePool
-
-    spec = SearchSpec(5, 1, CrossCube())  # five shards, one per leading entry
-    expected = exhaustive_search(spec, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-    assert exhaustive_search(spec, jobs=jobs) == expected
-    assert sizes == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize(
