@@ -6,9 +6,9 @@ tolerances anywhere.  The core surface:
 
 * :func:`drazin_inverse` / :func:`group_inverse` / :func:`certify` - the
   inverse itself, with post-hoc certification of the defining equations.
-* :class:`Workspace` - certified Drazin data, powers and passed relation
-  checks computed once per matrix value, shared by the suites and
-  formulas of one run through their ``ws`` keyword.
+* :class:`Workspace` - certified Drazin data, powers and products
+  computed once per matrix value, shared by the suites and formulas of
+  one run through their ``ws`` keyword.
 * ``lemma*_suite`` functions - itemized identity checks for pairs
   satisfying a commutation relation (``a*b == lam*b*a``) or one of the two
   cube relations (``a**3*b == b*a, b**3*a == a*b`` and its swapped form).

@@ -11,7 +11,7 @@ exactly when ``a`` is invertible, and ``d`` is then the ordinary inverse).
 Construction: with ``l = max(k, 1)`` and ``G`` any inner inverse of
 ``a**(2l + 1)``, the product ``a**l * G * a**l`` is the Drazin inverse.
 The result does not depend on which inner inverse was used, and every
-computed inverse is certified against the three defining equations before
+computed inverse and its index are certified (see :func:`certify`) before
 it is returned; a failed certificate raises
 :class:`~drazinkit.errors.InternalCertificationFailure` since it can only
 mean a bug, never bad input.
@@ -23,7 +23,8 @@ again and again (the identity catalog over a corpus) compute each once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cache
+from typing import Dict, List, Optional, Tuple
 
 from .errors import IndexTooLarge, InternalCertificationFailure, ShapeMismatch
 from .matrices import Matrix, PivotOrder
@@ -113,22 +114,21 @@ def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
     _require_square(a, "certification")
     if (candidate.rows, candidate.cols) != (a.rows, a.cols):
         raise ShapeMismatch("candidate shape differs from the source matrix")
-    if candidate.field != a.field:
+    if candidate.field != a.field or index < 0:
         return False
-    if index < 0:
-        return False
-    a_k = a**index
-    if not _equations_hold(a, candidate, a * candidate, a_k, a_k * a):
-        return False
-    return index == 0 or a ** (index - 1) != a_k * candidate
+    return _certified(a, candidate, a * candidate, index, cache(a.__pow__))
 
 
-def _equations_hold(
-    a: Matrix, d: Matrix, ad: Matrix, a_k: Matrix, a_k1: Matrix
-) -> bool:
-    # The three Drazin equations, given ``ad = a*d``, ``a_k = a**k`` and
-    # ``a_k1 = a**(k + 1)``.
-    return ad == d * a and d * ad == d and a_k == a_k1 * d
+def _certified(a: Matrix, d: Matrix, ad: Matrix, k: int, power) -> bool:
+    # The three Drazin equations at exponent ``k`` and, for k >= 1,
+    # ``a**(k - 1) != a**k * d``, so that no smaller exponent passes; given
+    # ``ad = a*d`` and ``power(j) = a**j``.
+    def times_d(j):  # ``a**j * d``, which is ``ad`` at j = 1
+        return ad if j == 1 else power(j) * d
+
+    if not (ad == d * a and d * ad == d and power(k) == times_d(k + 1)):
+        return False
+    return k == 0 or power(k - 1) != times_d(k)
 
 
 def _assemble(
@@ -143,8 +143,7 @@ def _assemble(
     d = al * g * al
     ad = a * d
     eye = Matrix.identity(a.field, a.rows)
-    a_k = ladder[index - 1] if index else eye
-    if not _equations_hold(a, d, ad, a_k, ladder[index]):
+    if not _certified(a, d, ad, index, [eye, *ladder].__getitem__):
         raise InternalCertificationFailure(
             "constructed Drazin inverse failed its own certificate"
         )
@@ -175,8 +174,7 @@ def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinD
 
 
 class Workspace:
-    """Certified Drazin data, products, powers and passed relation checks
-    of one run.
+    """Certified Drazin data, products and powers of one run.
 
     A run that evaluates the identity catalog over a corpus asks for the
     same few Drazin inverses, powers and products many times; a workspace
@@ -184,10 +182,7 @@ class Workspace:
     :func:`drazin_inverse`, so it is certified.  :meth:`prod` forms a
     product of matrices left to right and looks each step up by its
     ``(left, right)`` operand values; exact arithmetic makes the stored
-    product equal to a fresh one.  ``relations_held`` records the
-    ``(a, b, relation)`` triples that passed
-    :func:`~drazinkit.relations.require_relation`; failures are never
-    recorded, so a bad pair raises every time.
+    product equal to a fresh one.
 
     Every matrix a workspace stores is interned (:meth:`intern`): it keeps
     the first object of each value and hands that one out, so its lookups,
@@ -205,7 +200,6 @@ class Workspace:
         self.drazin_reused = 0
         self.products_computed = 0
         self.products_reused = 0
-        self.relations_held: Set[tuple] = set()
         self._drazin: Dict[Matrix, DrazinData] = {}
         self._powers: Dict[Tuple[Matrix, int], Matrix] = {}
         self._products: Dict[Tuple[Matrix, Matrix], Matrix] = {}

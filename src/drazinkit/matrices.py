@@ -106,8 +106,9 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_num", "_den", "_hash")
 
     def __init__(self, field: Field, num: Tuple[Tuple[int, ...], ...], den: int):
-        """The matrix ``num / den`` in its canonical stored form (see the
-        module docstring), unchecked; :meth:`from_rows` takes other values."""
+        """``num / den`` in the canonical stored form (module docstring), taken
+        unchecked: ``Matrix(QQ, ((2,),), 2)`` prints ``1`` but does not equal
+        ``Matrix.identity(QQ, 1)``.  :meth:`from_rows` is the public constructor."""
         self.field = field
         self.rows = len(num)
         self.cols = len(num[0])
@@ -208,7 +209,8 @@ class Matrix:
         # Identity first: operands nearly always share one field object.
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(
-                f"cannot combine matrices over {self.field} and {other.field}"
+                f"cannot combine matrices over {self.field} and {other.field}",
+                {"left": self.field.to_json_obj(), "right": other.field.to_json_obj()},
             )
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
@@ -226,7 +228,8 @@ class Matrix:
         self._check_field(other)
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ShapeMismatch(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
+                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}",
+                {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
             )
         return self._entrywise(other, add)
 
@@ -236,7 +239,8 @@ class Matrix:
         self._check_field(other)
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ShapeMismatch(
-                f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
+                f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}",
+                {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
             )
         return self._entrywise(other, sub)
 
@@ -254,7 +258,8 @@ class Matrix:
             self._check_field(other)
             if self.cols != other.rows:
                 raise ShapeMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}",
+                    {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
                 )
             F = self.field
             return Matrix(
@@ -263,7 +268,8 @@ class Matrix:
         if isinstance(other, FieldScalar):
             if other.field != self.field:
                 raise FieldMismatch(
-                    f"cannot scale a matrix over {self.field} by a scalar over {other.field}"
+                    f"cannot scale a matrix over {self.field} by a scalar over {other.field}",
+                    {"matrix": self.field.to_json_obj(), "scalar": other.field.to_json_obj()},
                 )
             return self._scale(other.value)
         if isinstance(other, int) and not isinstance(other, bool):
@@ -285,10 +291,10 @@ class Matrix:
         """
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
-        if e < 0:
-            raise ShapeMismatch("matrix powers require a nonnegative exponent")
-        if not self.is_square():
-            raise ShapeMismatch("matrix powers require a square matrix")
+        if e < 0 or not self.is_square():
+            need = "a nonnegative exponent" if e < 0 else "a square matrix"
+            shape = [self.rows, self.cols]
+            raise ShapeMismatch(f"matrix powers require {need}", {"shape": shape, "exponent": e})
         if e == 0:
             return Matrix.identity(self.field, self.rows)
         base = self
@@ -425,7 +431,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Exact inverse of a square full-rank matrix."""
         if not self.is_square():
-            raise ShapeMismatch("inverse requires a square matrix")
+            raise ShapeMismatch("inverse requires a square matrix", {"shape": [self.rows, self.cols]})
         res = self.rref()
         if res.rank < self.rows:
             raise SingularMatrix(
@@ -519,7 +525,7 @@ def nilpotency_degree(m: Matrix, cap: Optional[int] = None) -> Optional[int]:
     matrix.  The zero matrix has degree 1.
     """
     if not m.is_square():
-        raise ShapeMismatch("nilpotency is defined for square matrices")
+        raise ShapeMismatch("nilpotency is defined for square matrices", {"shape": [m.rows, m.cols]})
     return _powers_until_zero(m, m.rows if cap is None else cap)[1]
 
 

@@ -16,10 +16,9 @@ on the ledger layout bit for bit.
 
 Every suite takes an optional keyword ``ws``, a
 :class:`~drazinkit.drazin.Workspace` from which it takes Drazin data,
-powers and every matrix product (:meth:`~drazinkit.drazin.Workspace.prod`)
-and in which its hypothesis check is recorded, so that suites run over a
-corpus compute each once.  Without one a suite makes a fresh
-workspace; the results are the same either way.
+powers and every matrix product (:meth:`~drazinkit.drazin.Workspace.prod`),
+its hypothesis check's included, so that suites run over a corpus compute
+each once.  Without one it makes a fresh workspace, with the same results.
 
 Suite catalog (exponent arguments shown as ``i``, ``j``; ``T(i)`` is the
 triangular number ``i*(i-1)/2``):
@@ -165,18 +164,19 @@ def _validate_pair(a: Matrix, b: Matrix, rel: RelationKind) -> None:
 
 
 def _defining_equations(
-    a: Matrix, b: Matrix, rel: RelationKind
+    a: Matrix, b: Matrix, rel: RelationKind, ws: Workspace
 ) -> List[Tuple[str, Matrix, Matrix]]:
+    pw, pr = ws.power, ws.prod
     if isinstance(rel, LambdaCommute):
-        return [("a*b = lam*(b*a)", a * b, rel.lam * (b * a))]
+        return [("a*b = lam*(b*a)", pr(a, b), rel.lam * pr(b, a))]
     if isinstance(rel, CrossCube):
         return [
-            ("a^3*b = b*a", a**3 * b, b * a),
-            ("b^3*a = a*b", b**3 * a, a * b),
+            ("a^3*b = b*a", pr(pw(a, 3), b), pr(b, a)),
+            ("b^3*a = a*b", pr(pw(b, 3), a), pr(a, b)),
         ]
     return [
-        ("a*b^3 = b*a", a * b**3, b * a),
-        ("b*a^3 = a*b", b * a**3, a * b),
+        ("a*b^3 = b*a", pr(a, pw(b, 3)), pr(b, a)),
+        ("b*a^3 = a*b", pr(b, pw(a, 3)), pr(a, b)),
     ]
 
 
@@ -187,8 +187,12 @@ def check_relation(a: Matrix, b: Matrix, rel: RelationKind) -> bool:
 
 def first_violation(a: Matrix, b: Matrix, rel: RelationKind) -> Optional[Dict[str, Any]]:
     """Locate the first entry (row-major) where a defining equation breaks."""
+    return _violation(a, b, rel, Workspace())
+
+
+def _violation(a: Matrix, b: Matrix, rel: RelationKind, ws: Workspace) -> Optional[dict]:
     _validate_pair(a, b, rel)
-    for name, lhs, rhs in _defining_equations(a, b, rel):
+    for name, lhs, rhs in _defining_equations(a, b, rel, ws):
         if lhs == rhs:
             continue
         for i in range(lhs.rows):
@@ -210,13 +214,10 @@ def require_relation(
 ) -> None:
     """Raise :class:`PreconditionViolated` locating the first broken entry.
 
-    With a workspace, a triple that already passed in it is not checked
-    again, and a passing triple is recorded there.
+    The products come from ``ws``, or from a fresh workspace without one,
+    so a pair checked again in one workspace forms no product again.
     """
-    key = (a, b, rel)
-    if ws is not None and key in ws.relations_held:
-        return
-    violation = first_violation(a, b, rel)
+    violation = _violation(a, b, rel, Workspace() if ws is None else ws)
     if violation is not None:
         raise PreconditionViolated(
             f"pair does not satisfy {rel.name}: {violation['equation']} fails at "
@@ -224,8 +225,6 @@ def require_relation(
             f"{violation['lhs']} != {violation['rhs']}",
             violation,
         )
-    if ws is not None:
-        ws.relations_held.add(key)
 
 
 def det_consistency_diagnostic(

@@ -121,7 +121,7 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     carrying the ranks of the inspected powers.
     """
     if not u.is_square():
-        raise ShapeMismatch("nilpotency needs a square matrix")
+        raise ShapeMismatch("nilpotency needs a square matrix", {"shape": [u.rows, u.cols]})
     if bound < 0:
         raise ParseError(f"bound must be nonnegative, got {bound}", {"bound": bound})
     powers, degree = _powers_until_zero(u, max(bound, 1))

@@ -18,6 +18,8 @@ from drazinkit import (
     group_inverse,
 )
 
+from drazinkit.drazin import _assemble
+
 from _naive import drazin_axioms_hold, from_matrix, matmul, matpow
 
 F5 = PrimeField(5)
@@ -171,6 +173,18 @@ def test_certify_requires_the_least_index(a, d, k):
         assert _naive_index_is_minimal(na, nd, j, p) == (j <= k)
         assert certify(a, d, j) == (j == k)
     assert not certify(a, d, k + 1)
+
+
+def test_assemble_refuses_an_index_past_the_least():
+    """The assembly's own certificate covers the index: given one too large
+    and the ladder it would need, it raises instead of returning it."""
+    a = _shift(QQ, 2).direct_sum(Matrix.diagonal(QQ, [2]))
+    ladder = []
+    k = compute_index(a, ladder)
+    assert k == 2
+    assert _assemble(a, k, list(ladder), PivotOrder.TOP_DOWN).index == 2
+    with pytest.raises(InternalCertificationFailure):
+        _assemble(a, k + 1, ladder + [ladder[-1] * a], PivotOrder.TOP_DOWN)
 
 
 def test_group_inverse_accepts_index_leq_1():

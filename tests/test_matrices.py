@@ -22,6 +22,7 @@ from drazinkit import (
     RationalField,
     ShapeMismatch,
     SingularMatrix,
+    invert_one_minus_nilpotent,
     nilpotency_degree,
     random_invertible,
 )
@@ -75,6 +76,39 @@ def test_ring_ops_and_shape_checks():
         a + Matrix.identity(F5, 2)
     with pytest.raises(FieldMismatch):
         a * F5.scalar(2)
+
+
+def test_refusals_name_shapes_fields_and_exponents():
+    wide = Matrix.zero(QQ, 2, 3)
+    cases = [
+        (lambda: wide * wide, ShapeMismatch, {"left": [2, 3], "right": [2, 3]}),
+        (lambda: wide + Matrix.zero(QQ, 3), ShapeMismatch, {"left": [2, 3], "right": [3, 3]}),
+        (lambda: wide - Matrix.zero(QQ, 3), ShapeMismatch, {"left": [2, 3], "right": [3, 3]}),
+        (
+            lambda: Matrix.zero(QQ, 2) + Matrix.zero(F5, 2),
+            FieldMismatch,
+            {"left": "Q", "right": {"Fp": 5}},
+        ),
+        (
+            lambda: Matrix.zero(F5, 2) * Matrix.zero(QQ, 2),
+            FieldMismatch,
+            {"left": {"Fp": 5}, "right": "Q"},
+        ),
+        (
+            lambda: Matrix.zero(QQ, 2) * F5.scalar(2),
+            FieldMismatch,
+            {"matrix": "Q", "scalar": {"Fp": 5}},
+        ),
+        (lambda: wide**2, ShapeMismatch, {"shape": [2, 3], "exponent": 2}),
+        (lambda: Matrix.zero(QQ, 2) ** -1, ShapeMismatch, {"shape": [2, 2], "exponent": -1}),
+        (lambda: wide.inverse(), ShapeMismatch, {"shape": [2, 3]}),
+        (lambda: nilpotency_degree(wide), ShapeMismatch, {"shape": [2, 3]}),
+        (lambda: invert_one_minus_nilpotent(wide, 2), ShapeMismatch, {"shape": [2, 3]}),
+    ]
+    for call, error, detail in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.detail == detail
 
 
 def test_matmul_against_naive_oracle():

@@ -38,7 +38,7 @@ def test_drazin_q_trace_reports_every_layer():
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert set(names) <= set(metrics)
     assert metrics["matrices.max_entry_bits"] == 41
-    assert metrics["matrices.mul.calls"] == metrics["fields.dot.calls"] == 2181
+    assert metrics["matrices.mul.calls"] == metrics["fields.dot.calls"] == 2229
     assert metrics["matrices.rref.calls"] == metrics["drazin.drazin_inverse.calls"] == 240
 
 

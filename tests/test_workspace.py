@@ -130,8 +130,11 @@ def test_workspace_hands_out_the_first_object_of_each_value():
     # a suite's operands are the stored objects, whatever the caller passed
     a, b = ws.intern(fresh([[1, 0], [0, 2]])), ws.intern(fresh([[3, 0], [0, 4]]))
     lemma22_suite(fresh([[1, 0], [0, 2]]), fresh([[3, 0], [0, 4]]), QQ.scalar(1), ws=ws)
-    ((held_a, held_b, _),) = ws.relations_held
-    assert held_a is a and held_b is b
+    computed = ws.products_computed
+    ab = ws.prod(a, b)
+    assert ws.products_computed == computed
+    assert ws.intern(fresh([[3, 0], [0, 8]])) is ab
+    assert ws.intern(fresh([[1, 0], [0, 2]])) is a
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -173,7 +176,6 @@ def test_failing_pair_still_raises_in_a_used_workspace():
     for _ in range(2):  # failures are not remembered
         assert _violation(lambda: lemma32_suite(a, bad_b, ws=ws)) == alone
     # A pair that passed one relation has not passed another.
-    assert (a, b, CrossCube()) in ws.relations_held
     lam = QQ.scalar(2)
     assert _violation(lambda: lemma22_suite(a, b, lam, ws=ws)) == _violation(
         lambda: require_relation(a, b, LambdaCommute(lam))
@@ -220,7 +222,44 @@ def test_selftest_computes_each_drazin_inverse_once(monkeypatch, argv, computed)
 
 def test_selftest_forms_each_product_once(monkeypatch):
     """A count gate that does not depend on machine speed: one selftest over
-    F_5 asks for 87,654 product steps, of which only 3,069 are distinct."""
+    F_5 asks for 99,970 product steps, of which only 3,069 are distinct.
+
+    The relation checks take their products from the workspace too, so each
+    check of a pair that the run has seen before is lookups only: that adds
+    12,316 reused steps and no computed one."""
     ws = _selftest_workspace(monkeypatch, ["selftest", "--field", "Fp", "--mod", "5"])
-    assert (ws.products_computed, ws.products_reused) == (3069, 84585)
-    assert ws.products_computed + ws.products_reused == 87654
+    assert (ws.products_computed, ws.products_reused) == (3069, 96901)
+    assert ws.products_computed + ws.products_reused == 99970
+
+
+@pytest.mark.parametrize(
+    "argv, products",
+    [(["selftest", "--field", "Fp", "--mod", "5"], 7291), (["selftest"], 7873)],
+)
+def test_selftest_matrix_products(monkeypatch, argv, products):
+    """A count gate that does not depend on machine speed: every product of
+    two matrices that one selftest forms, in the workspace or outside it
+    (corpus generation, Drazin inverses, the formulas' oracles)."""
+    seen = []
+    mul = Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix):
+            seen.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(seen) == products
+
+
+def test_a_second_check_in_one_workspace_forms_no_product():
+    ws = Workspace()
+    cp = default_cube_corpus(QQ)[3]
+    require_relation(cp.a, cp.b, CrossCube(), ws=ws)
+    computed, reused = ws.products_computed, ws.products_reused
+    assert computed > 0
+    require_relation(cp.a, cp.b, CrossCube(), ws=ws)
+    assert ws.products_computed == computed
+    assert ws.products_reused > reused
