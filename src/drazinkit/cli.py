@@ -95,8 +95,12 @@ __all__ = ["main"]
 # --------------------------------------------------------------------------
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _dumps(obj) + "\n"
 
 
 def _refuse_nul(path: str, verb: str) -> None:
@@ -107,7 +111,10 @@ def _refuse_nul(path: str, verb: str) -> None:
 
 
 def _emit(obj: Any, output: Optional[str]) -> None:
-    text = _canonical(obj)
+    _write(_canonical(obj), output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -505,14 +512,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "n": spec.n,
             "nontrivial": spec.require_nontrivial,
             "count": len(hits),
-            "pairs": [
-                {"a": a.to_json_obj(), "b": b.to_json_obj()} for a, b in hits
-            ],
+            "pairs": [],
         }
     )
     if spec.entry_bound is not None:
         out["entry_bound"] = list(spec.entry_bound)
-    _emit(out, args.output)
+    # The hits share their matrices (one object per value), so each is
+    # encoded once and the array is spliced into the canonical text.
+    texts: Dict[int, str] = {}
+
+    def text(m: Matrix) -> str:
+        if id(m) not in texts:
+            texts[id(m)] = _dumps(m.to_json_obj())
+        return texts[id(m)]
+
+    pairs = ",".join('{"a":' + text(a) + ',"b":' + text(b) + "}" for a, b in hits)
+    head, _, tail = _canonical(out).partition('"pairs":[]')
+    _write(head + '"pairs":[' + pairs + "]" + tail, args.output)
     return 0
 
 

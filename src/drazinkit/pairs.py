@@ -53,7 +53,6 @@ from .relations import (
     CrossCube,
     LambdaCommute,
     RelationKind,
-    SwappedCube,
     check_relation,
     relation_from_json_fields,
     relation_to_json_fields,
@@ -543,6 +542,12 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
     the sorted domain, so ``(a, b)`` comes out in lexicographic order.
     Each candidate then meets the relation's other equation, if any, and
     the nontrivial filter.  Each cube is formed once per search.
+
+    Under a cube relation ``(a, b)`` and ``(b, a)`` meet the same two
+    equations: the one linear in ``b`` for ``(a, b)`` is the other one for
+    ``(b, a)``.  So the other equation is evaluated only for ``b >= a``,
+    and a candidate ``b < a`` is a hit exactly when ``(b, a)`` was, which
+    came first.
     """
     p, n = spec.p, spec.n
     domain = spec.domain()
@@ -554,6 +559,10 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
             cubes[m] = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
         return cubes[m]
 
+    # Relation hits (a, b) with b > a, kept until (b, a) reads them.  They
+    # are kept before the nontrivial filter: (b, a) asks only whether the
+    # relation holds.
+    pending = set()
     hits = []
     for a in itertools.product(domain, repeat=n * n):
         if isinstance(rel, LambdaCommute):
@@ -563,20 +572,22 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
         else:
             cols = _sylvester_columns(a, cube(a), 1, n, p)
         for b in _kernel(cols, domain, p):
-            if isinstance(rel, CrossCube):
-                if not _products_equal(cube(b), a, a, b, n, p):
-                    continue
-            elif isinstance(rel, SwappedCube):
-                if not _products_equal(a, cube(b), b, a, n, p):
-                    continue
-            if spec.require_nontrivial and _product_is_zero(a, b, n, p):
+            if isinstance(rel, LambdaCommute):
+                held = True
+            elif b < a:
+                held = (b, a) in pending
+                pending.discard((b, a))
+            else:
+                if isinstance(rel, CrossCube):
+                    held = _products_equal(cube(b), a, a, b, n, p)
+                else:
+                    held = _products_equal(a, cube(b), b, a, n, p)
+                if held and b > a:
+                    pending.add((a, b))
+            if not held or spec.require_nontrivial and _product_is_zero(a, b, n, p):
                 continue
             hits.append((a, b))
     return hits
-
-
-def _unflatten(field: PrimeField, flat: Tuple[int, ...], n: int) -> Matrix:
-    return Matrix(field, tuple(flat[i * n : (i + 1) * n] for i in range(n)), 1)
 
 
 def exhaustive_search(
@@ -587,7 +598,7 @@ def exhaustive_search(
     Output is ordered lexicographically by the row-major entry tuple of
     ``a`` then ``b``.  The search runs in the calling process.  Raises
     BudgetExceeded before touching the space if its size exceeds
-    ``budget``.
+    ``budget``.  A matrix that occurs in several hits is one object.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     size = spec.space_size()
@@ -596,11 +607,16 @@ def exhaustive_search(
             f"search space has {size} pairs, over the budget of {limit}",
             {"size": size, "budget": limit},
         )
-    field = PrimeField(spec.p)
-    return [
-        (_unflatten(field, fa, spec.n), _unflatten(field, fb, spec.n))
-        for fa, fb in _search_flat(spec)
-    ]
+    field, n = PrimeField(spec.p), spec.n
+    matrices: Dict[Tuple[int, ...], Matrix] = {}
+
+    def matrix(flat: Tuple[int, ...]) -> Matrix:
+        if flat not in matrices:
+            rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            matrices[flat] = Matrix(field, rows, 1)
+        return matrices[flat]
+
+    return [(matrix(fa), matrix(fb)) for fa, fb in _search_flat(spec)]
 
 
 @lru_cache(maxsize=32)

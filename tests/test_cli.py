@@ -25,14 +25,18 @@ from drazinkit import (
     ExhaustiveHit,
     IdentityItem,
     IdentityReport,
+    LambdaCommute,
     Matrix,
     ParseError,
+    PrimeField,
     ScalarTimesIdentity,
+    SearchSpec,
     SwappedCube,
     TrivialZeroB,
     WeightedShift,
     corpus_to_json_obj,
     describe_family,
+    exhaustive_search,
     gen_pair,
 )
 
@@ -692,6 +696,60 @@ def test_search_jobs_byte_identical(monkeypatch, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["count"] == 340
+
+
+# (argv after "search", p, n, relation, entry bound, nontrivial)
+_SEARCH_TEXT_SPECS = [
+    ("--mod 3 --dim 1 --relation lambda-commute --lambda 2 --nontrivial",
+     3, 1, LambdaCommute(PrimeField(3).scalar(2)), None, True),
+    ("--mod 5 --dim 2 --relation lambda-commute --lambda 3",
+     5, 2, LambdaCommute(PrimeField(5).scalar(3)), None, False),
+    ("--mod 3 --dim 2 --relation cross-cube", 3, 2, CrossCube(), None, False),
+    ("--mod 3 --dim 2 --relation swapped-cube --nontrivial",
+     3, 2, SwappedCube(), None, True),
+    ("--mod 3 --dim 3 --relation cross-cube --entry-bound 2,0 --nontrivial",
+     3, 3, CrossCube(), (0, 2), True),
+    ("--mod 11 --dim 1 --relation cross-cube", 11, 1, CrossCube(), None, False),
+    ("--mod 11 --dim 1 --relation swapped-cube --nontrivial",
+     11, 1, SwappedCube(), None, True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,p,n,rel,bound,nontrivial",
+    _SEARCH_TEXT_SPECS,
+    ids=[spec[0] for spec in _SEARCH_TEXT_SPECS],
+)
+def test_search_text_is_the_canonical_dump(
+    monkeypatch, capsys, tmp_path, argv, p, n, rel, bound, nontrivial
+):
+    # The search writes its "pairs" array as text; it must be the canonical
+    # dump of the object with one {"a", "b"} matrix object per hit.
+    hits = exhaustive_search(SearchSpec(p, n, rel, bound, nontrivial))
+    expected = dict(relations.relation_to_json_fields(rel))
+    expected.update(
+        {
+            "p": p,
+            "n": n,
+            "nontrivial": nontrivial,
+            "count": len(hits),
+            "pairs": [{"a": a.to_json_obj(), "b": b.to_json_obj()} for a, b in hits],
+        }
+    )
+    if bound is not None:
+        expected["entry_bound"] = list(bound)
+    code, out, _ = _run(monkeypatch, capsys, ["search"] + argv.split())
+    assert code == 0
+    # Compared hit by hit: a failure then names the first hit that differs
+    # instead of diffing one line of up to half a megabyte.
+    assert out.split('{"a":') == cli._canonical(expected).split('{"a":')
+    target = tmp_path / "hits.json"
+    code, to_file, _ = _run(
+        monkeypatch, capsys, ["search"] + argv.split() + ["--output", str(target)]
+    )
+    assert code == 0
+    assert to_file == ""
+    assert target.read_text(encoding="utf-8").split('{"a":') == out.split('{"a":')
 
 
 def test_search_entry_bound_normalized_in_output(monkeypatch, capsys):

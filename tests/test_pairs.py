@@ -1,9 +1,12 @@
 """Pair generators, corpora, and the exhaustive finite-field search."""
 
+import itertools
 import json
 
 import pytest
 
+import _naive
+import drazinkit.pairs as pairs
 from drazinkit import (
     BudgetExceeded,
     Conjugated,
@@ -42,6 +45,23 @@ from drazinkit import (
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+def _candidates_with_b_at_least_a(p, n, relation):
+    """Pairs ``(a, b)`` over F_p with ``b >= a`` in row-major order that
+    meet the cube relation's equation linear in ``b``: ``a**3*b == b*a``
+    (cross-cube) or ``b*a**3 == a*b`` (swapped-cube)."""
+    flats = list(itertools.product(range(p), repeat=n * n))
+    rows = {f: [list(f[i * n : (i + 1) * n]) for i in range(n)] for f in flats}
+    count = 0
+    for fa, fb in itertools.combinations_with_replacement(flats, 2):
+        a, b = rows[fa], rows[fb]
+        a3 = _naive.matpow(a, 3, p)
+        if isinstance(relation, CrossCube):
+            count += _naive.matmul(a3, b, p) == _naive.matmul(b, a, p)
+        else:
+            count += _naive.matmul(b, a3, p) == _naive.matmul(a, b, p)
+    return count
 
 
 def _entries(m: Matrix):
@@ -258,6 +278,47 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceeded):
             # the 1x1 space over F_3 holds 9 pairs; a budget of 8 is short
             exhaustive_search(SearchSpec(3, 1, CrossCube()), budget=8)
+
+    @pytest.mark.parametrize("nontrivial", [False, True])
+    @pytest.mark.parametrize(
+        "relation,calls", [(CrossCube(), 476), (SwappedCube(), 476)],
+        ids=["cross-cube", "swapped-cube"],
+    )
+    def test_second_cube_equation_once_per_unordered_pair(
+        self, monkeypatch, relation, calls, nontrivial
+    ):
+        # The other equation of (a, b) is the linear one of (b, a), so it
+        # is evaluated only for the candidates with b >= a.
+        seen = []
+        inner = pairs._products_equal
+
+        def counted(*args):
+            seen.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(pairs, "_products_equal", counted)
+        exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
+        assert len(seen) == calls
+        assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation)
+
+    @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
+    def test_cube_hits_are_trivial_in_both_orders_or_neither(self, relation):
+        # a*b == 0 gives b*a == a**3*b == a**2*(a*b) == 0 under the
+        # cross-cube relation, and b*a == 0 gives a*b == b**3*a == 0; the
+        # swapped-cube relation likewise.  So the nontrivial filter keeps
+        # (a, b) exactly when it keeps (b, a), which is the pair the search
+        # reads when b < a; among those pairs are trivial ones.
+        hits = exhaustive_search(SearchSpec(3, 2, relation))
+        for a, b in hits:
+            assert (a * b).is_zero() == (b * a).is_zero()
+        assert any(
+            (a * b).is_zero() and _entries(b) < _entries(a) for a, b in hits
+        )
+
+    def test_hits_share_one_matrix_per_value(self):
+        hits = exhaustive_search(SearchSpec(3, 2, CrossCube()))
+        matrices = [m for pair in hits for m in pair]
+        assert len({id(m) for m in matrices}) == len(set(matrices))
 
     def test_swapped_and_cross_hit_sets_coincide_at_n2(self):
         # observed coincidence, frozen: every nontrivial 2x2 hit over F_3
