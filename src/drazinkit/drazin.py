@@ -8,8 +8,10 @@ where ``k`` is the Drazin index of ``a``: the smallest ``k >= 0`` with
 ``rank(a**k) == rank(a**(k + 1))`` (``a**0`` is the identity, so ``k == 0``
 exactly when ``a`` is invertible, and ``d`` is then the ordinary inverse).
 
-Construction: with ``l = max(k, 1)`` and ``G`` any inner inverse of
-``a**(2l + 1)``, the product ``a**l * G * a**l`` is the Drazin inverse.
+Construction (Campbell & Meyer, ch. 7): with ``l = k`` and ``G`` any inner
+inverse of ``a**(2l + 1)``, the product ``a**l * G * a**l`` is the Drazin
+inverse.  At ``k == 0`` that is ``G`` itself, an inner inverse of the
+invertible ``a``, hence its inverse, from one elimination and no product.
 The result does not depend on which inner inverse was used, and every
 computed inverse and its index are certified (see :func:`certify`) before
 it is returned; a failed certificate raises
@@ -136,11 +138,12 @@ def _assemble(
 ) -> DrazinData:
     # ``ladder`` holds a**1 .. a**(index + 1) from compute_index, so the
     # certificate powers nothing again, and its ``a*d`` also gives ``pi``.
-    l = max(index, 1)
-    al = ladder[l - 1]
-    al1 = ladder[l] if l < len(ladder) else al * a
-    g = (al * al1).inner_inverse(order)
-    d = al * g * al
+    # At index 0, a**index is I and the sandwich is the inner inverse of a.
+    if index == 0:
+        d = a.inner_inverse(order)
+    else:
+        al = ladder[index - 1]
+        d = al * (al * ladder[index]).inner_inverse(order) * al
     ad = a * d
     eye = Matrix.identity(a.field, a.rows)
     if not _certified(a, d, ad, index, [eye, *ladder].__getitem__):

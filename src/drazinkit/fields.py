@@ -34,7 +34,11 @@ both have a numerator and a denominator (see ``Matrix.from_rows``).
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
-decimal digits of the canonical representative.
+decimal digits of the canonical representative.  :meth:`Field.decode` reads
+one entry's text straight to a ``(num, den)`` int pair, which
+``Matrix.from_json_obj`` puts over one denominator and :meth:`normalize`
+makes canonical, so text need not be canonical to be read (``"6/4"``,
+``"-0"``); :meth:`Field.parse_raw` is the same decode as a raw value.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_MODULUS = 2**64
 
-_RATIONAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
+_RATIONAL_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 _RESIDUE_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
@@ -196,8 +200,14 @@ class Field:
         except ValueError:
             raise _past_digit_limit(OutputTooLarge, "result entry") from None
 
-    def parse_raw(self, text: str):
+    def decode(self, text: str):
+        """The ``(num, den)`` ints of the wire text ``text``, ``den > 0``,
+        not necessarily in lowest terms; over ``F_p`` ``den`` is 1."""
         raise NotImplementedError
+
+    def parse_raw(self, text: str):
+        """The canonical raw value of the wire text ``text``."""
+        return self.value(*self.decode(text))
 
     # -- user-facing helpers ---------------------------------------------
     def scalar(self, value, den=None) -> "FieldScalar":
@@ -284,14 +294,16 @@ class RationalField(Field):
     def from_int(self, n: int):
         return Fraction(n)
 
-    def parse_raw(self, text: str):
-        if not _RATIONAL_RE.fullmatch(text):
+    def decode(self, text: str):
+        match = _RATIONAL_RE.fullmatch(text)
+        if match is None:
             raise ParseError(
                 f"invalid rational {text!r}: expected 'n' or 'n/d' with d > 0",
                 {"text": text},
             )
+        n, d = match.groups()
         try:
-            return Fraction(text)
+            return int(n), int(d) if d else 1
         except ValueError:
             raise _past_digit_limit(ParseError, "rational") from None
 
@@ -377,7 +389,7 @@ class PrimeField(Field):
         p = self.p
         return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows]), 1
 
-    def parse_raw(self, text: str):
+    def decode(self, text: str):
         if not _RESIDUE_RE.fullmatch(text):
             raise ParseError(
                 f"invalid residue {text!r}: expected decimal digits",
@@ -392,7 +404,7 @@ class PrimeField(Field):
                 f"residue {value} out of range for F_{self.p}",
                 {"text": text, "modulus": self.p},
             )
-        return value
+        return value, 1
 
     def to_json_obj(self):
         return {"Fp": self.p}

@@ -9,12 +9,12 @@ equality and hashing compare ``(_den, _num)``, and products, sums and
 elimination all run on plain ints, for both fields; a product is one call
 of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.
 ``Matrix(field, num, den)`` takes this form as it is.  Per-entry raw values
-(``Fraction`` over Q) enter only through :meth:`Matrix.from_rows`,
-:meth:`Matrix.diagonal` and :meth:`Matrix.from_json_obj`, and leave only
-through :meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data``; the
-codec writes each entry from ``(n, _den)`` with one gcd.  Matrices are
-immutable; all operators return new instances and refuse mixed fields or
-shapes.
+(``Fraction`` over Q) enter only through :meth:`Matrix.from_rows` and
+:meth:`Matrix.diagonal`, and leave only through :meth:`Matrix.entry`,
+:meth:`Matrix.to_rows` and ``_data``.  The codec reads each entry's text
+straight to ints (:meth:`~drazinkit.fields.Field.decode`) and writes each
+entry from ``(n, _den)`` with one gcd.  Matrices are immutable; all
+operators return new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit: columns are processed left to right, and within a column
@@ -85,12 +85,20 @@ def _canonical(field: Field, num, den: int) -> "Matrix":
     return Matrix(field, *field.normalize(num, den))
 
 
-def _from_raw(field: Field, data) -> "Matrix":
-    """A matrix from rows of canonical raw values, over the lcm of their
-    denominators, where it is canonical (an int residue has denominator 1)."""
-    den = lcm(*[x.denominator for row in data for x in row])
-    num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in data])
-    return Matrix(field, num, den)
+def _pair(field: Field, x) -> Tuple[int, int]:
+    """``(num, den)`` of the canonical raw value of ``x`` (an int residue has
+    denominator 1)."""
+    v = field.scalar(x).value
+    return v.numerator, v.denominator
+
+
+def _from_pairs(field: Field, data) -> "Matrix":
+    """A matrix from rows of ``(num, den)`` int pairs, ``den > 0``, put over
+    the lcm of their denominators and made canonical."""
+    den = lcm(*[d for row in data for _, d in row])
+    return _canonical(
+        field, tuple([tuple([n * (den // d) for n, d in row]) for row in data]), den
+    )
 
 
 def _times(rows, s: int):
@@ -130,7 +138,7 @@ class Matrix:
         data = []
         width = None
         for row in rows:
-            entries = tuple(field.scalar(x).value for x in row)
+            entries = [_pair(field, x) for x in row]
             if width is None:
                 width = len(entries)
                 if width == 0:
@@ -138,7 +146,7 @@ class Matrix:
             elif len(entries) != width:
                 raise ShapeMismatch("rows have inconsistent lengths")
             data.append(entries)
-        return _from_raw(field, data)
+        return _from_pairs(field, data)
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: Optional[int] = None) -> "Matrix":
@@ -159,11 +167,10 @@ class Matrix:
     def diagonal(cls, field: Field, entries: Sequence[Any]) -> "Matrix":
         if not entries:
             raise ShapeMismatch("dimensions must be positive")
-        vals = [field.scalar(x).value for x in entries]
-        z = field.zero
-        n = len(vals)
-        return _from_raw(
-            field, [[vals[i] if i == j else z for j in range(n)] for i in range(n)]
+        pairs = [_pair(field, x) for x in entries]
+        n = len(pairs)
+        return _from_pairs(
+            field, [[pairs[i] if i == j else (0, 1) for j in range(n)] for i in range(n)]
         )
 
     # -- basic accessors ----------------------------------------------------
@@ -491,6 +498,7 @@ class Matrix:
             raise ParseError(
                 f"{where}.entries: expected {rows} rows", {"at": f"{where}.entries"}
             )
+        decode = field.decode
         data = []
         for i, row in enumerate(entries):
             if not isinstance(row, list) or len(row) != cols:
@@ -500,17 +508,15 @@ class Matrix:
                 )
             out = []
             for j, text in enumerate(row):
-                loc = f"{where}.entries[{i}][{j}]"
-                if not isinstance(text, str):
-                    raise ParseError(
-                        f"{loc}: entries must be strings", {"at": loc}
-                    )
                 try:
-                    out.append(field.parse_raw(text))
+                    if not isinstance(text, str):
+                        raise ParseError("entries must be strings")
+                    out.append(decode(text))
                 except ParseError as exc:
+                    loc = f"{where}.entries[{i}][{j}]"
                     raise ParseError(f"{loc}: {exc}", {"at": loc}) from exc
             data.append(out)
-        return _from_raw(field, data)
+        return _from_pairs(field, data)
 
     def __repr__(self):
         encode, den = self.field.encode, self._den

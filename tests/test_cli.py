@@ -170,13 +170,44 @@ def test_compute_result_past_digit_limit_exit_3(monkeypatch, capsys, default_dig
 
 
 def test_compute_input_entry_past_digit_limit_exit_2(monkeypatch, capsys, default_digit_limit):
-    bad = dict(SHIFT2, entries=[["0", "1"], ["7" * 5000, "0"]])
+    # A numerator or a denominator past the limit.
+    for text in ("7" * 5000, "1/" + "7" * 5000):
+        bad = dict(SHIFT2, entries=[["0", "1"], [text, "0"]])
+        code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(bad))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "malformed-input"
+        assert error["detail"] == {"at": "input.entries[1][0]"}
+        assert error["message"] == (
+            "input.entries[1][0]: rational with more than 4300 digits"
+            " (the interpreter's int/str conversion limit)"
+        )
+
+
+@pytest.mark.parametrize(
+    "field, entry, message",
+    [
+        ("Q", "1/0", "invalid rational '1/0': expected 'n' or 'n/d' with d > 0"),
+        ("Q", "01", "invalid rational '01': expected 'n' or 'n/d' with d > 0"),
+        ("Q", "+1", "invalid rational '+1': expected 'n' or 'n/d' with d > 0"),
+        ("Q", "1.5", "invalid rational '1.5': expected 'n' or 'n/d' with d > 0"),
+        ("Q", 1, "entries must be strings"),
+        ({"Fp": 5}, "5", "residue 5 out of range for F_5"),
+        ({"Fp": 5}, "1/2", "invalid residue '1/2': expected decimal digits"),
+    ],
+)
+def test_compute_malformed_entry_message(monkeypatch, capsys, field, entry, message):
+    bad = dict(SHIFT2, field=field, entries=[["0", "1"], [entry, "0"]])
     code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(bad))
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["code"] == "malformed-input"
-    assert error["detail"] == {"at": "input.entries[1][0]"}
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {
+            "code": "malformed-input",
+            "detail": {"at": "input.entries[1][0]"},
+            "message": f"input.entries[1][0]: {message}",
+        }
+    }
 
 
 def test_compute_missing_file_exit_2(monkeypatch, capsys):

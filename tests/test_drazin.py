@@ -292,3 +292,45 @@ def test_index_ladder_holds_the_powers_built(field):
         data = drazin_inverse(a)
         p = field.characteristic or None
         assert drazin_axioms_hold(from_matrix(a), from_matrix(data.d), k, p)
+
+
+@pytest.mark.parametrize(
+    "a, work",
+    [
+        (Matrix.from_rows(QQ, [[2, 1, 0], [1, 1, 0], [0, 1, 3]]), (3, 1, 1)),
+        (Matrix.diagonal(QQ, [2, 0, 1]), (8, 2, 1)),
+        (_shift(QQ, 2).direct_sum(Matrix.diagonal(QQ, [2])), (10, 3, 1)),
+    ],
+    ids=["invertible", "index-1", "index-2"],
+)
+def test_drazin_inverse_work(monkeypatch, a, work):
+    """A count gate that does not depend on machine speed: the matrix
+    products, ranks and eliminations of one Drazin inverse, certificate
+    included.  An invertible input takes its inverse from one elimination
+    of itself; its 3 products are the certificate's ``a*d``, ``d*a`` and
+    ``d*(a*d)``."""
+    counts = dict.fromkeys(("__mul__", "rank", "rref"), 0)
+
+    def counting(name):
+        method = getattr(Matrix, name)
+
+        def wrapper(self, *args):
+            if name != "__mul__" or isinstance(args[0], Matrix):
+                counts[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(Matrix, name, counting(name))
+    data = drazin_inverse(a)
+    monkeypatch.undo()
+    assert tuple(counts.values()) == work
+    assert data.d * a * data.d == data.d
+
+
+def test_group_inverse_of_an_invertible_matrix_is_its_inverse():
+    for field in (QQ, F5):
+        a = Matrix.from_rows(field, [[2, 1, 0], [1, 1, 0], [0, 1, 3]])
+        data = group_inverse(a)
+        assert data.index == 0 and data.d == a.inverse() and data.pi.is_zero()

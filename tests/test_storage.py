@@ -10,7 +10,8 @@ that equal matrices built by different routes are equal and hash equal.
 Rational entries are ``n/d`` with ``|n| <= 10**6`` and ``d <= 50``, with
 zeros and small integers frequent so that sums cancel and ranks drop.
 Shapes go up to 5x5.  The examples are derandomized, so every run checks
-the same matrices.
+the same matrices.  Wire text, canonical or not (``"6/4"``, ``"-0"``),
+must decode to the matrix and the raw values that ``Fraction(text)`` gives.
 """
 
 import ast
@@ -173,6 +174,48 @@ def test_codec(case):
     back = Matrix.from_json_obj(obj)
     _check(back, _normalized(x, p), p)
     assert back == a and hash(back) == hash(a)
+
+
+def _texts(field):
+    """Wire text of one entry; over Q also text that is not canonical:
+    ``"6/4"``, ``"-0"``, ``"0/9"``, ``n/d`` with a common factor."""
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1).map(str)
+    return st.one_of(
+        st.sampled_from(["0", "-0", "0/9", "-0/3", "6/4", "-6/4", "1", "-1"]),
+        st.integers(-(10**6), 10**6).map(str),
+        st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 50)),
+    )
+
+
+@st.composite
+def _wire(draw):
+    """``(field, p, texts)``: wire rows of up to 5x5, so rows mix denominators."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    texts = _texts(field)
+    rows = [[draw(texts) for _ in range(cols)] for _ in range(rows)]
+    return field, field.characteristic or None, rows
+
+
+@SETTINGS
+@given(_wire())
+def test_decode_matches_fraction(case):
+    """Wire text decodes straight to ints, to the matrix and the raw values
+    that ``Fraction(text)`` gives, in the canonical form."""
+    field, p, texts = case
+    values = [[Fraction(t) if p is None else int(t) for t in row] for row in texts]
+    obj = {
+        "field": field.to_json_obj(), "rows": len(texts), "cols": len(texts[0]), "entries": texts
+    }
+    m = Matrix.from_json_obj(obj)
+    _check(m, _normalized(values, p), p)
+    built = Matrix.from_rows(field, values)
+    assert m == built and hash(m) == hash(built)
+    for row, vals in zip(texts, values):
+        for t, v in zip(row, vals):
+            raw = field.parse_raw(t)
+            assert raw == v and type(raw) is type(v)
 
 
 @SETTINGS
