@@ -115,7 +115,10 @@ def certify(a: Matrix, candidate: Matrix, index: int) -> bool:
     """
     _require_square(a, "certification")
     if (candidate.rows, candidate.cols) != (a.rows, a.cols):
-        raise ShapeMismatch("candidate shape differs from the source matrix")
+        raise ShapeMismatch(
+            "candidate shape differs from the source matrix",
+            {"candidate": [candidate.rows, candidate.cols], "matrix": [a.rows, a.cols]},
+        )
     if candidate.field != a.field or index < 0:
         return False
     return _certified(a, candidate, a * candidate, index, cache(a.__pow__))

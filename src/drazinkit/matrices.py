@@ -134,7 +134,7 @@ class Matrix:
     def from_rows(cls, field: Field, rows: Sequence[Sequence[Any]]) -> "Matrix":
         """Build a matrix from nested sequences of ints, strings or scalars."""
         if not rows:
-            raise ShapeMismatch("matrix needs at least one row")
+            raise ShapeMismatch("matrix needs at least one row", {"row_lengths": []})
         data = []
         width = None
         for row in rows:
@@ -142,9 +142,15 @@ class Matrix:
             if width is None:
                 width = len(entries)
                 if width == 0:
-                    raise ShapeMismatch("matrix needs at least one column")
+                    raise ShapeMismatch(
+                        "matrix needs at least one column",
+                        {"row_lengths": [len(r) for r in rows]},
+                    )
             elif len(entries) != width:
-                raise ShapeMismatch("rows have inconsistent lengths")
+                raise ShapeMismatch(
+                    "rows have inconsistent lengths",
+                    {"row_lengths": [len(r) for r in rows]},
+                )
             data.append(entries)
         return _from_pairs(field, data)
 
@@ -152,13 +158,13 @@ class Matrix:
     def zero(cls, field: Field, rows: int, cols: Optional[int] = None) -> "Matrix":
         cols = rows if cols is None else cols
         if rows < 1 or cols < 1:
-            raise ShapeMismatch("dimensions must be positive")
+            raise ShapeMismatch("dimensions must be positive", {"shape": [rows, cols]})
         return Matrix(field, ((0,) * cols,) * rows, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         if n < 1:
-            raise ShapeMismatch("dimensions must be positive")
+            raise ShapeMismatch("dimensions must be positive", {"shape": [n, n]})
         return Matrix(
             field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), 1
         )
@@ -166,7 +172,7 @@ class Matrix:
     @classmethod
     def diagonal(cls, field: Field, entries: Sequence[Any]) -> "Matrix":
         if not entries:
-            raise ShapeMismatch("dimensions must be positive")
+            raise ShapeMismatch("dimensions must be positive", {"shape": [0, 0]})
         pairs = [_pair(field, x) for x in entries]
         n = len(pairs)
         return _from_pairs(

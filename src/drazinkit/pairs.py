@@ -53,6 +53,7 @@ from .relations import (
     CrossCube,
     LambdaCommute,
     RelationKind,
+    SwappedCube,
     check_relation,
     relation_from_json_fields,
     relation_to_json_fields,
@@ -162,7 +163,7 @@ def describe_family(family: PairFamily) -> str:
         return f"zero-b(n={family.n})"
     if isinstance(family, ExhaustiveHit):
         return f"exhaustive(p={family.p}, n={family.n}, ordinal={family.ordinal})"
-    raise IncompatibleFamily(f"unknown family {family!r}")
+    raise IncompatibleFamily(f"unknown family {family!r}", {"family": repr(family)})
 
 
 # --------------------------------------------------------------------------
@@ -405,11 +406,12 @@ class SearchSpec:
                         {"entry_bound": v, "modulus": self.p},
                     )
             object.__setattr__(self, "entry_bound", cleaned)
-        if isinstance(self.relation, LambdaCommute):
-            if self.relation.lam.field != field:
-                raise FieldMismatch(
-                    f"search relation lambda must live over F_{self.p}"
-                )
+        rel = self.relation
+        if isinstance(rel, LambdaCommute) and rel.lam.field != field:
+            raise FieldMismatch(
+                f"search relation lambda must live over F_{self.p}",
+                {"lambda": rel.lam.field.to_json_obj(), "search": field.to_json_obj()},
+            )
 
     def domain(self) -> Tuple[int, ...]:
         return self.entry_bound if self.entry_bound is not None else tuple(range(self.p))
@@ -456,49 +458,34 @@ def _products_equal(
     return True
 
 
-def _sylvester_columns(
+def _sylvester_rows(
     x: Tuple[int, ...], y: Tuple[int, ...], mu: int, n: int, p: int
 ) -> List[Tuple[int, ...]]:
-    """Images of the unit matrices ``E_rc`` under ``b -> x*b - mu*b*y``."""
-    cols = []
-    for r in range(n):
-        for c in range(n):
-            col = [0] * (n * n)
-            for i in range(n):
-                col[i * n + c] += x[i * n + r]
-            for j in range(n):
-                col[r * n + j] -= mu * y[c * n + j]
-            cols.append(tuple(v % p for v in col))
-    return cols
-
-
-def _product_is_zero(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> bool:
-    # Whether x*y == 0, exiting at the first nonzero entry.
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += x[base + k] * y[k * n + j]
-            if s % p:
-                return False
-    return True
+    """The matrix of ``b -> x*b - mu*b*y`` on row-major ``b``, by rows: entry
+    ``(i*n + j, r*n + c)`` is ``x[i][r]*[c == j] - mu*[i == r]*y[c][j]``."""
+    span = range(n)
+    return [
+        tuple([
+            ((x[i * n + r] if c == j else 0) - (mu * y[c * n + j] if i == r else 0)) % p
+            for r in span for c in span
+        ])
+        for i in span for j in span
+    ]
 
 
 def _kernel(
-    cols: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], p: int
+    matrix: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], p: int
 ) -> List[Tuple[int, ...]]:
-    """Every ``b`` in ``domain**len(cols)`` with ``sum(b[k]*cols[k]) == 0``
-    mod ``p``, in lexicographic order.
-
-    The matrix with columns ``cols`` is row-reduced mod ``p``.  The entries
-    of ``b`` at its free columns range over ``domain``; each one at a pivot
-    column is then fixed by its row, and ``b`` is kept only if that value
-    lies in ``domain`` too.
+    """Every ``b`` in ``domain**width`` with ``matrix*b == 0`` mod ``p``,
+    sorted, where ``width`` is the length of a row of ``matrix``.  Once the
+    rows are reduced, the entries of ``b`` at free columns range over
+    ``domain``; each one at a pivot column is fixed by its row, and ``b`` is
+    kept only if that value lies in ``domain`` too.
     """
-    rows = [list(row) for row in zip(*cols)]
+    width = len(matrix[0])
+    rows = [list(row) for row in matrix]
     pivots: List[int] = []
-    for c in range(len(cols)):
+    for c in range(width):
         r = len(pivots)
         found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if found is None:
@@ -511,13 +498,13 @@ def _kernel(
                 g = row[c]
                 rows[i] = [(u - g * v) % p for u, v in zip(row, pivot_row)]
         pivots.append(c)
-    free = [c for c in range(len(cols)) if c not in pivots]
+    free = [c for c in range(width) if c not in pivots]
     # b[pivots[k]] == -sum(rows[k][f] * b[f] for f in free)
     fixed = [(c, [-rows[k][f] % p for f in free]) for k, c in enumerate(pivots)]
     allowed = set(domain)
     solutions = []
     for x in itertools.product(domain, repeat=len(free)):
-        b = [0] * len(cols)
+        b = [0] * width
         for f, v in zip(free, x):
             b[f] = v
         for c, coeffs in fixed:
@@ -534,59 +521,49 @@ def _kernel(
 def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Every hit as a pair of row-major residue tuples, in ``(a, b)`` order.
 
-    For a fixed ``a`` each relation has one equation ``L(b) == 0`` that is
-    linear in ``b``: ``a*b - lam*b*a`` (lambda-commute), ``a**3*b - b*a``
-    (cross-cube) or ``b*a**3 - a*b`` (swapped-cube, formed as its negative,
-    which has the same zeros).  :func:`_kernel` row-reduces the matrix of
-    ``L`` and lists its solutions in the domain, sorted; ``a`` runs over
-    the sorted domain, so ``(a, b)`` comes out in lexicographic order.
-    Each candidate then meets the relation's other equation, if any, and
-    the nontrivial filter.  Each cube is formed once per search.
-
-    Under a cube relation ``(a, b)`` and ``(b, a)`` meet the same two
-    equations: the one linear in ``b`` for ``(a, b)`` is the other one for
-    ``(b, a)``.  So the other equation is evaluated only for ``b >= a``,
-    and a candidate ``b < a`` is a hit exactly when ``(b, a)`` was, which
-    came first.
+    For a fixed ``a`` the relation's equation linear in ``b`` is
+    ``x*b == mu*b*y``: ``a*b == lam*b*a`` (lambda-commute, each solution a
+    hit), ``a**3*b == b*a`` (cross-cube) or ``a*b == b*a**3`` (swapped-cube);
+    :func:`_kernel` lists its solutions.  A cube relation is symmetric: the
+    other equation of ``(a, b)`` is the linear one of ``(b, a)``, and on a
+    hit ``a*b == 0`` exactly when ``b*a == 0``.  So each unordered pair is
+    checked once, as the candidate ``b >= a``, and a hit gives ``(b, a)`` too.
     """
-    p, n = spec.p, spec.n
-    domain = spec.domain()
+    p, n, domain = spec.p, spec.n, spec.domain()
     rel = spec.relation
-    cubes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    nontrivial = spec.require_nontrivial
+    space = itertools.product(domain, repeat=n * n)
+    if isinstance(rel, LambdaCommute):
+        return [
+            (a, b)
+            for a in space
+            for b in _kernel(_sylvester_rows(a, a, rel.lam.value, n, p), domain, p)
+            if not nontrivial or any(_flat_mul(a, b, n, p))
+        ]
 
-    def cube(m: Tuple[int, ...]) -> Tuple[int, ...]:
-        if m not in cubes:
-            cubes[m] = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
-        return cubes[m]
+    cross = isinstance(rel, CrossCube)
+    memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
-    # Relation hits (a, b) with b > a, kept until (b, a) reads them.  They
-    # are kept before the nontrivial filter: (b, a) asks only whether the
-    # relation holds.
-    pending = set()
+    def sides(m: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        # The equation of (m, b) linear in b is x*b == b*y, x, y = sides(m).
+        if m not in memo:
+            cube = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
+            memo[m] = (cube, m) if cross else (m, cube)
+        return memo[m]
+
     hits = []
-    for a in itertools.product(domain, repeat=n * n):
-        if isinstance(rel, LambdaCommute):
-            cols = _sylvester_columns(a, a, rel.lam.value, n, p)
-        elif isinstance(rel, CrossCube):
-            cols = _sylvester_columns(cube(a), a, 1, n, p)
-        else:
-            cols = _sylvester_columns(a, cube(a), 1, n, p)
-        for b in _kernel(cols, domain, p):
-            if isinstance(rel, LambdaCommute):
-                held = True
-            elif b < a:
-                held = (b, a) in pending
-                pending.discard((b, a))
-            else:
-                if isinstance(rel, CrossCube):
-                    held = _products_equal(cube(b), a, a, b, n, p)
-                else:
-                    held = _products_equal(a, cube(b), b, a, n, p)
-                if held and b > a:
-                    pending.add((a, b))
-            if not held or spec.require_nontrivial and _product_is_zero(a, b, n, p):
+    for a in space:
+        for b in _kernel(_sylvester_rows(*sides(a), 1, n, p), domain, p):
+            if b < a:
                 continue
-            hits.append((a, b))
+            u, v = sides(b)
+            if _products_equal(u, a, a, v, n, p) and (
+                not nontrivial or any(_flat_mul(a, b, n, p))
+            ):
+                hits.append((a, b))
+                if b != a:
+                    hits.append((b, a))
+    hits.sort()
     return hits
 
 
@@ -807,7 +784,10 @@ def default_cube_corpus(
     *not* generated here; they come from :func:`exhaustive_hits_corpus`.
     """
     if isinstance(relation, LambdaCommute):
-        raise IncompatibleFamily("cube corpus needs a cube relation")
+        raise IncompatibleFamily(
+            "cube corpus needs a cube relation",
+            {"relation": relation.name, "expected": [CrossCube.name, SwappedCube.name]},
+        )
     pairs: List[CorpusPair] = []
     for fi, fam in enumerate(_CUBE_FAMILIES):
         seed = 20_000 + 100 * fi + 3

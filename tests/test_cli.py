@@ -1168,12 +1168,23 @@ def test_rejected_arguments_are_located(
     }
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_env(**extra):
+    """``os.environ`` plus ``extra``, with this checkout's ``src`` first on
+    ``PYTHONPATH``: a child interpreter imports the package under test, not
+    an installed copy."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def test_undecodable_stdin_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "drazinkit.cli", "compute"],
         input=b"[\xff]",
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        env=_child_env(PYTHONIOENCODING="utf-8:strict"),
         timeout=120,
     )
     assert proc.returncode == 2
@@ -1201,6 +1212,7 @@ def test_closed_stdin_exit_2():
     proc = subprocess.run(
         ["sh", "-c", 'exec "$0" -m drazinkit.cli compute <&-', sys.executable],
         capture_output=True,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 2
@@ -1340,6 +1352,7 @@ def test_parser_is_not_built_at_import():
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.stdout == "0\n"
@@ -1609,6 +1622,7 @@ def test_console_script_smoke():
         input=json.dumps(SHIFT2),
         capture_output=True,
         text=True,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0

@@ -22,6 +22,7 @@ from drazinkit import (
     RationalField,
     ShapeMismatch,
     SingularMatrix,
+    certify,
     invert_one_minus_nilpotent,
     nilpotency_degree,
     random_invertible,
@@ -104,6 +105,17 @@ def test_refusals_name_shapes_fields_and_exponents():
         (lambda: wide.inverse(), ShapeMismatch, {"shape": [2, 3]}),
         (lambda: nilpotency_degree(wide), ShapeMismatch, {"shape": [2, 3]}),
         (lambda: invert_one_minus_nilpotent(wide, 2), ShapeMismatch, {"shape": [2, 3]}),
+        (
+            lambda: certify(Matrix.zero(QQ, 2), wide, 0),
+            ShapeMismatch,
+            {"candidate": [2, 3], "matrix": [2, 2]},
+        ),
+        (lambda: Matrix.from_rows(QQ, []), ShapeMismatch, {"row_lengths": []}),
+        (lambda: Matrix.from_rows(QQ, [[], [1]]), ShapeMismatch, {"row_lengths": [0, 1]}),
+        (lambda: Matrix.from_rows(QQ, [[1, 2], [3]]), ShapeMismatch, {"row_lengths": [2, 1]}),
+        (lambda: Matrix.zero(QQ, 2, 0), ShapeMismatch, {"shape": [2, 0]}),
+        (lambda: Matrix.identity(F5, -1), ShapeMismatch, {"shape": [-1, -1]}),
+        (lambda: Matrix.diagonal(QQ, []), ShapeMismatch, {"shape": [0, 0]}),
     ]
     for call, error, detail in cases:
         with pytest.raises(error) as exc:

@@ -172,6 +172,25 @@ class TestFamilies:
             gen_pair(ExhaustiveHit(3, 1, 99), CrossCube(), F3, 1)
         assert "out of range" in str(exc.value)
 
+    def test_refusals_name_what_they_refused(self):
+        cases = [
+            (
+                lambda: SearchSpec(3, 1, LambdaCommute(QQ.scalar(2))),
+                FieldMismatch,
+                {"lambda": "Q", "search": {"Fp": 3}},
+            ),
+            (
+                lambda: default_cube_corpus(F5, LambdaCommute(F5.scalar(2))),
+                IncompatibleFamily,
+                {"relation": "lambda-commute", "expected": ["cross-cube", "swapped-cube"]},
+            ),
+            (lambda: describe_family("shift"), IncompatibleFamily, {"family": "'shift'"}),
+        ]
+        for call, error, detail in cases:
+            with pytest.raises(error) as exc:
+                call()
+            assert exc.value.detail == detail
+
     def test_exhaustive_hit_family_indexes_canonical_order(self):
         a, b = gen_pair(ExhaustiveHit(3, 1, 0), CrossCube(), F3, 0)
         hits = cached_hits(3, 1, CrossCube(), True)
@@ -301,13 +320,45 @@ class TestExhaustiveSearch:
         assert len(seen) == calls
         assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation)
 
+    @pytest.mark.parametrize(
+        "relation,products",
+        [(CrossCube(), 306), (SwappedCube(), 306), (LambdaCommute(F3.scalar(2)), 417)],
+        ids=["cross-cube", "swapped-cube", "lambda-commute-2"],
+    )
+    def test_nontrivial_filter_once_per_kept_pair(self, monkeypatch, relation, products):
+        # The filter forms a*b once per relation hit with b >= a under a
+        # cube relation, where a*b == 0 exactly when b*a == 0, and once per
+        # kernel member under lambda-commute, where every member is a hit.
+        calls = {"_flat_mul": 0, "_kernel": 0}
+        for name in calls:
+            inner = getattr(pairs, name)
+
+            def counted(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(pairs, name, counted)
+        products_formed = []
+        for nontrivial in (False, True):
+            calls.update(dict.fromkeys(calls, 0))
+            exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
+            assert calls["_kernel"] == 3**4  # one per a
+            products_formed.append(calls["_flat_mul"])
+        assert products_formed[1] - products_formed[0] == products
+        lam = relation.lam.value if isinstance(relation, LambdaCommute) else None
+        hits = _naive.search_hits(3, 2, relation.name, lam, range(3), False)
+        if lam is None:
+            hits = [(a, b) for a, b in hits if b >= a]
+        assert len(hits) == products
+
     @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
     def test_cube_hits_are_trivial_in_both_orders_or_neither(self, relation):
         # a*b == 0 gives b*a == a**3*b == a**2*(a*b) == 0 under the
         # cross-cube relation, and b*a == 0 gives a*b == b**3*a == 0; the
         # swapped-cube relation likewise.  So the nontrivial filter keeps
-        # (a, b) exactly when it keeps (b, a), which is the pair the search
-        # reads when b < a; among those pairs are trivial ones.
+        # (a, b) exactly when it keeps (b, a), and the search, which checks
+        # only the candidate with b >= a, emits both or neither; among the
+        # pairs with b < a are trivial ones.
         hits = exhaustive_search(SearchSpec(3, 2, relation))
         for a, b in hits:
             assert (a * b).is_zero() == (b * a).is_zero()

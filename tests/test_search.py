@@ -6,7 +6,7 @@ so they also reach spaces too large for the oracle:
 
 * transposing ``a**3*b == b*a`` gives ``b.T*(a.T)**3 == a.T*b.T``, so the
   swapped-cube hits are the re-sorted transposes of the cross-cube hits;
-* the cross-cube relation is symmetric in ``a`` and ``b``;
+* both cube relations are symmetric in ``a`` and ``b``;
 * ``a*b == lam*(b*a)`` says ``b*a == lam**-1*(a*b)``, so swapping ``a``
   and ``b`` maps the lambda hits onto the ``lam**-1`` hits.
 
@@ -107,10 +107,28 @@ def test_swapped_cube_hits_are_transposed_cross_cube_hits(p, n, bound, count):
     assert list(swapped) == transposed
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_cross_cube_hits_closed_under_swap(p):
-    keys = _keys(_search(p, 2, "cross-cube"))
+_SWAP_SPECS = [
+    pytest.param(3, 2, "cross-cube", None, id="3"),
+    pytest.param(5, 2, "cross-cube", None, id="5"),
+    pytest.param(3, 2, "swapped-cube", None, id="3-swapped-cube"),
+    pytest.param(5, 2, "swapped-cube", None, id="5-swapped-cube"),
+] + [
+    pytest.param(3, 3, name, bound, id=f"3-n3-{name}-bound{bound[0]}{bound[1]}")
+    for name in ("cross-cube", "swapped-cube")
+    for bound in ((0, 1), (1, 2))
+]
+
+
+@pytest.mark.parametrize("p,n,name,bound", _SWAP_SPECS)
+def test_cross_cube_hits_closed_under_swap(p, n, name, bound):
+    # The search checks each unordered pair once and emits (a, b) and
+    # (b, a) from it, so a diagonal hit such as (I, I) must come out once.
+    keys = _keys(_search(p, n, name, bound=bound))
     assert sorted((kb, ka) for ka, kb in keys) == keys
+    assert len(set(keys)) == len(keys)
+    assert any(ka == kb for ka, kb in keys)
+    eye = tuple(int(i == j) for i in range(n) for j in range(n))
+    assert keys.count((eye, eye)) == int(bound is None or {0, 1} <= set(bound))
 
 
 @pytest.mark.parametrize("p,lam", [(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4)])

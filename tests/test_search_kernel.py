@@ -1,9 +1,9 @@
 """The search's linear solver against brute force, under generated systems.
 
 For a fixed ``a`` the search lists every ``b`` with entries in its domain
-and ``L(b) == 0`` mod p, where ``L`` is given by the images of the n*n
-unit matrices (its columns).  ``pairs._kernel`` does that by elimination;
-here every ``b`` in ``domain**(n*n)`` is tried with plain loops instead.
+and ``L(b) == 0`` mod p, where ``L`` is an n*n x n*n matrix given by its
+rows.  ``pairs._kernel`` does that by elimination; here every ``b`` in
+``domain**(n*n)`` is tried with plain loops instead.
 The systems are random, zero, invertible or of rank 1, over F_2, F_3, F_5
 and F_7 for n = 1..3, with the full domain or a bounded one (bounds
 without 0 included, where ``b = 0`` is not a solution).  The examples are
@@ -26,9 +26,8 @@ SETTINGS = settings(
 )
 
 
-def _brute_force(cols, domain, p):
-    size = len(cols)
-    rows = [[col[i] for col in cols] for i in range(size)]
+def _brute_force(rows, domain, p):
+    size = len(rows[0])
     solutions = []
     for b in itertools.product(sorted(domain), repeat=size):
         if all(sum(map(operator.mul, row, b)) % p == 0 for row in rows):
@@ -46,7 +45,7 @@ def _matmul(x, y, p):
 
 @st.composite
 def _systems(draw):
-    """``(cols, domain, p)`` with ``len(cols) == n*n``."""
+    """``(rows, domain, p)`` with n*n rows of length n*n."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     n = draw(st.integers(1, 3))
     size = n * n
@@ -80,8 +79,7 @@ def _systems(draw):
     else:
         picked = st.sets(entry, min_size=1, max_size=p if n < 3 else 2)
         domain = tuple(sorted(draw(picked)))
-    cols = [tuple(row[k] for row in rows) for k in range(size)]
-    return cols, domain, p
+    return [tuple(row) for row in rows], domain, p
 
 
 @SETTINGS
@@ -90,5 +88,5 @@ def _systems(draw):
 @example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 3))
 @example(([(1, 1, 1, 1)] * 4, (1, 2), 3))
 def test_kernel_equals_brute_force(system):
-    cols, domain, p = system
-    assert _kernel(cols, domain, p) == _brute_force(cols, domain, p)
+    rows, domain, p = system
+    assert _kernel(rows, domain, p) == _brute_force(rows, domain, p)
