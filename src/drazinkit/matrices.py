@@ -86,8 +86,11 @@ def _canonical(field: Field, num, den: int) -> "Matrix":
 
 
 def _pair(field: Field, x) -> Tuple[int, int]:
-    """``(num, den)`` of the canonical raw value of ``x`` (an int residue has
-    denominator 1)."""
+    """``(num, den)`` of the value of ``x`` (an int residue has denominator
+    1).  A plain int is its own numerator and builds no scalar:
+    :func:`_from_pairs` reduces it with the rest."""
+    if type(x) is int:
+        return x, 1
     v = field.scalar(x).value
     return v.numerator, v.denominator
 

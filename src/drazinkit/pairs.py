@@ -33,6 +33,7 @@ seed), and search output is a pure function of its ``SearchSpec``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -391,21 +392,24 @@ class SearchSpec:
 
     def __post_init__(self):
         field = PrimeField(self.p)  # validates primality
-        if not isinstance(self.n, int) or not 1 <= self.n <= 3:
+        if type(self.n) is not int or not 1 <= self.n <= 3:  # a bool is refused
             raise ParseError(
                 f"search dimension must be 1..3, got {self.n!r}", {"n": self.n}
             )
         if self.entry_bound is not None:
-            cleaned = tuple(sorted(set(self.entry_bound)))
-            if not cleaned:
+            # Types first: sorting fails on mixed types, and a set could keep
+            # a bool in place of the int it equals.
+            values = [v for v in self.entry_bound if type(v) is not int]
+            values = values or sorted(set(self.entry_bound))
+            if not values:
                 raise ParseError("entry_bound must be nonempty", {"entry_bound": []})
-            for v in cleaned:
-                if not isinstance(v, int) or not 0 <= v < self.p:
+            for v in values:
+                if type(v) is not int or not 0 <= v < self.p:
                     raise ParseError(
                         f"entry_bound value {v!r} is not a residue mod {self.p}",
                         {"entry_bound": v, "modulus": self.p},
                     )
-            object.__setattr__(self, "entry_bound", cleaned)
+            object.__setattr__(self, "entry_bound", tuple(values))
         rel = self.relation
         if isinstance(rel, LambdaCommute) and rel.lam.field != field:
             raise FieldMismatch(
@@ -474,48 +478,58 @@ def _sylvester_rows(
 
 
 def _kernel(
-    matrix: Sequence[Tuple[int, ...]], domain: Tuple[int, ...], p: int
+    matrix: Sequence[Tuple[int, ...]],
+    domain: Tuple[int, ...],
+    p: int,
+    low: Optional[Tuple[int, ...]] = None,
 ) -> List[Tuple[int, ...]]:
-    """Every ``b`` in ``domain**width`` with ``matrix*b == 0`` mod ``p``,
-    sorted, where ``width`` is the length of a row of ``matrix``.  Once the
-    rows are reduced, the entries of ``b`` at free columns range over
-    ``domain``; each one at a pivot column is fixed by its row, and ``b`` is
-    kept only if that value lies in ``domain`` too.
+    """Every ``b`` in ``domain**width`` with ``matrix*b == 0`` mod ``p``, in
+    ascending order, where ``width`` is the length of a row of ``matrix`` and
+    ``domain`` is ascending; with ``low``, only those with ``b >= low``.
+
+    The columns are eliminated from the last to the first, forward only, so
+    the row of a pivot column holds no later column: its entry of ``b`` is
+    fixed by the earlier ones.  ``b`` is then built one column at a time,
+    breadth first and in order: a free column takes each value of
+    ``domain``, a pivot column its fixed value if that lies in ``domain``,
+    and a prefix below the same prefix of ``low`` is dropped at once.
     """
     width = len(matrix[0])
-    rows = [list(row) for row in matrix]
-    pivots: List[int] = []
-    for c in range(width):
-        r = len(pivots)
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        pivot_row = rows[r] = [v * inv % p for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                g = row[c]
-                rows[i] = [(u - g * v) % p for u, v in zip(row, pivot_row)]
-        pivots.append(c)
-    free = [c for c in range(width) if c not in pivots]
-    # b[pivots[k]] == -sum(rows[k][f] * b[f] for f in free)
-    fixed = [(c, [-rows[k][f] % p for f in free]) for k, c in enumerate(pivots)]
-    allowed = set(domain)
-    solutions = []
-    for x in itertools.product(domain, repeat=len(free)):
-        b = [0] * width
-        for f, v in zip(free, x):
-            b[f] = v
-        for c, coeffs in fixed:
-            v = sum(map(operator.mul, coeffs, x)) % p
-            if v not in allowed:
+    # The rows not yet used as a pivot, each zero right of the column c.
+    rows = [row for row in matrix if any(row)]
+    # fixed[c]: b[c] == sum(fixed[c][j] * b[j] for j < c) at a pivot column c
+    fixed: List[Optional[List[int]]] = [None] * width
+    for c in range(width - 1, -1, -1):
+        for k, pivot in enumerate(rows):
+            if pivot[c]:
                 break
-            b[c] = v
         else:
-            solutions.append(tuple(b))
-    solutions.sort()
-    return solutions
+            continue
+        del rows[k]
+        inv = pow(pivot[c], -1, p)
+        coeffs = fixed[c] = [-v * inv % p for v in pivot[:c]]
+        # Rows before k are zero at c; the others drop column c and after.
+        for i in range(k, len(rows)):
+            g = rows[i][c]
+            if g:
+                rows[i] = [(u + g * v) % p for u, v in zip(rows[i], coeffs)]
+    allowed = set(domain)
+    members: List[Tuple[int, ...]] = [()]
+    for c, coeffs in enumerate(fixed):
+        if coeffs is None:
+            members = [b + (v,) for b in members for v in domain]
+        else:
+            members = [
+                b + (v,)
+                for b in members
+                if (v := sum(map(operator.mul, coeffs, b)) % p) in allowed
+            ]
+        if low is not None:
+            # The prefixes ascend, so those below low's lead.
+            del members[: bisect.bisect_left(members, low[: c + 1])]
+        if not members:
+            break
+    return members
 
 
 def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -527,7 +541,8 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
     :func:`_kernel` lists its solutions.  A cube relation is symmetric: the
     other equation of ``(a, b)`` is the linear one of ``(b, a)``, and on a
     hit ``a*b == 0`` exactly when ``b*a == 0``.  So each unordered pair is
-    checked once, as the candidate ``b >= a``, and a hit gives ``(b, a)`` too.
+    checked once: the kernel is listed from ``a`` up, only its members
+    ``b >= a`` are formed, and a hit gives ``(b, a)`` too.
     """
     p, n, domain = spec.p, spec.n, spec.domain()
     rel = spec.relation
@@ -553,9 +568,7 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
 
     hits = []
     for a in space:
-        for b in _kernel(_sylvester_rows(*sides(a), 1, n, p), domain, p):
-            if b < a:
-                continue
+        for b in _kernel(_sylvester_rows(*sides(a), 1, n, p), domain, p, a):
             u, v = sides(b)
             if _products_equal(u, a, a, v, n, p) and (
                 not nontrivial or any(_flat_mul(a, b, n, p))

@@ -61,6 +61,36 @@ def test_constructors_and_accessors():
         Matrix.zero(QQ, 0)
 
 
+@pytest.mark.parametrize(
+    "field,rows",
+    [
+        (QQ, [[0, 7, -3], [-(10**30), 1, 2]]),
+        (QQ, [[True, False], [1, True]]),
+        (QQ, [["1/2", "-4"], ["0", "6/4"]]),
+        (QQ, [[Fraction(3, 4), Fraction(-6, 3)], [Fraction(0), 5]]),
+        (QQ, [[QQ.scalar(1, 3), -2], [True, "5/7"]]),
+        (F5, [[0, 7, -3], [-(10**30), 4, 2]]),
+        (F5, [[True, False], [1, True]]),
+        (F5, [["4", "0"], ["3", "1"]]),
+        (F5, [[F5.scalar(3), -1], [True, "2"]]),
+    ],
+)
+def test_from_rows_stores_what_the_scalar_path_stores(field, rows):
+    # A plain int skips the scalar; the stored form must not show it.
+    m = Matrix.from_rows(field, rows)
+    scalars = [[field.scalar(x) for x in row] for row in rows]
+    via_scalars = Matrix.from_rows(field, scalars)
+    assert (m._num, m._den) == (via_scalars._num, via_scalars._den)
+    assert m.to_rows() == scalars
+    assert all(type(x) is int for row in m._num for x in row)
+    assert type(m._den) is int
+
+
+def test_from_rows_refuses_a_fraction_over_a_prime_field():
+    with pytest.raises(ParseError):
+        Matrix.from_rows(F5, [[1, Fraction(1, 2)]])
+
+
 def test_ring_ops_and_shape_checks():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.identity(QQ, 2)

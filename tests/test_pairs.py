@@ -213,6 +213,12 @@ class TestSearchSpec:
             ({"n": 4}, {"n": 4}),
             ({"n": 1, "entry_bound": ()}, {"entry_bound": []}),
             ({"n": 1, "entry_bound": (0, 3)}, {"entry_bound": 3, "modulus": 3}),
+            # A bool is refused, not read as 0 or 1: its hits would carry
+            # bool entries and encode as "True" and "False".
+            ({"n": True}, {"n": True}),
+            ({"n": 1, "entry_bound": (True, False)}, {"entry_bound": True, "modulus": 3}),
+            ({"n": 1, "entry_bound": (0, 1, False)}, {"entry_bound": False, "modulus": 3}),
+            ({"n": 1, "entry_bound": ("1", 0)}, {"entry_bound": "1", "modulus": 3}),
         ]:
             with pytest.raises(ParseError) as exc:
                 SearchSpec(3, relation=CrossCube(), **kwargs)
@@ -319,6 +325,32 @@ class TestExhaustiveSearch:
         exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
         assert len(seen) == calls
         assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation)
+
+    @pytest.mark.parametrize(
+        "p,nontrivial,members", [(3, False, 476), (3, True, 476), (5, True, 3935)],
+        ids=["p3", "p3-nontrivial", "p5-nontrivial"],
+    )
+    @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
+    def test_cube_kernel_members_listed_from_a_up(
+        self, monkeypatch, relation, p, nontrivial, members
+    ):
+        # Under a cube relation the kernel of each a is listed from a up,
+        # so only its members b >= a are formed (945 in all at p = 3 and
+        # 7,825 at p = 5 when the whole kernel is).
+        built = []
+        inner = pairs._kernel
+
+        def counted(*args):
+            out = inner(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(pairs, "_kernel", counted)
+        exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
+        assert len(built) == p**4  # one per a
+        assert sum(built) == members
+        if p == 3:
+            assert sum(built) == _candidates_with_b_at_least_a(3, 2, relation)
 
     @pytest.mark.parametrize(
         "relation,products",

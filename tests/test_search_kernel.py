@@ -6,7 +6,10 @@ rows.  ``pairs._kernel`` does that by elimination; here every ``b`` in
 ``domain**(n*n)`` is tried with plain loops instead.
 The systems are random, zero, invertible or of rank 1, over F_2, F_3, F_5
 and F_7 for n = 1..3, with the full domain or a bounded one (bounds
-without 0 included, where ``b = 0`` is not a solution).  The examples are
+without 0 included, where ``b = 0`` is not a solution).  The domain is
+ascending, as ``SearchSpec.domain()`` gives it.  With a lower bound
+``low`` drawn from ``domain**(n*n)``, at times a solution itself, the
+solver lists only the solutions ``b >= low``.  The examples are
 derandomized, so every run checks the same systems.
 """
 
@@ -45,7 +48,8 @@ def _matmul(x, y, p):
 
 @st.composite
 def _systems(draw):
-    """``(rows, domain, p)`` with n*n rows of length n*n."""
+    """``(rows, domain, p, low)``: n*n rows of length n*n and a vector of
+    ``domain``, at times a solution."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     n = draw(st.integers(1, 3))
     size = n * n
@@ -79,14 +83,25 @@ def _systems(draw):
     else:
         picked = st.sets(entry, min_size=1, max_size=p if n < 3 else 2)
         domain = tuple(sorted(draw(picked)))
-    return [tuple(row) for row in rows], domain, p
+    rows = [tuple(row) for row in rows]
+    solutions = _brute_force(rows, domain, p)
+    if solutions and draw(st.booleans()):
+        low = draw(st.sampled_from(solutions))
+    else:
+        low = tuple(draw(st.sampled_from(domain)) for _ in range(size))
+    return rows, domain, p, low
 
 
 @SETTINGS
 @given(_systems())
-@example(([(0,) * 4] * 4, (1, 2), 3))
-@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 3))
-@example(([(1, 1, 1, 1)] * 4, (1, 2), 3))
+@example(([(0,) * 4] * 4, (1, 2), 3, (1, 1, 1, 1)))
+@example(([(0,) * 4] * 4, (1, 2), 3, (2, 2, 2, 2)))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 3, (1, 1, 1, 1)))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (0, 1), 3, (1, 1, 1, 1)))
+@example(([(1, 1, 1, 1)] * 4, (1, 2), 3, (2, 2, 2, 2)))
+@example(([(1, 1, 1, 1)] * 4, (0, 1, 2), 3, (0, 0, 0, 0)))
 def test_kernel_equals_brute_force(system):
-    rows, domain, p = system
-    assert _kernel(rows, domain, p) == _brute_force(rows, domain, p)
+    rows, domain, p, low = system
+    solutions = _brute_force(rows, domain, p)
+    assert _kernel(rows, domain, p) == solutions
+    assert _kernel(rows, domain, p, low) == [b for b in solutions if b >= low]
