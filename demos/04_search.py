@@ -4,7 +4,10 @@ Finds every pair of n x n matrices over F_p (optionally with entries
 restricted to a subset) satisfying a relation, and returns them in a
 canonical order.  For each a, only the b that solve the relation's
 equation that is linear in b are visited: one elimination mod p fixes
-the pivot entries of b from the free ones.
+the pivot entries of b from the free ones.  With require_nontrivial,
+a = 0 is skipped (0*b == 0), and the a*b != 0 filter stops at the first
+nonzero entry.  Under lambda-commute, s*a has the kernel of a for every
+unit s, so one kernel is listed per line of multiples of a.
 
 Run:  python3 demos/04_search.py
 """

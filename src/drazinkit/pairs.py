@@ -411,6 +411,17 @@ class SearchSpec:
                     )
             object.__setattr__(self, "entry_bound", tuple(values))
         rel = self.relation
+        if not isinstance(rel, (LambdaCommute, CrossCube, SwappedCube)):
+            raise ParseError(
+                f"search relation must be a relation kind, got {rel!r}",
+                {"relation": repr(rel)},
+            )
+        if type(self.require_nontrivial) is not bool:
+            # The search branches on it, so "no" must not read as true.
+            raise ParseError(
+                f"require_nontrivial must be a bool, got {self.require_nontrivial!r}",
+                {"require_nontrivial": repr(self.require_nontrivial)},
+            )
         if isinstance(rel, LambdaCommute) and rel.lam.field != field:
             raise FieldMismatch(
                 f"search relation lambda must live over F_{self.p}",
@@ -460,6 +471,19 @@ def _products_equal(
             if (s - t) % p:
                 return False
     return True
+
+
+def _product_nonzero(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> bool:
+    # Whether x*y != 0, decided at its first nonzero entry.
+    for i in range(n):
+        base = i * n
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s += x[base + k] * y[k * n + j]
+            if s % p:
+                return True
+    return False
 
 
 def _sylvester_rows(
@@ -538,23 +562,50 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
     For a fixed ``a`` the relation's equation linear in ``b`` is
     ``x*b == mu*b*y``: ``a*b == lam*b*a`` (lambda-commute, each solution a
     hit), ``a**3*b == b*a`` (cross-cube) or ``a*b == b*a**3`` (swapped-cube);
-    :func:`_kernel` lists its solutions.  A cube relation is symmetric: the
-    other equation of ``(a, b)`` is the linear one of ``(b, a)``, and on a
-    hit ``a*b == 0`` exactly when ``b*a == 0``.  So each unordered pair is
-    checked once: the kernel is listed from ``a`` up, only its members
-    ``b >= a`` are formed, and a hit gives ``(b, a)`` too.
+    :func:`_kernel` lists its solutions.  Three facts cut the work:
+
+    * ``0*b == 0``, so under ``require_nontrivial`` ``a = 0`` has no hit
+      and its kernel is never listed.
+    * The nontrivial filter stops at the first nonzero entry of ``a*b``.
+    * Under lambda-commute the map of ``s*a`` for a unit ``s`` is ``s``
+      times the map of ``a``, and ``(s*a)*b != 0`` exactly when
+      ``a*b != 0``.  So one filtered kernel is listed per line of
+      multiples, keyed by the multiple whose first nonzero entry is 1,
+      and shared by every ``a`` of the line that lies in the domain.
+
+    A cube relation is symmetric: the other equation of ``(a, b)`` is the
+    linear one of ``(b, a)``, and on a hit ``a*b == 0`` exactly when
+    ``b*a == 0``.  So each unordered pair is checked once: the kernel is
+    listed from ``a`` up, only its members ``b >= a`` are formed, and a hit
+    gives ``(b, a)`` too.
     """
     p, n, domain = spec.p, spec.n, spec.domain()
     rel = spec.relation
     nontrivial = spec.require_nontrivial
     space = itertools.product(domain, repeat=n * n)
+    if nontrivial:
+        space = filter(any, space)  # drops a = 0
     if isinstance(rel, LambdaCommute):
-        return [
-            (a, b)
-            for a in space
-            for b in _kernel(_sylvester_rows(a, a, rel.lam.value, n, p), domain, p)
-            if not nontrivial or any(_flat_mul(a, b, n, p))
-        ]
+        lam = rel.lam.value
+        # The filtered kernel of each line, keyed by its multiple with
+        # first nonzero entry 1 (a = 0 is its own line).
+        lines: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+        hits = []
+        for a in space:
+            lead = next(filter(None, a), 0)
+            if lead:
+                inv = pow(lead, -1, p)
+                line = tuple([v * inv % p for v in a])
+            else:
+                line = a
+            members = lines.get(line)
+            if members is None:
+                members = _kernel(_sylvester_rows(line, line, lam, n, p), domain, p)
+                if nontrivial:
+                    members = [b for b in members if _product_nonzero(line, b, n, p)]
+                lines[line] = members
+            hits += [(a, b) for b in members]
+        return hits
 
     cross = isinstance(rel, CrossCube)
     memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
@@ -571,7 +622,7 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
         for b in _kernel(_sylvester_rows(*sides(a), 1, n, p), domain, p, a):
             u, v = sides(b)
             if _products_equal(u, a, a, v, n, p) and (
-                not nontrivial or any(_flat_mul(a, b, n, p))
+                not nontrivial or _product_nonzero(a, b, n, p)
             ):
                 hits.append((a, b))
                 if b != a:

@@ -47,14 +47,17 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
-def _candidates_with_b_at_least_a(p, n, relation):
+def _candidates_with_b_at_least_a(p, n, relation, nonzero_a=False):
     """Pairs ``(a, b)`` over F_p with ``b >= a`` in row-major order that
     meet the cube relation's equation linear in ``b``: ``a**3*b == b*a``
-    (cross-cube) or ``b*a**3 == a*b`` (swapped-cube)."""
+    (cross-cube) or ``b*a**3 == a*b`` (swapped-cube); with ``nonzero_a``,
+    only those with ``a != 0``."""
     flats = list(itertools.product(range(p), repeat=n * n))
     rows = {f: [list(f[i * n : (i + 1) * n]) for i in range(n)] for f in flats}
     count = 0
     for fa, fb in itertools.combinations_with_replacement(flats, 2):
+        if nonzero_a and not any(fa):
+            continue
         a, b = rows[fa], rows[fb]
         a3 = _naive.matpow(a, 3, p)
         if isinstance(relation, CrossCube):
@@ -228,6 +231,19 @@ class TestSearchSpec:
             SearchSpec(3, 0, CrossCube())
         with pytest.raises(FieldMismatch):
             SearchSpec(3, 1, LambdaCommute(QQ.scalar(2)))
+        # Anything but the three relation kinds is refused, not run as the
+        # swapped-cube search, and so is a flag that is not a bool.
+        for args, detail in [
+            ((3, 1, None), {"relation": "None"}),
+            ((3, 2, "cross-cube"), {"relation": "'cross-cube'"}),
+            ((3, 2, CrossCube, None, False), {"relation": repr(CrossCube)}),
+            ((3, 2, CrossCube(), None, "no"), {"require_nontrivial": "'no'"}),
+            ((3, 2, CrossCube(), None, 1), {"require_nontrivial": "1"}),
+            ((3, 2, CrossCube(), None, None), {"require_nontrivial": "None"}),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                SearchSpec(*args)
+            assert exc.value.detail == detail
         # the smallest field is legitimate for searching
         assert SearchSpec(2, 2, CrossCube()).space_size() == 2**8
 
@@ -304,16 +320,19 @@ class TestExhaustiveSearch:
             # the 1x1 space over F_3 holds 9 pairs; a budget of 8 is short
             exhaustive_search(SearchSpec(3, 1, CrossCube()), budget=8)
 
-    @pytest.mark.parametrize("nontrivial", [False, True])
     @pytest.mark.parametrize(
-        "relation,calls", [(CrossCube(), 476), (SwappedCube(), 476)],
-        ids=["cross-cube", "swapped-cube"],
+        "nontrivial,calls", [(False, 476), (True, 395)], ids=["False", "True"]
+    )
+    @pytest.mark.parametrize(
+        "relation", [CrossCube(), SwappedCube()], ids=["cross-cube", "swapped-cube"]
     )
     def test_second_cube_equation_once_per_unordered_pair(
         self, monkeypatch, relation, calls, nontrivial
     ):
         # The other equation of (a, b) is the linear one of (b, a), so it
-        # is evaluated only for the candidates with b >= a.
+        # is evaluated only for the candidates with b >= a: 476 by brute
+        # force.  Under --nontrivial a = 0 is skipped, and its equation
+        # 0 == 0 holds for all 3**4 = 81 b >= 0: 476 - 81 = 395.
         seen = []
         inner = pairs._products_equal
 
@@ -324,10 +343,10 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(pairs, "_products_equal", counted)
         exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
         assert len(seen) == calls
-        assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation)
+        assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation, nontrivial)
 
     @pytest.mark.parametrize(
-        "p,nontrivial,members", [(3, False, 476), (3, True, 476), (5, True, 3935)],
+        "p,nontrivial,members", [(3, False, 476), (3, True, 395), (5, True, 3310)],
         ids=["p3", "p3-nontrivial", "p5-nontrivial"],
     )
     @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
@@ -336,7 +355,10 @@ class TestExhaustiveSearch:
     ):
         # Under a cube relation the kernel of each a is listed from a up,
         # so only its members b >= a are formed (945 in all at p = 3 and
-        # 7,825 at p = 5 when the whole kernel is).
+        # 7,825 at p = 5 when the whole kernel is): 476 at p = 3, the
+        # brute-force count.  Under --nontrivial a = 0, whose kernel is all
+        # p**4 matrices b >= 0, is skipped: 476 - 81 = 395 at p = 3 and
+        # 3,935 - 625 = 3,310 at p = 5, from p**4 - 1 kernels (80 and 624).
         built = []
         inner = pairs._kernel
 
@@ -347,21 +369,33 @@ class TestExhaustiveSearch:
 
         monkeypatch.setattr(pairs, "_kernel", counted)
         exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
-        assert len(built) == p**4  # one per a
+        assert len(built) == p**4 - nontrivial  # one per a, but a = 0
         assert sum(built) == members
         if p == 3:
-            assert sum(built) == _candidates_with_b_at_least_a(3, 2, relation)
+            assert sum(built) == _candidates_with_b_at_least_a(3, 2, relation, nontrivial)
 
     @pytest.mark.parametrize(
-        "relation,products",
-        [(CrossCube(), 306), (SwappedCube(), 306), (LambdaCommute(F3.scalar(2)), 417)],
+        "relation,kernels,products",
+        [
+            (CrossCube(), 81, 225),
+            (SwappedCube(), 81, 225),
+            (LambdaCommute(F3.scalar(2)), 41, 168),
+        ],
         ids=["cross-cube", "swapped-cube", "lambda-commute-2"],
     )
-    def test_nontrivial_filter_once_per_kept_pair(self, monkeypatch, relation, products):
-        # The filter forms a*b once per relation hit with b >= a under a
-        # cube relation, where a*b == 0 exactly when b*a == 0, and once per
-        # kernel member under lambda-commute, where every member is a hit.
-        calls = {"_flat_mul": 0, "_kernel": 0}
+    def test_nontrivial_filter_once_per_kept_pair(
+        self, monkeypatch, relation, kernels, products
+    ):
+        # Under a cube relation, where a*b == 0 exactly when b*a == 0, the
+        # filter runs once per relation hit with b >= a and a != 0: 306 by
+        # brute force less the 81 hits (0, b), so 225, one kernel per a
+        # (81).  Under lambda-commute it runs once per member of each line
+        # of multiples' kernel, keyed by the a whose first nonzero entry is
+        # 1: the 417 hits less the 81 of a = 0 leave 336 over the two
+        # nonzero a of each line, so 168, and (3**4 - 1)/2 = 40 lines of
+        # nonzero a and a = 0 make 41 kernels.  Under --nontrivial a = 0
+        # lists no kernel.
+        calls = {"_product_nonzero": 0, "_kernel": 0}
         for name in calls:
             inner = getattr(pairs, name)
 
@@ -370,18 +404,64 @@ class TestExhaustiveSearch:
                 return inner(*args)
 
             monkeypatch.setattr(pairs, name, counted)
-        products_formed = []
+        filtered = []
         for nontrivial in (False, True):
             calls.update(dict.fromkeys(calls, 0))
             exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
-            assert calls["_kernel"] == 3**4  # one per a
-            products_formed.append(calls["_flat_mul"])
-        assert products_formed[1] - products_formed[0] == products
+            assert calls["_kernel"] == kernels - nontrivial
+            filtered.append(calls["_product_nonzero"])
+        assert filtered == [0, products]
         lam = relation.lam.value if isinstance(relation, LambdaCommute) else None
         hits = _naive.search_hits(3, 2, relation.name, lam, range(3), False)
+        leads = [next((v for row in a for v in row if v), 0) for a, _ in hits]
         if lam is None:
-            hits = [(a, b) for a, b in hits if b >= a]
+            hits = [(a, b) for (a, b), lead in zip(hits, leads) if lead and b >= a]
+        else:
+            hits = [hit for hit, lead in zip(hits, leads) if lead == 1]
         assert len(hits) == products
+
+    @pytest.mark.parametrize("p,lines", [(3, 40), (5, 156)])
+    def test_lambda_kernel_listed_once_per_line(self, monkeypatch, p, lines):
+        # The map b -> (s*a)*b - lam*b*(s*a) is s times the map of a, so
+        # each line {s*a : s a unit} of nonzero a shares one kernel:
+        # (p**4 - 1)/(p - 1) lines, 40 at p = 3 and 156 at p = 5, and one
+        # more for a = 0 without --nontrivial.
+        assert lines == (p**4 - 1) // (p - 1)
+        built = []
+        inner = pairs._kernel
+
+        def counted(*args):
+            built.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(pairs, "_kernel", counted)
+        relation = LambdaCommute(PrimeField(p).scalar(2))
+        for nontrivial in (False, True):
+            built.clear()
+            exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
+            assert len(built) == lines + (not nontrivial)
+
+    @pytest.mark.parametrize(
+        "relation",
+        [CrossCube(), SwappedCube(), LambdaCommute(F3.scalar(2))],
+        ids=["cross-cube", "swapped-cube", "lambda-commute-2"],
+    )
+    def test_no_kernel_for_zero_a_under_nontrivial(self, monkeypatch, relation):
+        # 0*b == 0, so a = 0 has no nontrivial hit.  Its map is the only
+        # one with x and y both zero: y = a (cross-cube), x = a
+        # (swapped-cube), x = y = the line's key (lambda-commute).
+        zero_maps = []
+        inner = pairs._sylvester_rows
+
+        def counted(x, y, *rest):
+            zero_maps.append(not any(x) and not any(y))
+            return inner(x, y, *rest)
+
+        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
+        for nontrivial, expected in ((False, 1), (True, 0)):
+            zero_maps.clear()
+            exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
+            assert sum(zero_maps) == expected
 
     @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
     def test_cube_hits_are_trivial_in_both_orders_or_neither(self, relation):

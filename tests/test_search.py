@@ -66,6 +66,12 @@ def _differential_specs():
                 yield 3, n, name, lam, bound, True
         yield 5, 2, name, lam, None, True
         yield 3, 3, name, lam, (0, 1), True
+    # Lambda-commute shares one kernel per line of multiples of a; under
+    # these bounds some multiples of a leave the domain.
+    yield 5, 2, "lambda-commute", 2, None, False
+    for bound in ((1, 2, 4), (0, 1, 4)):
+        for nontrivial in (False, True):
+            yield 5, 2, "lambda-commute", 2, bound, nontrivial
 
 
 def _spec_id(spec):
