@@ -3,7 +3,7 @@
 Run:  python3 demos/01_basics.py
 """
 
-from drazinkit import Matrix, PivotOrder, PrimeField, QQ, certify, drazin_inverse
+from drazinkit import Matrix, PrimeField, QQ, certify, drazin_inverse
 
 
 def show(label, m):
@@ -42,11 +42,17 @@ def main():
     print("certify(correct):", certify(a, d, k))
     print("certify(tampered):", certify(a, wrong, k))
 
-    # Both pivot-scan orders give different internal inner inverses but the
-    # same (unique) Drazin inverse.
-    top = drazin_inverse(a, PivotOrder.TOP_DOWN)
-    bot = drazin_inverse(a, PivotOrder.BOTTOM_UP)
-    print("pivot orders agree:", top.d == bot.d)
+    # d is a^k * G * a^k for G an inner inverse of m = a^(2k+1), and any
+    # inner inverse gives the same d.  G + (I - G*m)*Y + Z*(I - m*G) is
+    # another inner inverse of m for every Y and Z.
+    m = a ** (2 * k + 1)
+    g = m.inner_inverse()
+    eye = Matrix.identity(QQ, 4)
+    y = Matrix.from_rows(QQ, [[1, 2, 0, -1], [0, 1, 3, 0], [2, 0, 0, 1], [1, 1, 1, 1]])
+    z = y.transpose()
+    g2 = g + (eye - g * m) * y + z * (eye - m * g)
+    print("G2 inner inverse of a^(2k+1):", m * g2 * m == m, "| G2 != G:", g2 != g)
+    print("a^k * G2 * a^k == d:", a**k * g2 * a**k == d)
 
     # Everything works identically over a prime field.
     f5 = PrimeField(5)

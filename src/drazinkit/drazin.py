@@ -29,7 +29,7 @@ from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import IndexTooLarge, InternalCertificationFailure, ShapeMismatch
-from .matrices import Matrix, PivotOrder
+from .matrices import Matrix
 
 __all__ = [
     "DrazinData",
@@ -136,17 +136,15 @@ def _certified(a: Matrix, d: Matrix, ad: Matrix, k: int, power) -> bool:
     return k == 0 or power(k - 1) != times_d(k)
 
 
-def _assemble(
-    a: Matrix, index: int, ladder: List[Matrix], order: PivotOrder
-) -> DrazinData:
+def _assemble(a: Matrix, index: int, ladder: List[Matrix]) -> DrazinData:
     # ``ladder`` holds a**1 .. a**(index + 1) from compute_index, so the
     # certificate powers nothing again, and its ``a*d`` also gives ``pi``.
     # At index 0, a**index is I and the sandwich is the inner inverse of a.
     if index == 0:
-        d = a.inner_inverse(order)
+        d = a.inner_inverse()
     else:
         al = ladder[index - 1]
-        d = al * (al * ladder[index]).inner_inverse(order) * al
+        d = al * (al * ladder[index]).inner_inverse() * al
     ad = a * d
     eye = Matrix.identity(a.field, a.rows)
     if not _certified(a, d, ad, index, [eye, *ladder].__getitem__):
@@ -156,18 +154,18 @@ def _assemble(
     return DrazinData(source=a, d=d, index=index, pi=eye - ad, is_group=index <= 1)
 
 
-def drazin_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinData:
+def drazin_inverse(a: Matrix) -> DrazinData:
     """Compute and certify the Drazin inverse of ``a``.
 
-    ``order`` selects the pivot order used for the intermediate inner
-    inverse; it changes the intermediate, never the result.
+    The intermediate inner inverse is :meth:`Matrix.inner_inverse`'s, from
+    the one pivot rule; any other inner inverse gives the same result.
     """
     _require_square(a, "the Drazin inverse")
     ladder: List[Matrix] = []
-    return _assemble(a, compute_index(a, ladder), ladder, order)
+    return _assemble(a, compute_index(a, ladder), ladder)
 
 
-def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinData:
+def group_inverse(a: Matrix) -> DrazinData:
     """Drazin inverse restricted to index <= 1; raises IndexTooLarge otherwise."""
     _require_square(a, "the group inverse")
     ladder: List[Matrix] = []
@@ -176,7 +174,7 @@ def group_inverse(a: Matrix, order: PivotOrder = PivotOrder.TOP_DOWN) -> DrazinD
         raise IndexTooLarge(
             f"group inverse needs index <= 1, got index {k}", {"index": k}
         )
-    return _assemble(a, k, ladder, order)
+    return _assemble(a, k, ladder)
 
 
 class Workspace:

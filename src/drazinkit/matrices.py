@@ -17,11 +17,10 @@ entry from ``(n, _den)`` with one gcd.  Matrices are immutable; all
 operators return new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
-agree bit for bit: columns are processed left to right, and within a column
-the pivot is the first nonzero entry among the unused rows, scanning either
-top to bottom (:data:`PivotOrder.TOP_DOWN`, the default) or bottom to top
-(:data:`PivotOrder.BOTTOM_UP`).  There is no magnitude-based pivoting; the
-arithmetic is exact, so none is needed.
+agree bit for bit.  There is one pivot rule, :data:`PivotOrder.TOP_DOWN`:
+columns are processed left to right, and within a column the pivot is the
+first nonzero entry among the unused rows, scanning top to bottom.  There
+is no magnitude-based pivoting; the arithmetic is exact, so none is needed.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ def _check_dimension(n: int, what: str) -> None:
 
 
 class PivotOrder(Enum):
-    """Row-scan direction used when selecting a pivot inside a column."""
+    """The one pivot rule of every elimination (module docstring); it takes
+    no option, and the enum names it for callers that record it."""
 
     TOP_DOWN = "top-down"
-    BOTTOM_UP = "bottom-up"
 
 
 @dataclass(frozen=True)
@@ -299,11 +298,11 @@ class Matrix:
         return NotImplemented
 
     def __pow__(self, e):
-        """Nonnegative power by binary square-and-multiply; ``A**0`` is I.
+        """Nonnegative power by halving, as in ``Workspace.power``; ``A**0`` is I.
 
-        The result starts from the lowest set bit of ``e``, not from I, so
-        ``A**e`` takes ``bit_length(e) - 1`` squarings plus one product per
-        further set bit: ``A**1`` none, ``A**2`` one, ``A**5`` three.
+        ``A**e`` is ``h * h``, times ``A`` for odd ``e``, with ``h = A**(e // 2)``:
+        ``bit_length(e) - 1`` squarings plus one product per further set bit,
+        so ``A**1`` takes none, ``A**2`` one, ``A**5`` three.
         """
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
@@ -311,20 +310,10 @@ class Matrix:
             need = "a nonnegative exponent" if e < 0 else "a square matrix"
             shape = [self.rows, self.cols]
             raise ShapeMismatch(f"matrix powers require {need}", {"shape": shape, "exponent": e})
-        if e == 0:
-            return Matrix.identity(self.field, self.rows)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        if e < 2:
+            return self if e else Matrix.identity(self.field, self.rows)
+        h = self ** (e >> 1)
+        return h * h * self if e & 1 else h * h
 
     def __eq__(self, other):
         # Identity first: a Workspace hands out the matrices it stores, so
@@ -353,21 +342,21 @@ class Matrix:
         return (Matrix, (self.field, self._num, self._den))
 
     # -- elimination kernels ---------------------------------------------------
-    def rref(self, order: PivotOrder = PivotOrder.TOP_DOWN) -> RrefResult:
+    def rref(self) -> RrefResult:
         """Reduced row-echelon form with the recording transform.
 
-        Gauss-Jordan elimination over the exact field.  For each column,
-        scanning rows not yet used as pivots in the direction given by
-        ``order``, the first nonzero entry becomes the pivot; the pivot row
-        is swapped up, normalized to a leading 1, and the column is cleared
-        in every other row.  The same row operations applied to an identity
-        block yield ``transform`` with ``transform * self == reduced``.
+        Gauss-Jordan elimination over the exact field, with the one pivot
+        rule: for each column, the first nonzero entry among the rows not yet
+        used as pivots, scanning top to bottom, becomes the pivot; the pivot
+        row is swapped up, normalized to a leading 1, and the column is
+        cleared in every other row.  The same row operations applied to an
+        identity block yield ``transform`` with ``transform * self == reduced``.
 
-        ``reduced`` is unique (independent of ``order``); ``transform`` need
-        not be when the matrix has nontrivial left null space.
+        ``reduced`` is unique; ``transform`` is one of many when the matrix
+        has nontrivial left null space, and the pivot rule picks it.
         """
         F, w = self.field, self.cols
-        (rows, den), pivot_cols = self._eliminate(order, full=True)
+        (rows, den), pivot_cols = self._eliminate(full=True)
         return RrefResult(
             reduced=_canonical(F, tuple(tuple(row[:w]) for row in rows), den),
             rank=len(pivot_cols),
@@ -376,9 +365,9 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        return len(self._eliminate(PivotOrder.TOP_DOWN, full=False)[1])
+        return len(self._eliminate(full=False)[1])
 
-    def _eliminate(self, order: PivotOrder, full: bool):
+    def _eliminate(self, full: bool):
         """The elimination loop of :meth:`rref` and :meth:`rank`.
 
         Returns ``(rows, pivot_cols)``.  With ``full``, ``rows`` is the
@@ -414,13 +403,8 @@ class Matrix:
         for c in range(w):
             if piv == n:
                 break
-            rows_to_scan = (
-                range(piv, n)
-                if order is PivotOrder.TOP_DOWN
-                else range(n - 1, piv - 1, -1)
-            )
             hit = None
-            for i in rows_to_scan:
+            for i in range(piv, n):
                 if m[i][c]:
                     hit = i
                     break
@@ -456,17 +440,17 @@ class Matrix:
             )
         return res.transform
 
-    def inner_inverse(self, order: PivotOrder = PivotOrder.TOP_DOWN) -> "Matrix":
+    def inner_inverse(self) -> "Matrix":
         """A matrix ``G`` with ``self * G * self == self`` ({1}-inverse).
 
         With ``T * self == R`` in reduced echelon form of rank ``r`` and
         pivot columns ``j_1 < ... < j_r``, placing row ``k`` of ``T`` at row
         ``j_k`` of an otherwise-zero cols-by-rows matrix gives an inner
-        inverse.  The construction is deterministic for a fixed ``order``;
-        the two orders give genuinely different inner inverses on most
-        rank-deficient inputs.  The zero matrix yields ``G = 0``.
+        inverse.  The pivot rule makes it deterministic; a rank-deficient
+        matrix has many inner inverses, and this is one of them.  The zero
+        matrix yields ``G = 0``.
         """
-        res = self.rref(order)
+        res = self.rref()
         t = res.transform
         g = [(0,) * self.rows] * self.cols
         for k, jc in enumerate(res.pivot_cols):

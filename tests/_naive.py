@@ -107,7 +107,9 @@ def rank(x: Rows, p: Optional[int] = None) -> int:
 
 
 def rref(x: Rows, order: str, p: Optional[int] = None):
-    """Gauss-Jordan with the package's pivot rule, on plain values.
+    """Gauss-Jordan on plain values, with the package's pivot rule
+    (``"top-down"``) or a second one the package does not have
+    (``"bottom-up"``).
 
     Columns left to right; in each, the pivot is the first nonzero entry
     among the rows not yet used as pivots, scanning top to bottom for
@@ -145,6 +147,49 @@ def rref(x: Rows, order: str, p: Optional[int] = None):
         pivot_cols.append(c)
         r += 1
     return m, t, pivot_cols
+
+
+def inner_inverse(x: Rows, order: str, p: Optional[int] = None) -> Rows:
+    """An inner inverse ``g`` of ``x`` (``x * g * x == x``) from :func:`rref`:
+    row ``k`` of the transform at row ``pivot_cols[k]`` of a zero
+    cols-by-rows matrix."""
+    _, t, pivot_cols = rref(x, order, p)
+    zero = 0 if p is not None else Fraction(0)
+    g = [[zero] * len(x) for _ in x[0]]
+    for row, c in zip(t, pivot_cols):
+        g[c] = row
+    return g
+
+
+def _random_rows(rows: int, cols: int, rng, p: Optional[int]) -> Rows:
+    if p is None:
+        return [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+def drazin_from_inner_inverse(a: Rows, k: int, rng, p: Optional[int] = None) -> Rows:
+    """``a**k * g2 * a**k`` for an inner inverse ``g2`` of ``m = a**(2k + 1)``
+    that the package did not compute.
+
+    ``g`` is the bottom-up :func:`inner_inverse` of ``m``, and ``g2 = g +
+    (I - g*m)*y + z*(I - m*g)`` with ``y`` and ``z`` drawn from ``rng``: for
+    any ``y`` and ``z``, ``m * g2 * m == m``.  At the Drazin index ``k`` the
+    result is the Drazin inverse, whichever inner inverse was used
+    (Campbell & Meyer, ch. 7).
+    """
+    n = len(a)
+    ident = eye(n) if p is None else eye_mod(n)
+    m = matpow(a, 2 * k + 1, p)
+    g = inner_inverse(m, "bottom-up", p)
+    y, z = _random_rows(n, n, rng, p), _random_rows(n, n, rng, p)
+    g2 = add(
+        add(g, matmul(sub(ident, matmul(g, m, p), p), y, p), p),
+        matmul(z, sub(ident, matmul(m, g, p), p), p),
+        p,
+    )
+    assert matmul(matmul(m, g2, p), m, p) == m
+    ak = matpow(a, k, p)
+    return matmul(matmul(ak, g2, p), ak, p)
 
 
 def drazin_axioms_hold(a: Rows, d: Rows, k: int, p: Optional[int] = None) -> bool:

@@ -19,7 +19,6 @@ from drazinkit import (
     CrossCube,
     LambdaCommute,
     Matrix,
-    PivotOrder,
     PrimeField,
     QQ,
     SearchSpec,
@@ -41,6 +40,8 @@ from drazinkit import (
     lemma35_suite,
 )
 from drazinkit.cli import main
+
+from _naive import drazin_from_inner_inverse, from_matrix
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -101,22 +102,28 @@ def _random_square(field, n: int, rng: Random) -> Matrix:
 
 
 def test_criterion_1_axioms_uniqueness_determinism():
+    # Uniqueness: d equals a**k * G * a**k for an inner inverse G of
+    # a**(2k + 1) built by the naive oracle and perturbed at random, so the
+    # package computed neither G nor the product.
     def body():
         for field, seed in ((QQ, 1001), (F5, 1005)):
-            rng = Random(seed)
+            rng, perturb = Random(seed), Random(seed + 1)
+            p = field.characteristic or None
             for _ in range(300):
                 a = _random_square(field, rng.randint(1, 6), rng)
-                top = drazin_inverse(a, PivotOrder.TOP_DOWN)
-                bot = drazin_inverse(a, PivotOrder.BOTTOM_UP)
-                assert certify(a, top.d, top.index)
-                assert top.index == compute_index(a)
-                assert top.d == bot.d
-                assert top.d.to_json_obj() == bot.d.to_json_obj()
+                data = drazin_inverse(a)
+                assert certify(a, data.d, data.index)
+                assert data.index == compute_index(a)
+                assert from_matrix(data.d) == drazin_from_inner_inverse(
+                    from_matrix(a), data.index, perturb, p
+                )
+                assert drazin_inverse(a).d.to_json_obj() == data.d.to_json_obj()
 
     _report(
         1,
-        "certify + rank-plateau index + pivot-order-identical d, "
-        "300 random matrices (n <= 6) over Q and over F_5",
+        "certify + rank-plateau index + d equal to a^k G a^k for a perturbed "
+        "inner inverse G built outside the package + identical d on a second "
+        "call, 300 random matrices (n <= 6) over Q and over F_5",
         10.0,
         body,
     )

@@ -1442,6 +1442,70 @@ def test_lemmas_section2_i_max_cap_exit_3(monkeypatch, capsys):
     assert payload["error"]["detail"] == {"i_max": 33, "cap": 32}
 
 
+def _refuses_i_max(argv, stdin_text, i_max, monkeypatch, capsys):
+    """``argv`` exits 2 on its ``--i-max`` before any suite runs."""
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for k in (21, 22, 31, 32, 33, 34, 35):
+        monkeypatch.setattr(cli, f"lemma{k}_suite", no_suite)
+    code, out, err = _run(monkeypatch, capsys, argv, stdin_text)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {
+            "code": "malformed-input",
+            "message": f"i_max must be a positive integer, got {i_max}",
+            "detail": {"i_max": i_max},
+        }
+    }
+
+
+def test_lemmas_i_max_refused_where_no_suite_reads_it(monkeypatch, capsys):
+    # L3.3, the only lemma-3.3 suite, takes no exponent bound.
+    corpus = corpus_to_json_obj(cli.default_cube_corpus(QQ, SwappedCube())[:2])
+    argv = ["lemmas", "--which", "lemma-3.3", "--i-max", "-5"]
+    _refuses_i_max(argv, json.dumps(corpus), -5, monkeypatch, capsys)
+
+
+def test_lemmas_i_max_refused_on_an_empty_corpus(monkeypatch, capsys):
+    argv = ["lemmas", "--which", "section-2", "--i-max", "0"]
+    _refuses_i_max(argv, "[]", 0, monkeypatch, capsys)
+
+
+def _count_gen_calls(monkeypatch):
+    """Count the pairs ``gen`` builds, from a family or a default corpus."""
+    calls = []
+    for name in ("gen_pair", "default_lambda_corpus", "default_cube_corpus"):
+        real = getattr(cli, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_gen_count_cap(monkeypatch, capsys):
+    cap = cli._MAX_COUNT
+    calls = _count_gen_calls(monkeypatch)
+    argv = ["gen", "--family", "weighted-shift(2)", "--count"]
+    code, out, _ = _run(monkeypatch, capsys, argv + [str(cap)])
+    assert code == 0 and len(json.loads(out)) == len(calls) == cap
+    del calls[:]
+    for argv in (argv, ["gen", "--relation", "cross-cube", "--count"]):
+        code, out, err = _run(monkeypatch, capsys, argv + [str(cap + 1)])
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err) == {
+            "error": {
+                "code": "malformed-input",
+                "message": f"--count {cap + 1} exceeds the cap of {cap}",
+                "detail": {"count": cap + 1, "cap": cap},
+            }
+        }
+
+
 def test_parse_family_grammar():
     assert parse_family("weighted-shift(3)") == WeightedShift(3)
     assert parse_family("diag-tripotents(2)") == DiagTripotents(2)

@@ -23,7 +23,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drazinkit import Matrix, PivotOrder, PrimeField, QQ
 
-from _naive import add, eye, eye_mod, from_matrix, matmul, matpow, rank, rref, scale, sub
+from _naive import (
+    add,
+    eye,
+    eye_mod,
+    from_matrix,
+    inner_inverse,
+    matmul,
+    matpow,
+    rank,
+    rref,
+    scale,
+    sub,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -34,7 +46,6 @@ SETTINGS = settings(
 )
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7))
-ORDERS = {"top-down": PivotOrder.TOP_DOWN, "bottom-up": PivotOrder.BOTTOM_UP}
 
 
 def _entries(field):
@@ -143,25 +154,20 @@ def test_elimination(case):
     field, p, x, _ = case
     a = _build(field, x)
     assert a.rank() == rank(x, p)
-    for name, order in ORDERS.items():
-        reduced, transform, pivots = rref(x, name, p)
-        res = a.rref(order)
-        _check(res.reduced, reduced, p)
-        _check(res.transform, transform, p)
-        assert res.pivot_cols == tuple(pivots) and res.rank == len(pivots)
-        # the inner inverse: row k of the transform at row pivots[k]
-        zero = 0 if p else Fraction(0)
-        g = [[zero] * len(x) for _ in range(len(x[0]))]
-        for k, c in enumerate(pivots):
-            g[c] = transform[k]
-        gm = a.inner_inverse(order)
-        _check(gm, g, p)
-        assert matmul(matmul(x, g, p), x, p) == _normalized(x, p)
-        if len(pivots) == len(x) == len(x[0]):
-            inv = a.inverse()
-            _check(inv, transform, p)
-            n = len(x)
-            assert matmul(x, transform, p) == (eye_mod(n) if p else eye(n))
+    reduced, transform, pivots = rref(x, PivotOrder.TOP_DOWN.value, p)
+    res = a.rref()
+    _check(res.reduced, reduced, p)
+    _check(res.transform, transform, p)
+    assert res.pivot_cols == tuple(pivots) and res.rank == len(pivots)
+    # the inner inverse: row k of the transform at row pivots[k]
+    g = inner_inverse(x, PivotOrder.TOP_DOWN.value, p)
+    _check(a.inner_inverse(), g, p)
+    assert matmul(matmul(x, g, p), x, p) == _normalized(x, p)
+    if len(pivots) == len(x) == len(x[0]):
+        inv = a.inverse()
+        _check(inv, transform, p)
+        n = len(x)
+        assert matmul(x, transform, p) == (eye_mod(n) if p else eye(n))
 
 
 @SETTINGS
@@ -268,3 +274,21 @@ def test_the_stored_form_is_the_only_constructor():
                 and path.name != "matrices.py"
             ):
                 assert len(node.args) == 3 and not node.keywords, where
+
+
+def test_one_pivot_rule():
+    # Elimination has one pivot rule: no function takes an ``order``, and
+    # the enum that names the rule has one member.
+    src = Path(__file__).resolve().parent.parent / "src" / "drazinkit"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [
+                    a.arg
+                    for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                    + [args.vararg, args.kwarg]
+                    if a is not None
+                ]
+                assert "order" not in names, (path.name, node.lineno)
+    assert list(PivotOrder) == [PivotOrder.TOP_DOWN]
