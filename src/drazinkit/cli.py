@@ -44,7 +44,7 @@ from .errors import (
     CharacteristicTwo,
 )
 from .fields import Field, PrimeField, QQ, _past_digit_limit
-from .matrices import Matrix, _check_dimension
+from .matrices import _MAX_DIMENSION, Matrix, _check_dimension
 from .pairs import (
     Conjugated,
     CorpusPair,
@@ -239,6 +239,15 @@ def _family_size(family: PairFamily) -> int:
     return family.n
 
 
+def _conjugation_work(family: PairFamily) -> int:
+    """``m**3`` summed over the conjugations in ``family``, each of an m x m pair."""
+    if isinstance(family, DirectSum):
+        return _conjugation_work(family.left) + _conjugation_work(family.right)
+    if isinstance(family, Conjugated):
+        return _conjugation_work(family.inner) + _family_size(family.inner) ** 3
+    return 0
+
+
 def parse_family(text: str) -> PairFamily:
     """Parse a family descriptor.
 
@@ -339,6 +348,12 @@ _MAX_JOBS = 64
 # Upper bound of ``gen --count``, checked before any pair is made.  At the cap a
 # 2-CPU host runs ``gen`` in 0.3 s on weighted-shift(3), 30 s on weighted-shift(64).
 _MAX_COUNT = 1000
+
+# Upper bound of the work of ``gen --family``, checked before any pair is made:
+# ``count * (n**2 + m**3 per conjugation of an m x m pair)`` for n x n pairs.
+# The cap accepts 1000 unconjugated 64x64 pairs; a conjugation at n = 64 takes
+# about 0.4 s, and the slowest conjugated gen it accepts takes about 10 s.
+_MAX_GEN_WORK = _MAX_COUNT * _MAX_DIMENSION**2
 
 
 # --------------------------------------------------------------------------
@@ -468,6 +483,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
+        work = (args.count or 1) * (_family_size(fam) ** 2 + _conjugation_work(fam))
+        if work > _MAX_GEN_WORK:
+            raise ParseError(
+                f"gen work estimate {work} exceeds the cap of {_MAX_GEN_WORK}",
+                {"work": work, "cap": _MAX_GEN_WORK},
+            )
         seed = 0 if args.seed is None else args.seed
         pairs = [
             CorpusPair(*gen_pair(fam, rel, field, seed + k), rel, describe_family(fam))

@@ -50,7 +50,6 @@ class DrazinData:
     ``is_group`` records whether ``d`` is a group inverse, i.e. ``index <= 1``.
     """
 
-    source: Matrix
     d: Matrix
     index: int
     pi: Matrix
@@ -151,7 +150,7 @@ def _assemble(a: Matrix, index: int, ladder: List[Matrix]) -> DrazinData:
         raise InternalCertificationFailure(
             "constructed Drazin inverse failed its own certificate"
         )
-    return DrazinData(source=a, d=d, index=index, pi=eye - ad, is_group=index <= 1)
+    return DrazinData(d=d, index=index, pi=eye - ad, is_group=index <= 1)
 
 
 def drazin_inverse(a: Matrix) -> DrazinData:
@@ -219,10 +218,7 @@ class Workspace:
         if data is None:
             data = drazin_inverse(a)
             intern = self.intern
-            a = intern(a)
-            data = self._drazin[a] = replace(
-                data, source=a, d=intern(data.d), pi=intern(data.pi)
-            )
+            data = self._drazin[intern(a)] = replace(data, d=intern(data.d), pi=intern(data.pi))
             self.drazin_computed += 1
         else:
             self.drazin_reused += 1

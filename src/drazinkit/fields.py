@@ -15,7 +15,7 @@ matrix hooks below; and the wire codec.  Raw values are
 ``fractions.Fraction`` for the rationals and plain ``int`` residues for
 prime fields, so scalar sums, differences and products are written with
 Python's operators on raw values, followed by one ``reduce`` per result.
-User-facing code sees only :class:`FieldScalar`.
+User-facing code sees only :class:`FieldScalar`, built by :meth:`Field.scalar`.
 
 Matrices do not hold raw values: a ``Matrix`` keeps integer rows over one
 positive denominator, canonical (see :mod:`drazinkit.matrices`), and over
@@ -223,22 +223,22 @@ class Field:
                 raise FieldMismatch(f"scalar belongs to {value.field}, not {self}")
             return value
         if isinstance(value, int):
-            return FieldScalar(self, self.from_int(value))
+            return _scalar(self, self.from_int(value))
         if isinstance(value, str):
-            return FieldScalar(self, self.parse_raw(value))
+            return _scalar(self, self.parse_raw(value))
         raise ParseError(f"cannot coerce {type(value).__name__!r} into {self}")
 
     def parse(self, text: str) -> "FieldScalar":
         """Strict wire-format parse (the exact inverse of ``str(scalar)``)."""
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, got {type(text).__name__}")
-        return FieldScalar(self, self.parse_raw(text))
+        return _scalar(self, self.parse_raw(text))
 
     def zero_scalar(self) -> "FieldScalar":
-        return FieldScalar(self, self.zero)
+        return _scalar(self, self.zero)
 
     def one_scalar(self) -> "FieldScalar":
-        return FieldScalar(self, self.one)
+        return _scalar(self, self.one)
 
     def to_json_obj(self):
         raise NotImplementedError
@@ -313,9 +313,9 @@ class RationalField(Field):
                 raise ParseError("numerator and denominator must be ints")
             if den == 0:
                 raise DivisionByZero("zero denominator")
-            return FieldScalar(self, Fraction(value) / Fraction(den))
+            return _scalar(self, Fraction(value) / Fraction(den))
         if isinstance(value, Fraction):
-            return FieldScalar(self, value)
+            return _scalar(self, value)
         return super().scalar(value)
 
     def to_json_obj(self):
@@ -449,9 +449,8 @@ class FieldScalar:
 
     __slots__ = ("field", "value")
 
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use Field.scalar, parse, zero_scalar or one_scalar")
 
     def _combine(self, other, op):
         """``reduce(op(x, y))`` on the raw values of ``self`` and ``other``,
@@ -466,7 +465,7 @@ class FieldScalar:
             v = self.field.from_int(other)
         else:
             return NotImplemented
-        return FieldScalar(self.field, self.field.reduce(op(self.value, v)))
+        return _scalar(self.field, self.field.reduce(op(self.value, v)))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -493,13 +492,13 @@ class FieldScalar:
     def __pow__(self, e):
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
-        return FieldScalar(self.field, self.field.pow(self.value, e))
+        return _scalar(self.field, self.field.pow(self.value, e))
 
     def __neg__(self):
-        return FieldScalar(self.field, self.field.reduce(-self.value))
+        return _scalar(self.field, self.field.reduce(-self.value))
 
     def inverse(self) -> "FieldScalar":
-        return FieldScalar(self.field, self.field.inv(self.value))
+        return _scalar(self.field, self.field.inv(self.value))
 
     def is_zero(self) -> bool:
         return not self.value
@@ -522,3 +521,11 @@ class FieldScalar:
 
     def __repr__(self):
         return f"FieldScalar({self.field!r}, {str(self)!r})"
+
+
+def _scalar(field: Field, raw, _new=object.__new__, _cls=FieldScalar) -> FieldScalar:
+    """The scalar of the canonical raw value ``raw``, unchecked."""
+    s = _new(_cls)
+    s.field = field
+    s.value = raw
+    return s

@@ -7,14 +7,15 @@ tuples, and ``_den``, a positive int with ``gcd(_den, every entry) == 1``
 canonical residues and ``_den`` is always 1.  The form is canonical, so
 equality and hashing compare ``(_den, _num)``, and products, sums and
 elimination all run on plain ints, for both fields; a product is one call
-of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.
-``Matrix(field, num, den)`` takes this form as it is.  Per-entry raw values
-(``Fraction`` over Q) enter only through :meth:`Matrix.from_rows` and
-:meth:`Matrix.diagonal`, and leave only through :meth:`Matrix.entry`,
-:meth:`Matrix.to_rows` and ``_data``.  The codec reads each entry's text
-straight to ints (:meth:`~drazinkit.fields.Field.decode`) and writes each
-entry from ``(n, _den)`` with one gcd.  Matrices are immutable; all
-operators return new instances and refuse mixed fields or shapes.
+of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.  Only
+the package builds a matrix from this form, unchecked, with ``_stored``.
+Per-entry raw values (``Fraction`` over Q) enter only through
+:meth:`Matrix.from_rows` and :meth:`Matrix.diagonal`, and leave only
+through :meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data``.  The
+codec reads each entry's text straight to ints
+(:meth:`~drazinkit.fields.Field.decode`) and writes each entry from ``(n,
+_den)`` with one gcd.  Matrices are immutable; all operators return new
+instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit.  There is one pivot rule, :data:`PivotOrder.TOP_DOWN`:
@@ -81,7 +82,7 @@ class RrefResult:
 
 def _canonical(field: Field, num, den: int) -> "Matrix":
     """A matrix from ``num / den``, any int rows over a positive ``den``."""
-    return Matrix(field, *field.normalize(num, den))
+    return _stored(field, *field.normalize(num, den))
 
 
 def _pair(field: Field, x) -> Tuple[int, int]:
@@ -115,15 +116,8 @@ class Matrix:
     # Drazin and power tables of a Workspace.
     __slots__ = ("field", "rows", "cols", "_num", "_den", "_hash")
 
-    def __init__(self, field: Field, num: Tuple[Tuple[int, ...], ...], den: int):
-        """``num / den`` in the canonical stored form (module docstring), taken
-        unchecked: ``Matrix(QQ, ((2,),), 2)`` prints ``1`` but does not equal
-        ``Matrix.identity(QQ, 1)``.  :meth:`from_rows` is the public constructor."""
-        self.field = field
-        self.rows = len(num)
-        self.cols = len(num[0])
-        self._num = num
-        self._den = den
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use Matrix.from_rows, diagonal, identity, zero or from_json_obj")
 
     @property
     def _data(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -161,13 +155,13 @@ class Matrix:
         cols = rows if cols is None else cols
         if rows < 1 or cols < 1:
             raise ShapeMismatch("dimensions must be positive", {"shape": [rows, cols]})
-        return Matrix(field, ((0,) * cols,) * rows, 1)
+        return _stored(field, ((0,) * cols,) * rows, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         if n < 1:
             raise ShapeMismatch("dimensions must be positive", {"shape": [n, n]})
-        return Matrix(
+        return _stored(
             field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), 1
         )
 
@@ -183,7 +177,7 @@ class Matrix:
 
     # -- basic accessors ----------------------------------------------------
     def entry(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.field, self.field.value(self._num[i][j], self._den))
+        return self.field.scalar(self.field.value(self._num[i][j], self._den))
 
     def to_rows(self) -> List[List[FieldScalar]]:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -206,7 +200,7 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self._num)), self._den)
+        return _stored(self.field, tuple(zip(*self._num)), self._den)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
         """Block-diagonal sum, self in the top-left corner."""
@@ -217,7 +211,7 @@ class Matrix:
         bottom = tuple(left + row for row in _times(other._num, den // other._den))
         # Canonical already: a prime dividing ``den`` divides one of the two
         # denominators fully, and that block keeps an entry it does not divide.
-        return Matrix(self.field, top + bottom, den)
+        return _stored(self.field, top + bottom, den)
 
     # -- ring operations -----------------------------------------------------
     def _check_field(self, other: "Matrix") -> None:
@@ -277,7 +271,7 @@ class Matrix:
                     {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
                 )
             F = self.field
-            return Matrix(
+            return _stored(
                 F, *F.dot(self._num, tuple(zip(*other._num)), self._den * other._den)
             )
         if isinstance(other, FieldScalar):
@@ -339,7 +333,7 @@ class Matrix:
     def __reduce__(self):
         # Pickle without ``_hash``: field hashes hash strings, which differ
         # between interpreters started with different hash seeds.
-        return (Matrix, (self.field, self._num, self._den))
+        return (_stored, (self.field, self._num, self._den))
 
     # -- elimination kernels ---------------------------------------------------
     def rref(self) -> RrefResult:
@@ -515,6 +509,17 @@ class Matrix:
         encode, den = self.field.encode, self._den
         body = "; ".join(" ".join(encode(n, den) for n in row) for row in self._num)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
+
+
+def _stored(field: Field, num, den: int, _new=object.__new__, _cls=Matrix) -> Matrix:
+    """The matrix ``num / den``, in the stored form (module docstring) and unchecked."""
+    m = _new(_cls)
+    m.field = field
+    m.rows = len(num)
+    m.cols = len(num[0])
+    m._num = num
+    m._den = den
+    return m
 
 
 def nilpotency_degree(m: Matrix, cap: Optional[int] = None) -> Optional[int]:

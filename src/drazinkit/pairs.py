@@ -4,10 +4,10 @@ Every suite in this library runs over pairs produced here.  Structured
 families build pairs that satisfy a relation by construction; the
 exhaustive search enumerates *all* pairs over a small prime field and is
 the independent oracle that the structured families cannot be (it finds
-genuinely noncommuting examples nobody would write by hand).  Either way,
-each emitted pair is re-checked against its relation before it leaves this
-module; a failure raises InternalCertificationFailure because it can only
-be a generator bug.
+genuinely noncommuting examples nobody would write by hand).  ``gen_pair``
+checks each family's pair against its relation, and a failure, a generator
+bug, raises InternalCertificationFailure.  Search hits go unchecked: the tests
+compare the search with a brute force, and every suite re-checks its pair.
 
 Families
 --------
@@ -47,9 +47,10 @@ from .errors import (
     IncompatibleFamily,
     InternalCertificationFailure,
     ParseError,
+    ShapeMismatch,
 )
 from .fields import Field, FieldScalar, PrimeField
-from .matrices import Matrix
+from .matrices import Matrix, _stored
 from .relations import (
     CrossCube,
     LambdaCommute,
@@ -198,6 +199,8 @@ def random_invertible(field: Field, n: int, seed: int) -> Matrix:
     The construction P*L*U with unit diagonals has determinant +-1, so it
     is invertible over every field regardless of the entries drawn.
     """
+    if n < 1:
+        raise ShapeMismatch("dimensions must be positive", {"shape": [n, n]})
     rng = Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -212,9 +215,9 @@ def random_invertible(field: Field, n: int, seed: int) -> Matrix:
             if rng.random() < 0.6:
                 upper[i][j] = _rand_entry(field, rng)
     # Integer entries, each a residue over F_p: the stored form with den 1.
-    pm = Matrix(field, p_rows, 1)
-    lm = Matrix(field, tuple(map(tuple, lower)), 1)
-    um = Matrix(field, tuple(map(tuple, upper)), 1)
+    pm = _stored(field, p_rows, 1)
+    lm = _stored(field, tuple(map(tuple, lower)), 1)
+    um = _stored(field, tuple(map(tuple, upper)), 1)
     return pm * lm * um
 
 
@@ -234,7 +237,7 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
         if k == n:
             return jordan
         tail = Matrix.diagonal(
-            field, [FieldScalar(field, _rand_unit(field, rng)) for _ in range(n - k)]
+            field, [field.scalar(_rand_unit(field, rng)) for _ in range(n - k)]
         )
         return jordan.direct_sum(tail)
     return Matrix.from_rows(
@@ -244,7 +247,7 @@ def _structured_square(field: Field, n: int, seed: int) -> Matrix:
 
 def _upper_shift(field: Field, n: int) -> Matrix:
     """The n x n nilpotent Jordan block: ones just above the diagonal."""
-    return Matrix(
+    return _stored(
         field, tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n)), 1
     )
 
@@ -310,7 +313,7 @@ def _gen_pair(
                     {"family": describe_family(family), "lambda": str(rel.lam)},
                 )
             b = Matrix.diagonal(
-                field, [FieldScalar(field, _rand_unit(field, rng)) for _ in range(n)]
+                field, [field.scalar(_rand_unit(field, rng)) for _ in range(n)]
             )
             return a, b
         if scale not in (1, -1):
@@ -654,7 +657,7 @@ def exhaustive_search(
     def matrix(flat: Tuple[int, ...]) -> Matrix:
         if flat not in matrices:
             rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            matrices[flat] = Matrix(field, rows, 1)
+            matrices[flat] = _stored(field, rows, 1)
         return matrices[flat]
 
     return [(matrix(fa), matrix(fb)) for fa, fb in _search_flat(spec)]

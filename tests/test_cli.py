@@ -1506,6 +1506,49 @@ def test_gen_count_cap(monkeypatch, capsys):
         }
 
 
+def test_gen_work_cap(monkeypatch, capsys):
+    # count * (n**2 + m**3 per conjugation of an m x m pair), checked before
+    # any pair is made.  Accepted pairs come from a stub, so no 64x64 pair is
+    # built: at the cap the test would take seconds.
+    cap = cli._MAX_GEN_WORK
+    made = []
+
+    def stub(family, rel, field, seed):
+        made.append(seed)
+        return Matrix.identity(field, 1), Matrix.identity(field, 1)
+
+    monkeypatch.setattr(cli, "gen_pair", stub)
+    once = "conjugated(weighted-shift(64);1)"
+    deep = "weighted-shift(64)"
+    for k in range(16):
+        deep = f"conjugated({deep};{k})"
+    mixed = "conjugated(direct-sum(conjugated(zero-b(63);1);zero-b(1));2)"
+    cases = [
+        ("weighted-shift(64)", cli._MAX_COUNT, 0, None),
+        (once, 15, 0, None),
+        (mixed, 7, 0, None),
+        (once, 16, 2, 16 * (64**2 + 64**3)),
+        (deep, 1, 2, 64**2 + 16 * 64**3),
+        (mixed, 8, 2, 8 * (64**2 + 63**3 + 64**3)),
+    ]
+    for family, count, want, work in cases:
+        del made[:]
+        argv = ["gen", "--family", family, "--count", str(count)]
+        code, out, err = _run(monkeypatch, capsys, argv)
+        assert code == want, (family, count, err)
+        if work is None:
+            assert len(made) == count and len(json.loads(out)) == count
+            continue
+        assert (out, made, work > cap) == ("", [], True)
+        assert json.loads(err) == {
+            "error": {
+                "code": "malformed-input",
+                "message": f"gen work estimate {work} exceeds the cap of {cap}",
+                "detail": {"work": work, "cap": cap},
+            }
+        }
+
+
 def test_parse_family_grammar():
     assert parse_family("weighted-shift(3)") == WeightedShift(3)
     assert parse_family("diag-tripotents(2)") == DiagTripotents(2)

@@ -25,6 +25,7 @@ from drazinkit import (
     QQ,
     ScalarTimesIdentity,
     SearchSpec,
+    ShapeMismatch,
     SwappedCube,
     TrivialZeroB,
     WeightedShift,
@@ -205,6 +206,16 @@ class TestFamilies:
                 m = random_invertible(field, 4, seed)
                 assert m.rank() == 4
             assert random_invertible(field, 4, 7) == random_invertible(field, 4, 7)
+
+    def test_random_invertible_refuses_a_size_below_one(self):
+        # Refused before any matrix is built, as ``Matrix.identity`` refuses.
+        for n in (0, -2):
+            with pytest.raises(ShapeMismatch) as got:
+                random_invertible(QQ, n, 1)
+            with pytest.raises(ShapeMismatch) as want:
+                Matrix.identity(QQ, n)
+            assert str(got.value) == str(want.value)
+            assert got.value.detail == want.value.detail == {"shape": [n, n]}
 
 
 class TestSearchSpec:

@@ -19,9 +19,10 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from drazinkit import Matrix, PivotOrder, PrimeField, QQ
+from drazinkit import FieldScalar, Matrix, PivotOrder, PrimeField, QQ
 
 from _naive import (
     add,
@@ -254,26 +255,43 @@ def test_equal_values_by_different_routes(case):
 
 
 def test_the_stored_form_is_the_only_constructor():
-    # No module defines or calls a second way to build a matrix, and every
-    # ``Matrix(...)`` outside matrices.py passes the stored form.
+    # No module defines or calls a second way to build a matrix, and none
+    # calls ``Matrix(...)`` or ``FieldScalar(...)``.  Each class has one
+    # factory, called only in its own module, and the matrix factory also in
+    # the three ``pairs`` builders whose int rows are canonical by construction.
     src = Path(__file__).resolve().parent.parent / "src" / "drazinkit"
     gone = {"_make", "from_values"}
+    home = {"_stored": "matrices.py", "_scalar": "fields.py"}
+    builders = {"random_invertible", "_upper_shift", "exhaustive_search"}
+    callers = set()
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), path.name)):
-            where = (path.name, getattr(node, "lineno", None))
-            if isinstance(node, ast.FunctionDef):
-                assert node.name not in gone, where
-            elif isinstance(node, ast.Name):
-                assert node.id not in gone, where
-            elif isinstance(node, ast.Attribute):
-                assert node.attr not in gone, where
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "Matrix"
-                and path.name != "matrices.py"
-            ):
-                assert len(node.args) == 3 and not node.keywords, where
+        for stmt in ast.parse(path.read_text(), path.name).body:
+            top = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for node in ast.walk(stmt):
+                where = (path.name, getattr(node, "lineno", None))
+                if isinstance(node, ast.FunctionDef):
+                    assert node.name not in gone, where
+                elif isinstance(node, ast.Name):
+                    assert node.id not in gone, where
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr not in gone, where
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    assert name not in ("Matrix", "FieldScalar"), where
+                    if name in home and path.name != home[name]:
+                        callers.add((path.name, top, name))
+    assert callers == {("pairs.py", name, "_stored") for name in builders}
+
+
+def test_the_constructors_take_no_stored_form():
+    # Unchecked, ``Matrix(QQ, ((2,),), 2)`` printed 1 but did not equal the
+    # identity, and ``FieldScalar(PrimeField(5), 7)`` printed 7, which
+    # ``parse`` refuses, and did not equal ``PrimeField(5).scalar(2)``.
+    with pytest.raises(TypeError, match="Matrix.from_rows"):
+        Matrix(QQ, ((2,),), 2)
+    with pytest.raises(TypeError, match="Field.scalar"):
+        FieldScalar(PrimeField(5), 7)
 
 
 def test_one_pivot_rule():

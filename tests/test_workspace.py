@@ -126,7 +126,8 @@ def test_workspace_hands_out_the_first_object_of_each_value():
     xy = ws.prod(x, fresh([[0, 1], [0, 0]]))
     assert ws.intern(fresh([[0, 1], [0, 3]])) is xy
     data = ws.drazin(fresh([[0, 1], [0, 3]]))
-    assert data.source is xy
+    (key,) = ws._drazin
+    assert key is xy and ws._drazin[key] is data
     assert ws.intern(fresh([[0, "1/9"], [0, "1/3"]])) is data.d
     assert ws.intern(fresh([[1, "-1/3"], [0, 0]])) is data.pi
     # a suite's operands are the stored objects, whatever the caller passed
