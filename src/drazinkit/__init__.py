@@ -4,8 +4,9 @@ Everything runs over exact scalar domains (the rationals, or a prime field
 F_p), so every comparison in the library is exact equality; there are no
 tolerances anywhere.  The core surface:
 
-* :func:`drazin_inverse` / :func:`group_inverse` / :func:`certify` - the
-  inverse itself, with post-hoc certification of the defining equations.
+* :func:`drazin_inverse` / :func:`certify` - the inverse itself, with
+  post-hoc certification of the defining equations; ``is_group`` on the
+  result says whether it is the group inverse (index <= 1).
 * :class:`Workspace` - certified Drazin data, powers and products
   computed once per matrix value, shared by the suites and formulas of
   one run through their ``ws`` keyword.

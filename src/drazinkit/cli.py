@@ -9,15 +9,15 @@ newline), standard error carries diagnostics.  Exit codes:
 * 2 - malformed input (error JSON on stderr locates the problem); this
       includes an unknown flag, a missing required flag, a flag value of
       the wrong type, ``search --jobs`` outside 1..64, ``gen --count``
-      outside 1..1000, a ``search --budget`` below 1, a search dimension or
-      entry bound out of range, an ``--i-max`` below 1 (whatever the corpus),
-      a family nested past its cap, a matrix or family of more than 64 rows
-      or columns (the dimension cap), ``gen --lambda`` or ``--seed`` without
-      ``--family``, input that is not UTF-8 or holds a JSON integer past
-      the int/str digit limit, closed standard input and a path holding
-      NUL, each a :class:`ParseError`; ``main`` catches only
-      :class:`DrazinKitError`, so every rejected input leaves as one error
-      JSON, never as usage text
+      outside 1..1000, a ``search --budget`` outside 1..10**9, a search
+      dimension or entry bound out of range, an ``--i-max`` below 1
+      (whatever the corpus), a family nested past its cap, a matrix or
+      family of more than 64 rows or columns (the dimension cap), ``gen
+      --lambda`` or ``--seed`` without ``--family``, input that is not
+      UTF-8 or holds a JSON integer past the int/str digit limit, closed
+      standard input and a path holding NUL, each a :class:`ParseError`;
+      ``main`` catches only :class:`DrazinKitError`, so every rejected
+      input leaves as one error JSON, never as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
       for the sum formula, incompatible family, budget exceeded, a result
       entry too long to print, ...)
@@ -345,6 +345,11 @@ _WHICH = {
 # that was refused stays refused.
 _MAX_JOBS = 64
 
+# Upper bound of ``search --budget``, checked before the search spec is
+# built.  Under it the entry domain has at most 31,622 residues, so a huge
+# modulus is refused by the budget, never by building the domain.
+_MAX_BUDGET = 1_000_000_000
+
 # Upper bound of ``gen --count``, checked before any pair is made.  At the cap a
 # 2-CPU host runs ``gen`` in 0.3 s on weighted-shift(3), 30 s on weighted-shift(64).
 _MAX_COUNT = 1000
@@ -521,6 +526,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.budget is not None and args.budget < 1:
         raise ParseError(
             f"--budget must be positive, got {args.budget}", {"budget": args.budget}
+        )
+    if args.budget is not None and args.budget > _MAX_BUDGET:
+        raise ParseError(
+            f"--budget {args.budget} exceeds the cap of {_MAX_BUDGET}",
+            {"budget": args.budget, "cap": _MAX_BUDGET},
         )
     field = PrimeField(args.mod)
     rel = _relation_from_flags(args, field)

@@ -1,4 +1,4 @@
-"""Drazin index, Drazin inverse, group inverse and spectral projector.
+"""Drazin index, Drazin inverse and spectral projector.
 
 The Drazin inverse of a square matrix ``a`` is the unique ``d`` with::
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
-from .errors import IndexTooLarge, InternalCertificationFailure, ShapeMismatch
+from .errors import InternalCertificationFailure, ShapeMismatch
 from .matrices import Matrix
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "compute_index",
     "certify",
     "drazin_inverse",
-    "group_inverse",
 ]
 
 
@@ -135,10 +134,18 @@ def _certified(a: Matrix, d: Matrix, ad: Matrix, k: int, power) -> bool:
     return k == 0 or power(k - 1) != times_d(k)
 
 
-def _assemble(a: Matrix, index: int, ladder: List[Matrix]) -> DrazinData:
+def drazin_inverse(a: Matrix) -> DrazinData:
+    """Compute and certify the Drazin inverse of ``a``.
+
+    The intermediate inner inverse is :meth:`Matrix.inner_inverse`'s, from
+    the one pivot rule; any other inner inverse gives the same result.
+    """
+    _require_square(a, "the Drazin inverse")
     # ``ladder`` holds a**1 .. a**(index + 1) from compute_index, so the
     # certificate powers nothing again, and its ``a*d`` also gives ``pi``.
     # At index 0, a**index is I and the sandwich is the inner inverse of a.
+    ladder: List[Matrix] = []
+    index = compute_index(a, ladder)
     if index == 0:
         d = a.inner_inverse()
     else:
@@ -151,29 +158,6 @@ def _assemble(a: Matrix, index: int, ladder: List[Matrix]) -> DrazinData:
             "constructed Drazin inverse failed its own certificate"
         )
     return DrazinData(d=d, index=index, pi=eye - ad, is_group=index <= 1)
-
-
-def drazin_inverse(a: Matrix) -> DrazinData:
-    """Compute and certify the Drazin inverse of ``a``.
-
-    The intermediate inner inverse is :meth:`Matrix.inner_inverse`'s, from
-    the one pivot rule; any other inner inverse gives the same result.
-    """
-    _require_square(a, "the Drazin inverse")
-    ladder: List[Matrix] = []
-    return _assemble(a, compute_index(a, ladder), ladder)
-
-
-def group_inverse(a: Matrix) -> DrazinData:
-    """Drazin inverse restricted to index <= 1; raises IndexTooLarge otherwise."""
-    _require_square(a, "the group inverse")
-    ladder: List[Matrix] = []
-    k = compute_index(a, ladder)
-    if k > 1:
-        raise IndexTooLarge(
-            f"group inverse needs index <= 1, got index {k}", {"index": k}
-        )
-    return _assemble(a, k, ladder)
 
 
 class Workspace:

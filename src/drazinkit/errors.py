@@ -16,7 +16,6 @@ __all__ = [
     "ShapeMismatch",
     "DivisionByZero",
     "SingularMatrix",
-    "IndexTooLarge",
     "PreconditionViolated",
     "ZeroLambda",
     "ExponentOverflow",
@@ -68,12 +67,6 @@ class SingularMatrix(DrazinKitError):
     """Ordinary inverse requested for a rank-deficient matrix."""
 
     code = "singular-matrix"
-
-
-class IndexTooLarge(DrazinKitError):
-    """Group inverse requested but the Drazin index exceeds 1."""
-
-    code = "index-too-large"
 
 
 class PreconditionViolated(DrazinKitError):

@@ -299,7 +299,8 @@ def _gen_pair(
 
     if isinstance(family, ScalarTimesIdentity):
         n, scale = family.n, family.scale
-        if field.from_int(scale) == field.zero:
+        value = field.from_int(scale)
+        if value == field.zero:
             raise IncompatibleFamily(
                 "scale must be a unit of the field",
                 {"scale": scale, "field": field.to_json_obj()},
@@ -316,7 +317,7 @@ def _gen_pair(
                 field, [field.scalar(_rand_unit(field, rng)) for _ in range(n)]
             )
             return a, b
-        if scale not in (1, -1):
+        if value not in (field.one, field.from_int(-1)):
             raise IncompatibleFamily(
                 "cube relations need a**3 == a, so scale must be 1 or -1",
                 {"scale": scale, "relation": rel.name},
@@ -345,7 +346,7 @@ def _gen_pair(
                 f"exhaustive hits live over F_{family.p}, not {field}",
                 {"family": describe_family(family), "field": field.to_json_obj()},
             )
-        hits = cached_hits(family.p, family.n, rel, True)
+        hits = cached_hits(family.p, family.n, rel)
         if not 0 <= family.ordinal < len(hits):
             raise IncompatibleFamily(
                 f"ordinal {family.ordinal} out of range: "
@@ -664,12 +665,10 @@ def exhaustive_search(
 
 
 @lru_cache(maxsize=32)
-def cached_hits(
-    p: int, n: int, relation: RelationKind, require_nontrivial: bool
-) -> Tuple[Tuple[Matrix, Matrix], ...]:
-    """Memoized search, for corpus builders and families.
-    No argument has a default, so that one search has one cache key."""
-    spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=require_nontrivial)
+def cached_hits(p: int, n: int, relation: RelationKind) -> Tuple[Tuple[Matrix, Matrix], ...]:
+    """Memoized nontrivial search (``a*b != 0``), for corpus builders and
+    families.  No argument has a default, so that one search has one cache key."""
+    spec = SearchSpec(p=p, n=n, relation=relation, require_nontrivial=True)
     return tuple(exhaustive_search(spec))
 
 
@@ -785,11 +784,12 @@ def _lambda_families(field: Field, lam_is_one: bool, li: int) -> List[PairFamily
         Conjugated(DirectSum(WeightedShift(4), TrivialZeroB(1)), 970 + li),
     ]
     if lam_is_one:
+        p = field.characteristic
         fams += [
-            ScalarTimesIdentity(2, 2),
+            # 2 is 0 in F_2 and 3 is 0 in F_3, so there the scales are 1 and 2.
+            ScalarTimesIdentity(2, 1 if p == 2 else 2),
             ScalarTimesIdentity(3, -1),
-            # 3 is not a unit of F_3, where the scale is 2 instead.
-            Conjugated(ScalarTimesIdentity(2, 2 if field.characteristic == 3 else 3), 600),
+            Conjugated(ScalarTimesIdentity(2, 2 if p == 3 else 3), 600),
             DiagTripotents(2, ((1, 0), (-1, 0))),
             DiagTripotents(3, ((1, -1, 0), (0, 1, -1))),
             Conjugated(DiagTripotents(3, None), 700),
@@ -798,7 +798,11 @@ def _lambda_families(field: Field, lam_is_one: bool, li: int) -> List[PairFamily
 
 
 def default_lambda_corpus(field: Field) -> List[CorpusPair]:
-    """Deterministic lambda-commuting corpus over ``field`` (>= 100 pairs).
+    """Deterministic lambda-commuting corpus over ``field``.
+
+    Each value of :func:`default_lambda_values` gives 25 pairs, and 31 at
+    lambda == 1: 106 pairs over Q and F_5, 31 over F_2, 56 over F_3, 156
+    over F_7 and 81 over any larger prime field.
 
     Index coverage by construction: weighted shifts give (ind(a), ind(b))
     = (n, 0); the lam == 1 block adds invertible/invertible and
@@ -869,7 +873,7 @@ def exhaustive_hits_corpus(
     """Every nontrivial search hit at sizes 1..n_max over F_p, in order."""
     pairs: List[CorpusPair] = []
     for n in range(1, n_max + 1):
-        for ordinal, (a, b) in enumerate(cached_hits(p, n, relation, True)):
+        for ordinal, (a, b) in enumerate(cached_hits(p, n, relation)):
             pairs.append(
                 CorpusPair(
                     a,

@@ -678,6 +678,13 @@ def test_gen_fp_field_flag(monkeypatch, capsys):
     assert json.loads(out)[0]["a"]["field"] == {"Fp": 5}
 
 
+def test_gen_default_corpus_over_f2(monkeypatch, capsys):
+    # 2 is 0 in F_2, so the lambda corpus scales I by 1 there.
+    code, out, err = _run(monkeypatch, capsys, ["gen", "--field", "Fp", "--mod", "2"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 31
+
+
 def test_gen_mod_with_q_exit_2(monkeypatch, capsys):
     code, _, err = _run(monkeypatch, capsys, ["gen", "--mod", "5"])
     assert code == 2
@@ -1286,6 +1293,28 @@ def test_search_budget_below_1_exit_2(monkeypatch, capsys, budget):
     error = json.loads(err)["error"]
     assert error["code"] == "malformed-input"
     assert error["detail"] == {"budget": budget}
+
+
+def test_search_budget_past_cap_exit_2(monkeypatch, capsys):
+    # p**2 is under the budget, so without the cap the search would try to
+    # list the 2**61 - 1 residues of the modulus.
+    monkeypatch.setattr(cli, "exhaustive_search", _no_search)
+    cap = 1_000_000_000
+    budget = 10**38
+    argv = ["search", "--mod", str(2**61 - 1), "--dim", "1", "--relation", "cross-cube"]
+    code, out, err = _run(monkeypatch, capsys, argv + ["--budget", str(budget)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["detail"] == {"budget": budget, "cap": cap}
+    # The cap itself is accepted; a stand-in takes the search's place.
+    monkeypatch.setattr(cli, "exhaustive_search", lambda spec, budget: [])
+    argv = ["search", "--mod", "3", "--dim", "1", "--budget", str(cap)]
+    code, out, _ = _run(monkeypatch, capsys, argv)
+    assert code == 0
+    assert json.loads(out)["count"] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Drazin inverse: worked instances, certification, index, determinism."""
 
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from drazinkit import (
-    IndexTooLarge,
     InternalCertificationFailure,
     Matrix,
     PrimeField,
@@ -14,10 +15,8 @@ from drazinkit import (
     certify,
     compute_index,
     drazin_inverse,
-    group_inverse,
 )
-
-from drazinkit.drazin import _assemble
+from drazinkit import drazin
 
 from _naive import (
     drazin_axioms_hold,
@@ -180,25 +179,37 @@ def test_certify_requires_the_least_index(a, d, k):
     assert not certify(a, d, k + 1)
 
 
-def test_assemble_refuses_an_index_past_the_least():
-    """The assembly's own certificate covers the index: given one too large
-    and the ladder it would need, it raises instead of returning it."""
+def test_drazin_inverse_refuses_an_index_past_the_least(monkeypatch):
+    """The construction's own certificate covers the index: handed one too
+    large and the ladder it would need, it raises instead of returning it."""
     a = _shift(QQ, 2).direct_sum(Matrix.diagonal(QQ, [2]))
-    ladder = []
-    k = compute_index(a, ladder)
-    assert k == 2
-    assert _assemble(a, k, list(ladder)).index == 2
+    assert drazin_inverse(a).index == 2
+
+    def one_past(m, ladder):
+        k = compute_index(m, ladder)
+        ladder.append(ladder[-1] * m)
+        return k + 1
+
+    monkeypatch.setattr(drazin, "compute_index", one_past)
     with pytest.raises(InternalCertificationFailure):
-        _assemble(a, k + 1, ladder + [ladder[-1] * a])
+        drazin_inverse(a)
 
 
-def test_group_inverse_accepts_index_leq_1():
-    a = Matrix.diagonal(QQ, [3, 0, -2])
-    data = group_inverse(a)
-    assert data.is_group and data.index == 1
-    with pytest.raises(IndexTooLarge) as exc:
-        group_inverse(_shift(QQ, 2))
-    assert exc.value.detail == {"index": 2}
+def test_only_drazin_inverse_builds_drazin_data():
+    # One construction: no other function of the library calls
+    # ``DrazinData(...)``.
+    src = Path(__file__).resolve().parent.parent / "src" / "drazinkit"
+    builders = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), path.name).body:
+            top = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    if name == "DrazinData":
+                        builders.add((path.name, top))
+    assert builders == {("drazin.py", "drazin_inverse")}
 
 
 def _random_square(field, n: int, rng: Random) -> Matrix:
@@ -338,8 +349,8 @@ def test_drazin_inverse_work(monkeypatch, a, work):
     assert data.d * a * data.d == data.d
 
 
-def test_group_inverse_of_an_invertible_matrix_is_its_inverse():
+def test_drazin_inverse_of_an_invertible_matrix_is_its_inverse():
     for field in (QQ, F5):
         a = Matrix.from_rows(field, [[2, 1, 0], [1, 1, 0], [0, 1, 3]])
-        data = group_inverse(a)
+        data = drazin_inverse(a)
         assert data.index == 0 and data.d == a.inverse() and data.pi.is_zero()

@@ -10,7 +10,7 @@ PUBLIC_NAMES = {
     "__version__",
     # errors
     "DrazinKitError", "ParseError", "FieldMismatch", "ShapeMismatch",
-    "DivisionByZero", "SingularMatrix", "IndexTooLarge", "PreconditionViolated",
+    "DivisionByZero", "SingularMatrix", "PreconditionViolated",
     "ZeroLambda", "ExponentOverflow", "OutputTooLarge", "NotNilpotentWithinBound",
     "CharacteristicTwo", "BudgetExceeded", "IncompatibleFamily",
     "InternalCertificationFailure",
@@ -21,7 +21,6 @@ PUBLIC_NAMES = {
     "Matrix", "PivotOrder", "RrefResult", "nilpotency_degree",
     # drazin
     "DrazinData", "Workspace", "compute_index", "certify", "drazin_inverse",
-    "group_inverse",
     # relations
     "LambdaCommute", "CrossCube", "SwappedCube", "RelationKind", "IdentityItem",
     "IdentityReport", "check_relation", "first_violation", "require_relation",
@@ -45,7 +44,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned_and_unique():
     assert set(drazinkit.__all__) == PUBLIC_NAMES
-    assert len(drazinkit.__all__) == len(PUBLIC_NAMES) == 83
+    assert len(drazinkit.__all__) == len(PUBLIC_NAMES) == 81
 
 
 def test_each_name_is_its_submodule_object():

@@ -133,6 +133,16 @@ class TestFamilies:
         e, f = gen_pair(ScalarTimesIdentity(2, 1), SwappedCube(), QQ, 6)
         assert check_relation(e, f, SwappedCube())
 
+    def test_scalar_identity_cube_scale_is_a_field_value(self):
+        # Over F_5, 4 and 6 name -1 and 1: the cube condition holds of the
+        # matrix, whatever integer spells it.
+        for rel in (CrossCube(), SwappedCube()):
+            for spellings in ((-1, 4), (1, 6)):
+                made = {gen_pair(ScalarTimesIdentity(2, s), rel, F5, 3) for s in spellings}
+                assert len(made) == 1
+            with pytest.raises(IncompatibleFamily):
+                gen_pair(ScalarTimesIdentity(2, 2), rel, F5, 3)
+
     @pytest.mark.parametrize(
         "family",
         [WeightedShift(2), Conjugated(WeightedShift(2), 3), DiagTripotents(2), TrivialZeroB(2)],
@@ -197,7 +207,7 @@ class TestFamilies:
 
     def test_exhaustive_hit_family_indexes_canonical_order(self):
         a, b = gen_pair(ExhaustiveHit(3, 1, 0), CrossCube(), F3, 0)
-        hits = cached_hits(3, 1, CrossCube(), True)
+        hits = cached_hits(3, 1, CrossCube())
         assert (a, b) == hits[0]
 
     def test_random_invertible(self):
@@ -508,13 +518,10 @@ class TestExhaustiveSearch:
 
     def test_cached_hits_memoized_and_equal(self):
         cached_hits.cache_clear()
-        h1 = cached_hits(3, 1, CrossCube(), True)
-        h2 = cached_hits(3, 1, CrossCube(), True)
+        h1 = cached_hits(3, 1, CrossCube())
+        h2 = cached_hits(3, 1, CrossCube())
         assert h1 is h2
         assert cached_hits.cache_info().misses == 1
-        # No default: an omitted argument would be a second cache key.
-        with pytest.raises(TypeError):
-            cached_hits(3, 1, CrossCube())
         assert list(h1) == exhaustive_search(
             SearchSpec(3, 1, CrossCube(), require_nontrivial=True)
         )
