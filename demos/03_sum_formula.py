@@ -54,7 +54,7 @@ def main():
     print("  match:", rep3.match)
 
     # All 344 nontrivial hits at p=3, n<=2 satisfy the formula.
-    corpus = exhaustive_hits_corpus(3, 2, CrossCube())
+    corpus = exhaustive_hits_corpus(CrossCube())
     ok = sum(1 for cp in corpus if evaluate_thm36(cp.a, cp.b).match)
     print(f"\nexhaustive hits verified: {ok}/{len(corpus)}")
 

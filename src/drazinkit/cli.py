@@ -19,8 +19,9 @@ newline), standard error carries diagnostics.  Exit codes:
       ``main`` catches only :class:`DrazinKitError`, so every rejected
       input leaves as one error JSON, never as usage text
 * 3 - precondition violation (relation fails, lambda = 0, characteristic 2
-      for the sum formula, incompatible family, budget exceeded, a result
-      entry too long to print, ...)
+      for the sum formula, incompatible family, a search space past its
+      budget or a search past 10**6 hits, a result entry too long to
+      print, ...)
 
 Identical invocations produce byte-identical stdout.  ``--help`` prints
 usage on stdout and exits 0.
@@ -171,7 +172,7 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
     """The relation named by ``--relation``; ``--lambda`` (default 1) is
     parsed over ``field`` for lambda-commute and refused with the others."""
     if args.relation == LambdaCommute.name:
-        return LambdaCommute(field.parse("1" if args.lam is None else args.lam))
+        return LambdaCommute(field.scalar("1" if args.lam is None else args.lam))
     if args.lam is not None:
         raise ParseError(
             "--lambda is only meaningful with --relation lambda-commute",
@@ -361,6 +362,18 @@ _MAX_COUNT = 1000
 _MAX_GEN_WORK = _MAX_COUNT * _MAX_DIMENSION**2
 
 
+def _check_range(flag: str, value: Optional[int], cap: int) -> None:
+    """Refuse ``--flag value`` outside 1..cap; None, the flag left out, passes."""
+    if value is None:
+        return
+    if value < 1:
+        raise ParseError(f"--{flag} must be positive, got {value}", {flag: value})
+    if value > cap:
+        raise ParseError(
+            f"--{flag} {value} exceeds the cap of {cap}", {flag: value, "cap": cap}
+        )
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -450,7 +463,7 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
             {"relation": rel.name, "expected": LambdaCommute.name},
         )
     if args.lam is not None:
-        lam = a.field.parse(args.lam)
+        lam = a.field.scalar(args.lam)
     elif isinstance(rel, LambdaCommute):
         lam = rel.lam
     else:
@@ -478,13 +491,7 @@ def _cmd_thm36(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
     rel = _relation_from_flags(args, field)
-    if args.count is not None and args.count < 1:
-        raise ParseError(f"--count must be positive, got {args.count}", {"count": args.count})
-    if args.count is not None and args.count > _MAX_COUNT:
-        raise ParseError(
-            f"--count {args.count} exceeds the cap of {_MAX_COUNT}",
-            {"count": args.count, "cap": _MAX_COUNT},
-        )
+    _check_range("count", args.count, _MAX_COUNT)
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
@@ -516,22 +523,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be positive, got {args.jobs}", {"jobs": args.jobs})
-    if args.jobs > _MAX_JOBS:
-        raise ParseError(
-            f"--jobs {args.jobs} exceeds the cap of {_MAX_JOBS}",
-            {"jobs": args.jobs, "cap": _MAX_JOBS},
-        )
-    if args.budget is not None and args.budget < 1:
-        raise ParseError(
-            f"--budget must be positive, got {args.budget}", {"budget": args.budget}
-        )
-    if args.budget is not None and args.budget > _MAX_BUDGET:
-        raise ParseError(
-            f"--budget {args.budget} exceeds the cap of {_MAX_BUDGET}",
-            {"budget": args.budget, "cap": _MAX_BUDGET},
-        )
+    _check_range("jobs", args.jobs, _MAX_JOBS)
+    _check_range("budget", args.budget, _MAX_BUDGET)
     field = PrimeField(args.mod)
     rel = _relation_from_flags(args, field)
     entry_bound = None
@@ -583,7 +576,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         )
     corpora = {LambdaCommute.name: default_lambda_corpus(field)}
     for rel in (CrossCube(), SwappedCube()):
-        corpora[rel.name] = default_cube_corpus(field, rel) + exhaustive_hits_corpus(3, 2, rel)
+        corpora[rel.name] = default_cube_corpus(field, rel) + exhaustive_hits_corpus(rel)
     ws = Workspace()
     suites: List[Dict[str, Any]] = []
     for label, relation, runner in _CATALOG:

@@ -106,7 +106,8 @@ class CharacteristicTwo(DrazinKitError):
 
 
 class BudgetExceeded(DrazinKitError):
-    """Exhaustive search space larger than the configured budget."""
+    """Exhaustive search space larger than the configured budget, or more
+    hits than the search's hit cap."""
 
     code = "budget-exceeded"
 

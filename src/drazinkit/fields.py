@@ -38,7 +38,7 @@ decimal digits of the canonical representative.  :meth:`Field.decode` reads
 one entry's text straight to a ``(num, den)`` int pair, which
 ``Matrix.from_json_obj`` puts over one denominator and :meth:`normalize`
 makes canonical, so text need not be canonical to be read (``"6/4"``,
-``"-0"``); :meth:`Field.parse_raw` is the same decode as a raw value.
+``"-0"``); :meth:`Field.scalar` reads text by the same decode.
 """
 
 from __future__ import annotations
@@ -205,19 +205,11 @@ class Field:
         not necessarily in lowest terms; over ``F_p`` ``den`` is 1."""
         raise NotImplementedError
 
-    def parse_raw(self, text: str):
-        """The canonical raw value of the wire text ``text``."""
-        return self.value(*self.decode(text))
-
     # -- user-facing helpers ---------------------------------------------
-    def scalar(self, value, den=None) -> "FieldScalar":
-        """Coerce ``value`` (int, str, FieldScalar, raw) into this field.
-
-        For the rationals a second argument gives a numerator/denominator
-        pair, e.g. ``QQ.scalar(1, 2)``.
-        """
-        if den is not None:
-            raise FieldMismatch("numerator/denominator form is only valid over the rationals")
+    def scalar(self, value) -> "FieldScalar":
+        """The scalar of ``value``: an int, wire text (read by :meth:`decode`,
+        so ``"6/4"`` gives 3/2), a scalar of this field, or over the
+        rationals a ``Fraction``.  The one scalar constructor."""
         if isinstance(value, FieldScalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar belongs to {value.field}, not {self}")
@@ -225,20 +217,8 @@ class Field:
         if isinstance(value, int):
             return _scalar(self, self.from_int(value))
         if isinstance(value, str):
-            return _scalar(self, self.parse_raw(value))
+            return _scalar(self, self.value(*self.decode(value)))
         raise ParseError(f"cannot coerce {type(value).__name__!r} into {self}")
-
-    def parse(self, text: str) -> "FieldScalar":
-        """Strict wire-format parse (the exact inverse of ``str(scalar)``)."""
-        if not isinstance(text, str):
-            raise ParseError(f"scalar must be a string, got {type(text).__name__}")
-        return _scalar(self, self.parse_raw(text))
-
-    def zero_scalar(self) -> "FieldScalar":
-        return _scalar(self, self.zero)
-
-    def one_scalar(self) -> "FieldScalar":
-        return _scalar(self, self.one)
 
     def to_json_obj(self):
         raise NotImplementedError
@@ -307,13 +287,7 @@ class RationalField(Field):
         except ValueError:
             raise _past_digit_limit(ParseError, "rational") from None
 
-    def scalar(self, value, den=None) -> "FieldScalar":
-        if den is not None:
-            if not isinstance(value, int) or not isinstance(den, int):
-                raise ParseError("numerator and denominator must be ints")
-            if den == 0:
-                raise DivisionByZero("zero denominator")
-            return _scalar(self, Fraction(value) / Fraction(den))
+    def scalar(self, value) -> "FieldScalar":
         if isinstance(value, Fraction):
             return _scalar(self, value)
         return super().scalar(value)
@@ -450,7 +424,7 @@ class FieldScalar:
     __slots__ = ("field", "value")
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("use Field.scalar, parse, zero_scalar or one_scalar")
+        raise TypeError("use Field.scalar")
 
     def _combine(self, other, op):
         """``reduce(op(x, y))`` on the raw values of ``self`` and ``other``,
@@ -499,9 +473,6 @@ class FieldScalar:
 
     def inverse(self) -> "FieldScalar":
         return _scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
 
     def __bool__(self):
         return bool(self.value)

@@ -188,17 +188,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self._num))
 
-    def is_identity(self) -> bool:
-        return (
-            self.is_square()
-            and self._den == 1
-            and all(
-                x == (1 if i == j else 0)
-                for i, row in enumerate(self._num)
-                for j, x in enumerate(row)
-            )
-        )
-
     def transpose(self) -> "Matrix":
         return _stored(self.field, tuple(zip(*self._num)), self._den)
 

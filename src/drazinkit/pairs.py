@@ -37,6 +37,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -88,6 +89,15 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+
+# Upper bound of the hits of one search, checked after each ``a``.  The
+# budget bounds the space, not the hits: under lambda-commute with lambda 1
+# at n = 1 every pair is a hit, so ``search --mod 1009 --dim 1`` is inside
+# the default budget and would write 1,018,081 hits (132 MB of JSON).  The
+# most hits of a search in the tests, demos, README and goldens is 182,056
+# (p = 3, n = 3, cross-cube, nontrivial); the whole p = 3, n = 3 space
+# under lambda-commute with lambda 1 has 809,433.
+_MAX_HITS = 1_000_000
 
 _TRIPOTENT_ENTRIES = (-1, 0, 1)
 
@@ -183,7 +193,7 @@ def _rand_unit(field: Field, rng: Random):
     if field.characteristic == 0:
         num = rng.choice((1, 2, 3, -1, -2, 5))
         den = rng.choice((1, 1, 2, 3))
-        return field.scalar(num, den).value if den != 1 else field.from_int(num)
+        return Fraction(num, den)
     return rng.randrange(1, field.characteristic)
 
 
@@ -582,6 +592,9 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
     ``b*a == 0``.  So each unordered pair is checked once: the kernel is
     listed from ``a`` up, only its members ``b >= a`` are formed, and a hit
     gives ``(b, a)`` too.
+
+    Raises BudgetExceeded as soon as the hits of the ``a`` so far are
+    more than ``_MAX_HITS``, so no ``a`` after that one is searched.
     """
     p, n, domain = spec.p, spec.n, spec.domain()
     rel = spec.relation
@@ -609,6 +622,8 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
                     members = [b for b in members if _product_nonzero(line, b, n, p)]
                 lines[line] = members
             hits += [(a, b) for b in members]
+            if len(hits) > _MAX_HITS:
+                raise _too_many_hits(len(hits))
         return hits
 
     cross = isinstance(rel, CrossCube)
@@ -631,8 +646,17 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
                 hits.append((a, b))
                 if b != a:
                     hits.append((b, a))
+        if len(hits) > _MAX_HITS:
+            raise _too_many_hits(len(hits))
     hits.sort()
     return hits
+
+
+def _too_many_hits(count: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"search found {count} hits, over the cap of {_MAX_HITS}",
+        {"hits": count, "cap": _MAX_HITS},
+    )
 
 
 def exhaustive_search(
@@ -643,7 +667,8 @@ def exhaustive_search(
     Output is ordered lexicographically by the row-major entry tuple of
     ``a`` then ``b``.  The search runs in the calling process.  Raises
     BudgetExceeded before touching the space if its size exceeds
-    ``budget``.  A matrix that occurs in several hits is one object.
+    ``budget``, and during the search once its hits pass ``_MAX_HITS``.
+    A matrix that occurs in several hits is one object.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     size = spec.space_size()
@@ -720,7 +745,7 @@ def pair_from_json_obj(
         if not isinstance(obj["lambda"], str):
             raise ParseError(f"{loc}: expected a string scalar", {"at": loc})
         try:
-            lam = a.field.parse(obj["lambda"])
+            lam = a.field.scalar(obj["lambda"])
         except ParseError as exc:
             raise ParseError(f"{loc}: {exc}", {"at": loc}) from exc
     return a, b, relation_from_json_fields(obj["relation"], lam, f"{where}.relation")
@@ -748,7 +773,7 @@ def default_lambda_values(field: Field) -> List[FieldScalar]:
         return [
             field.scalar(2),
             field.scalar(3),
-            field.scalar(1, 2),
+            field.scalar("1/2"),
             field.scalar(1),
         ]
     p = field.characteristic
@@ -867,19 +892,23 @@ def default_cube_corpus(
     return pairs
 
 
-def exhaustive_hits_corpus(
-    p: int = 3, n_max: int = 2, relation: RelationKind = CrossCube()
-) -> List[CorpusPair]:
-    """Every nontrivial search hit at sizes 1..n_max over F_p, in order."""
+# The search hits every cube corpus holds: the nontrivial ones over F_3 at
+# sizes 1 and 2.
+_HITS_P = 3
+_HITS_N_MAX = 2
+
+
+def exhaustive_hits_corpus(relation: RelationKind) -> List[CorpusPair]:
+    """Every nontrivial search hit at sizes 1..2 over F_3, in order."""
     pairs: List[CorpusPair] = []
-    for n in range(1, n_max + 1):
-        for ordinal, (a, b) in enumerate(cached_hits(p, n, relation)):
+    for n in range(1, _HITS_N_MAX + 1):
+        for ordinal, (a, b) in enumerate(cached_hits(_HITS_P, n, relation)):
             pairs.append(
                 CorpusPair(
                     a,
                     b,
                     relation,
-                    describe_family(ExhaustiveHit(p, n, ordinal)),
+                    describe_family(ExhaustiveHit(_HITS_P, n, ordinal)),
                 )
             )
     return pairs

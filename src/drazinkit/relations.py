@@ -87,7 +87,7 @@ class LambdaCommute:
     lam: FieldScalar
 
     def __post_init__(self):
-        if self.lam.is_zero():
+        if not self.lam:
             raise ZeroLambda(
                 "the commutation constant must be nonzero", {"lambda": str(self.lam)}
             )
@@ -241,7 +241,7 @@ def det_consistency_diagnostic(
     n = a.rows
     if a.rank() < n or b.rank() < n:
         return None
-    return lam**n == a.field.one_scalar()
+    return lam**n == 1
 
 
 @dataclass(frozen=True)

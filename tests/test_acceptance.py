@@ -176,9 +176,7 @@ def test_criterion_3_difference_formula_equivalence():
 
 def test_criterion_4_cube_identity_suites():
     def body():
-        cross_corpus = default_cube_corpus(QQ) + exhaustive_hits_corpus(
-            3, 2, CrossCube()
-        )
+        cross_corpus = default_cube_corpus(QQ) + exhaustive_hits_corpus(CrossCube())
         for cp in cross_corpus:
             assert lemma31_suite(cp.a, cp.b, 3).all_pass, cp.provenance
             assert lemma32_suite(cp.a, cp.b).all_pass, cp.provenance
@@ -193,7 +191,7 @@ def test_criterion_4_cube_identity_suites():
         ids35 = {it.identity_id for it in lemma35_suite(first.a, first.b, 0, 0).items}
         assert "L3.5-7" in ids35
         swapped_corpus = default_cube_corpus(QQ, SwappedCube()) + exhaustive_hits_corpus(
-            3, 2, SwappedCube()
+            SwappedCube()
         )
         for cp in swapped_corpus:
             assert lemma33_suite(cp.a, cp.b).all_pass, cp.provenance
@@ -221,7 +219,7 @@ def test_criterion_5_sum_formula_equivalence():
             for cp in default_cube_corpus(field):
                 r = evaluate_thm36(cp.a, cp.b)
                 assert r.match and r.projectors_orthogonal, cp.provenance
-        for cp in exhaustive_hits_corpus(3, 2, CrossCube()):
+        for cp in exhaustive_hits_corpus(CrossCube()):
             r = evaluate_thm36(cp.a, cp.b)
             assert r.match and r.projectors_orthogonal, cp.provenance
         z = Matrix.zero(PrimeField(2), 2)

@@ -13,6 +13,7 @@ import pytest
 
 import drazinkit.cli as cli
 import drazinkit.matrices as matrices
+import drazinkit.pairs as pairs
 import drazinkit.relations as relations
 from drazinkit.cli import main, parse_family
 from drazinkit import (
@@ -820,6 +821,19 @@ def test_search_budget_exceeded_exit_3(monkeypatch, capsys):
     payload = json.loads(err)
     assert payload["error"]["code"] == "budget-exceeded"
     assert payload["error"]["detail"]["size"] == 5**18
+
+
+def test_search_hits_past_cap_exit_3(monkeypatch, capsys):
+    # Under lambda-commute with lambda 1 at n = 1 every pair is a hit: 5
+    # for each a over F_5, so a cap of 12 is crossed at a = 2, with 15.
+    monkeypatch.setattr(pairs, "_MAX_HITS", 12)
+    code, out, err = _run(monkeypatch, capsys, ["search", "--mod", "5", "--dim", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget-exceeded"
+    assert error["detail"] == {"hits": 15, "cap": 12}
 
 
 @pytest.mark.parametrize("mod", [18446744073709551557, 1000000007])
@@ -1711,7 +1725,7 @@ def _small_selftest_corpora(monkeypatch):
         "default_cube_corpus",
         lambda field, relation=CrossCube(): cube_corpus(field, relation)[:2],
     )
-    monkeypatch.setattr(cli, "exhaustive_hits_corpus", lambda p, n_max, relation: [])
+    monkeypatch.setattr(cli, "exhaustive_hits_corpus", lambda relation: [])
     return [cp.provenance for cp in cube_corpus(QQ)[:2]]
 
 

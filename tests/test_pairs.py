@@ -499,6 +499,61 @@ class TestExhaustiveSearch:
             (a * b).is_zero() and _entries(b) < _entries(a) for a, b in hits
         )
 
+    @pytest.mark.parametrize(
+        "relation",
+        [CrossCube(), SwappedCube(), LambdaCommute(F3.scalar(1)), LambdaCommute(F3.scalar(2))],
+        ids=["cross-cube", "swapped-cube", "lambda-commute-1", "lambda-commute-2"],
+    )
+    def test_hit_cap_stops_at_the_a_that_crosses_it(self, monkeypatch, relation):
+        # The cap is checked after each a, so the refusal counts the hits
+        # of the a up to the first one that crosses it, and no kernel is
+        # listed after that a: one per a under a cube relation, one per
+        # line of multiples under lambda-commute (a = 0 its own line).
+        spec = SearchSpec(3, 2, relation)
+        cube = not isinstance(relation, LambdaCommute)
+        per_a = {}
+        for x, y in pairs._search_flat(spec):
+            a = min(x, y) if cube else x  # a cube hit (x, y) comes from min(x, y)
+            per_a[a] = per_a.get(a, 0) + 1
+        cap = sum(per_a.values()) // 2
+        found = 0
+        for last in itertools.product(range(3), repeat=4):
+            found += per_a.get(last, 0)
+            if found > cap:
+                break
+        searched = [a for a in itertools.product(range(3), repeat=4) if a <= last]
+
+        def line(a):
+            lead = next(filter(None, a), 1)
+            return tuple(v * pow(lead, -1, 3) % 3 for v in a)
+
+        kernels = len(searched) if cube else len({line(a) for a in searched})
+        built = []
+        inner = pairs._kernel
+
+        def counted(*args):
+            built.append(args[3:])
+            return inner(*args)
+
+        monkeypatch.setattr(pairs, "_kernel", counted)
+        monkeypatch.setattr(pairs, "_MAX_HITS", cap)
+        with pytest.raises(BudgetExceeded) as exc:
+            exhaustive_search(spec)
+        assert exc.value.detail == {"hits": found, "cap": cap}
+        assert len(built) == kernels
+        if cube:
+            assert built[-1] == (last,)
+
+    def test_search_at_the_hit_cap_is_accepted(self, monkeypatch):
+        spec = SearchSpec(3, 2, CrossCube())
+        hits = exhaustive_search(spec)
+        monkeypatch.setattr(pairs, "_MAX_HITS", len(hits))
+        assert exhaustive_search(spec) == hits
+        monkeypatch.setattr(pairs, "_MAX_HITS", len(hits) - 1)
+        with pytest.raises(BudgetExceeded) as exc:
+            exhaustive_search(spec)
+        assert exc.value.detail["cap"] == len(hits) - 1
+
     def test_hits_share_one_matrix_per_value(self):
         hits = exhaustive_search(SearchSpec(3, 2, CrossCube()))
         matrices = [m for pair in hits for m in pair]
@@ -591,7 +646,7 @@ class TestCorpora:
             default_cube_corpus(QQ, LambdaCommute(QQ.scalar(2)))
 
     def test_exhaustive_hits_corpus_frozen_total(self):
-        corpus = exhaustive_hits_corpus(3, 2, CrossCube())
+        corpus = exhaustive_hits_corpus(CrossCube())
         assert len(corpus) == 344  # 4 at n=1 plus 340 at n=2
         assert corpus[0].provenance == "exhaustive(p=3, n=1, ordinal=0)"
         assert corpus[4].provenance == "exhaustive(p=3, n=2, ordinal=0)"

@@ -408,8 +408,8 @@ def test_suites_commute_with_conjugation():
         corpora["lambda-commute"] += default_lambda_corpus(field)[:40:5]
         corpora["cross-cube"] += default_cube_corpus(field)[:40:5]
         corpora["swapped-cube"] += default_cube_corpus(field, SwappedCube())[:40:5]
-    corpora["cross-cube"] += exhaustive_hits_corpus(3, 2, CrossCube())[:40:5]
-    corpora["swapped-cube"] += exhaustive_hits_corpus(3, 2, SwappedCube())[:40:5]
+    corpora["cross-cube"] += exhaustive_hits_corpus(CrossCube())[:40:5]
+    corpora["swapped-cube"] += exhaustive_hits_corpus(SwappedCube())[:40:5]
     ws, ws_conj = Workspace(), Workspace()
     checked = 0
     for label, relation, runner in cli._CATALOG:

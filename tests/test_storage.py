@@ -116,7 +116,7 @@ def test_entrywise_operations(case):
     _check(a - a, _normalized(scale(0, x, p), p), p)
     # a scalar n/d, and an int
     s = Fraction(-3, 7) if p is None else 3
-    scalar = QQ.scalar(-3, 7) if p is None else field.scalar(3)
+    scalar = QQ.scalar(s) if p is None else field.scalar(3)
     _check(scalar * a, _normalized(scale(s, x, p), p), p)
     _check(a * 6, _normalized(scale(6, x, p), p), p)
 
@@ -221,7 +221,7 @@ def test_decode_matches_fraction(case):
     assert m == built and hash(m) == hash(built)
     for row, vals in zip(texts, values):
         for t, v in zip(row, vals):
-            raw = field.parse_raw(t)
+            raw = field.scalar(t).value
             assert raw == v and type(raw) is type(v)
 
 
@@ -241,9 +241,9 @@ def test_equal_values_by_different_routes(case):
         -(-a),
     ]
     if p is None:
-        routes.append(QQ.scalar(1, 7) * (a * 7))
+        routes.append(QQ.scalar(Fraction(1, 7)) * (a * 7))
         scales = range(2, a.rows + 2)
-        inverses = Matrix.diagonal(QQ, [QQ.scalar(1, k) for k in scales])
+        inverses = Matrix.diagonal(QQ, [QQ.scalar(Fraction(1, k)) for k in scales])
         routes.append(inverses * (Matrix.diagonal(QQ, list(scales)) * a))
     for m in routes:
         _check(m, _normalized(x, p), p)

@@ -43,8 +43,8 @@ def _corpora():
         out["lambda-commute"] += default_lambda_corpus(field)[:SLICE]
         out["cross-cube"] += default_cube_corpus(field)[:SLICE]
         out["swapped-cube"] += default_cube_corpus(field, SwappedCube())[:SLICE]
-    out["cross-cube"] += exhaustive_hits_corpus(3, 2, CrossCube())[:SLICE]
-    out["swapped-cube"] += exhaustive_hits_corpus(3, 2, SwappedCube())[:SLICE]
+    out["cross-cube"] += exhaustive_hits_corpus(CrossCube())[:SLICE]
+    out["swapped-cube"] += exhaustive_hits_corpus(SwappedCube())[:SLICE]
     return out
 
 
