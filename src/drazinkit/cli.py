@@ -5,7 +5,8 @@ document in canonical form (sorted keys, compact separators, one trailing
 newline), standard error carries diagnostics.  Exit codes:
 
 * 0 - success / every identity checked holds
-* 1 - a verification mismatch (the report on stdout carries witnesses)
+* 1 - a verification mismatch (the report on stdout carries witnesses), or
+      an internal certificate failure, a bug: one error JSON, nothing on stdout
 * 2 - malformed input (error JSON on stderr locates the problem); this
       includes an unknown flag, a missing required flag, a flag value of
       the wrong type, ``search --jobs`` outside 1..64, ``gen --count``
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .drazin import Workspace, drazin_inverse
 from .errors import (
@@ -45,18 +47,12 @@ from .errors import (
     CharacteristicTwo,
 )
 from .fields import Field, PrimeField, QQ, _past_digit_limit
-from .matrices import _MAX_DIMENSION, Matrix, _check_dimension
+from .matrices import _MAX_DIMENSION, Matrix
 from .pairs import (
-    Conjugated,
     CorpusPair,
-    DiagTripotents,
-    DirectSum,
-    ExhaustiveHit,
-    PairFamily,
-    ScalarTimesIdentity,
     SearchSpec,
-    TrivialZeroB,
-    WeightedShift,
+    _gen_work,
+    _int_arg,
     corpus_from_json_obj,
     corpus_to_json_obj,
     default_cube_corpus,
@@ -66,6 +62,7 @@ from .pairs import (
     exhaustive_search,
     gen_pair,
     pair_from_json_obj,
+    parse_family,
 )
 from .relations import (
     CrossCube,
@@ -112,17 +109,17 @@ def _refuse_nul(path: str, verb: str) -> None:
 
 
 def _emit(obj: Any, output: Optional[str]) -> None:
-    _write(_canonical(obj), output)
+    _write((_canonical(obj),), output)
 
 
-def _write(text: str, output: Optional[str]) -> None:
+def _write(chunks: Iterable[str], output: Optional[str]) -> None:
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         _refuse_nul(output, "write")
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ParseError(f"cannot write {output}: {exc}", {"path": output})
 
@@ -179,121 +176,6 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
             {"lambda": args.lam, "relation": args.relation},
         )
     return relation_from_json_fields(args.relation, None)
-
-
-# --------------------------------------------------------------------------
-# family descriptor grammar:  name(arg;arg;...), nested families allowed
-# --------------------------------------------------------------------------
-
-# Deepest nesting of families in one descriptor: parsing and generation recurse
-# once per level.  The default corpora nest at most 3 deep.
-_MAX_FAMILY_DEPTH = 64
-
-
-def _split_args(body: str) -> List[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-            if depth >= _MAX_FAMILY_DEPTH:  # the body is one level in already
-                raise ParseError(
-                    f"family descriptor nests deeper than {_MAX_FAMILY_DEPTH} levels",
-                    {"cap": _MAX_FAMILY_DEPTH},
-                )
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(
-                    f"unbalanced parentheses in family {body!r}", {"family": body}
-                )
-        elif ch == ";" and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    if depth:
-        raise ParseError(f"unbalanced parentheses in family {body!r}", {"family": body})
-    parts.append(body[start:])
-    return [p.strip() for p in parts]
-
-
-def _int_arg(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(
-            f"{what} must be an integer, got {text!r}", {what.replace(" ", "_"): text}
-        )
-
-
-def _size_arg(text: str) -> int:
-    n = _int_arg(text, "n")
-    if n < 1:
-        raise ParseError(f"n must be positive, got {n}", {"n": n})
-    _check_dimension(n, "family size")
-    return n
-
-
-def _family_size(family: PairFamily) -> int:
-    if isinstance(family, DirectSum):
-        return _family_size(family.left) + _family_size(family.right)
-    if isinstance(family, Conjugated):
-        return _family_size(family.inner)
-    return family.n
-
-
-def _conjugation_work(family: PairFamily) -> int:
-    """``m**3`` summed over the conjugations in ``family``, each of an m x m pair."""
-    if isinstance(family, DirectSum):
-        return _conjugation_work(family.left) + _conjugation_work(family.right)
-    if isinstance(family, Conjugated):
-        return _conjugation_work(family.inner) + _family_size(family.inner) ** 3
-    return 0
-
-
-def parse_family(text: str) -> PairFamily:
-    """Parse a family descriptor.
-
-    Grammar: ``name(arg;...)`` with nested descriptors, e.g.
-    ``weighted-shift(3)``, ``diag-tripotents(3;1,-1,0;-1,1,1)``,
-    ``scalar-identity(2;-1)``, ``zero-b(2)``, ``exhaustive(3;2;0)``,
-    ``conjugated(weighted-shift(2);7)``,
-    ``direct-sum(weighted-shift(2);zero-b(1))``.
-    """
-    text = text.strip()
-    open_at = text.find("(")
-    if open_at < 0 or not text.endswith(")"):
-        raise ParseError(
-            f"family descriptor {text!r} must look like name(args)", {"family": text}
-        )
-    name = text[:open_at].strip()
-    args = _split_args(text[open_at + 1 : -1])
-    if name == "weighted-shift" and len(args) == 1:
-        return WeightedShift(_size_arg(args[0]))
-    if name == "diag-tripotents" and len(args) in (1, 3):
-        n = _size_arg(args[0])
-        if len(args) == 1:
-            return DiagTripotents(n)
-        pa = tuple(_int_arg(x, "pattern entry") for x in args[1].split(","))
-        pb = tuple(_int_arg(x, "pattern entry") for x in args[2].split(","))
-        return DiagTripotents(n, (pa, pb))
-    if name == "scalar-identity" and len(args) in (1, 2):
-        n = _size_arg(args[0])
-        scale = _int_arg(args[1], "scale") if len(args) == 2 else -1
-        return ScalarTimesIdentity(n, scale)
-    if name == "zero-b" and len(args) == 1:
-        return TrivialZeroB(_size_arg(args[0]))
-    if name == "conjugated" and len(args) == 2:
-        return Conjugated(parse_family(args[0]), _int_arg(args[1], "seed"))
-    if name == "direct-sum" and len(args) == 2:
-        family = DirectSum(parse_family(args[0]), parse_family(args[1]))
-        _check_dimension(_family_size(family), "family size")
-        return family
-    if name == "exhaustive" and len(args) == 3:
-        return ExhaustiveHit(
-            _int_arg(args[0], "p"),
-            _size_arg(args[1]),
-            _int_arg(args[2], "ordinal"),
-        )
-    raise ParseError(f"unknown family descriptor {text!r}", {"family": text})
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +377,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     pairs: List[CorpusPair]
     if args.family is not None:
         fam = parse_family(args.family)
-        work = (args.count or 1) * (_family_size(fam) ** 2 + _conjugation_work(fam))
+        work = (args.count or 1) * _gen_work(fam)
         if work > _MAX_GEN_WORK:
             raise ParseError(
                 f"gen work estimate {work} exceeds the cap of {_MAX_GEN_WORK}",
@@ -553,7 +435,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if spec.entry_bound is not None:
         out["entry_bound"] = list(spec.entry_bound)
     # The hits share their matrices (one object per value), so each is
-    # encoded once and the array is spliced into the canonical text.
+    # encoded once; the array is written hit by hit, never held whole.
     texts: Dict[int, str] = {}
 
     def text(m: Matrix) -> str:
@@ -561,9 +443,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             texts[id(m)] = _dumps(m.to_json_obj())
         return texts[id(m)]
 
-    pairs = ",".join('{"a":' + text(a) + ',"b":' + text(b) + "}" for a, b in hits)
+    pairs = (
+        ("," if k else "") + '{"a":' + text(a) + ',"b":' + text(b) + "}"
+        for k, (a, b) in enumerate(hits)
+    )
     head, _, tail = _canonical(out).partition('"pairs":[]')
-    _write(head + '"pairs":[' + pairs + "]" + tail, args.output)
+    _write(itertools.chain((head + '"pairs":[',), pairs, ("]" + tail,)), args.output)
     return 0
 
 

@@ -10,11 +10,11 @@ Two scalar domains are supported:
 A :class:`Field` instance is the value-like descriptor attached to every
 scalar and matrix (structural equality, JSON encoding) and knows only what
 the field alone decides: :meth:`Field.reduce`, the canonical raw value of
-an integer or ``Fraction`` expression; inversion and exponentiation; the
-matrix hooks below; and the wire codec.  Raw values are
-``fractions.Fraction`` for the rationals and plain ``int`` residues for
-prime fields, so scalar sums, differences and products are written with
-Python's operators on raw values, followed by one ``reduce`` per result.
+an integer or ``Fraction`` expression; :meth:`Field.inv`; the matrix hooks
+below; and the wire codec.  Raw values are ``fractions.Fraction`` for the
+rationals and plain ``int`` residues for prime fields, so scalar sums,
+differences and products are written with Python's operators on raw
+values, followed by one ``reduce`` per result.
 User-facing code sees only :class:`FieldScalar`, built by :meth:`Field.scalar`.
 
 Matrices do not hold raw values: a ``Matrix`` keeps integer rows over one
@@ -111,8 +111,8 @@ class Field:
     """A scalar domain.  Instances are immutable and compare structurally.
 
     Raw values combine with Python's ``+ - *`` and one :meth:`reduce` per
-    result; a field adds :meth:`inv`, :meth:`pow`, the hooks on stored
-    matrices and the codec.
+    result; a field adds :meth:`inv`, the hooks on stored matrices and the
+    codec.
     """
 
     __slots__ = ()
@@ -125,26 +125,12 @@ class Field:
 
         ``x`` is an ``int``, or over the rationals a ``Fraction``, built with
         ``+ - *`` from canonical raw values and ints.  Over the rationals
-        ``Fraction`` arithmetic is already canonical, so this is the
-        identity; over ``F_p`` it is ``x % p``.
+        this is ``Fraction(x)``; over ``F_p`` it is ``x % p``.
         """
         raise NotImplementedError
 
     def inv(self, x):
         raise NotImplementedError
-
-    def pow(self, x, e: int):
-        """``x**e`` for any integer ``e``; a negative ``e`` inverts ``x`` first.
-
-        Over ``F_p`` this is three-argument ``pow(x, e, p)``, never
-        ``reduce(x**e)``: ``lam**-T(i)`` in the L2.1 suite reaches exponent
-        8,128 at the prime-field cap, where ``x**e`` in full would carry up
-        to about 157,000 digits into its one reduction.  Over the rationals
-        ``pow(x, e, None)`` is plain ``x**e``.
-        """
-        if e < 0:
-            x, e = self.inv(x), -e
-        return pow(x, e, self.characteristic or None)
 
     # -- stored matrices: a Matrix keeps integer rows over one denominator
     # ``den`` (see :mod:`drazinkit.matrices`); over F_p ``den`` is always 1.
@@ -187,9 +173,6 @@ class Field:
         inverse of its scale and ``den`` is 1."""
         raise NotImplementedError
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def encode(self, x, den: int = 1) -> str:
         """Wire text of the raw value ``x``, or of the stored entry ``x / den``."""
         if den != 1:
@@ -215,7 +198,7 @@ class Field:
                 raise FieldMismatch(f"scalar belongs to {value.field}, not {self}")
             return value
         if isinstance(value, int):
-            return _scalar(self, self.from_int(value))
+            return _scalar(self, self.reduce(value))
         if isinstance(value, str):
             return _scalar(self, self.value(*self.decode(value)))
         raise ParseError(f"cannot coerce {type(value).__name__!r} into {self}")
@@ -230,16 +213,14 @@ class RationalField(Field):
     __slots__ = ()
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
 
     def reduce(self, x):
-        return x
+        return Fraction(x)
 
     def inv(self, x):
         if not x:
             raise DivisionByZero("division by zero in QQ")
-        return self.one / x
+        return 1 / x
 
     def value(self, n, den):
         return Fraction(n, den)
@@ -270,9 +251,6 @@ class RationalField(Field):
             row if (f := den // s) == 1 else [f * x for x in row]
             for row, s in zip(rows, scales)
         ], den
-
-    def from_int(self, n: int):
-        return Fraction(n)
 
     def decode(self, text: str):
         match = _RATIONAL_RE.fullmatch(text)
@@ -311,8 +289,6 @@ class PrimeField(Field):
     __slots__ = ("p",)
 
     characteristic: int
-    zero = 0
-    one = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
@@ -329,8 +305,6 @@ class PrimeField(Field):
 
     def reduce(self, x):
         return x % self.p
-
-    from_int = reduce
 
     def value(self, n, den):
         return n
@@ -436,7 +410,7 @@ class FieldScalar:
                 )
             v = other.value
         elif isinstance(other, int) and not isinstance(other, bool):
-            v = self.field.from_int(other)
+            v = self.field.reduce(other)
         else:
             return NotImplemented
         return _scalar(self.field, self.field.reduce(op(self.value, v)))
@@ -464,9 +438,17 @@ class FieldScalar:
         return self._combine(other, lambda x, v: v * self.field.inv(x))
 
     def __pow__(self, e):
+        # A negative e inverts first.  Over F_p this is three-argument
+        # pow(x, e, p), never reduce(x**e): lam**-T(i) in the L2.1 suite
+        # reaches exponent 8,128 at the prime-field cap, where x**e in full
+        # would carry up to about 157,000 digits into its one reduction.
+        # Over the rationals pow(x, e, None) is plain x**e.
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
-        return _scalar(self.field, self.field.pow(self.value, e))
+        x = self.value
+        if e < 0:
+            x, e = self.field.inv(x), -e
+        return _scalar(self.field, pow(x, e, self.field.characteristic or None))
 
     def __neg__(self):
         return _scalar(self.field, self.field.reduce(-self.value))
@@ -481,7 +463,7 @@ class FieldScalar:
         if isinstance(other, FieldScalar):
             return other.field == self.field and other.value == self.value
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.field.from_int(other)
+            return self.value == self.field.reduce(other)
         return NotImplemented
 
     def __hash__(self):

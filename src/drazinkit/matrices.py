@@ -271,7 +271,7 @@ class Matrix:
                 )
             return self._scale(other.value)
         if isinstance(other, int) and not isinstance(other, bool):
-            return self._scale(self.field.from_int(other))
+            return self._scale(self.field.reduce(other))
         return NotImplemented
 
     def __rmul__(self, other):

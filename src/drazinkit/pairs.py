@@ -24,8 +24,10 @@ Families
   combinators; both preserve every relation.
 * ``TrivialZeroB(n)``: ``b = 0`` with a structured random ``a`` (mixes
   invertible, diagonal, nilpotent-block and dense shapes so indices vary).
-* ``ExhaustiveHit(p, n, ordinal)``: the ordinal-th hit of the exhaustive
-  search over F_p, in its canonical order.
+* ``ExhaustiveHit(p, n, ordinal)``: the ordinal-th nontrivial hit
+  (``a*b != 0``) of the exhaustive search over F_p, in its canonical order.
+
+:func:`parse_family` reads a family from its ``gen --family`` descriptor.
 
 Determinism: generation is a pure function of (family, relation, field,
 seed), and search output is a pure function of its ``SearchSpec``.
@@ -51,7 +53,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field, FieldScalar, PrimeField
-from .matrices import Matrix, _stored
+from .matrices import Matrix, _check_dimension, _stored
 from .relations import (
     CrossCube,
     LambdaCommute,
@@ -176,6 +178,123 @@ def describe_family(family: PairFamily) -> str:
     if isinstance(family, ExhaustiveHit):
         return f"exhaustive(p={family.p}, n={family.n}, ordinal={family.ordinal})"
     raise IncompatibleFamily(f"unknown family {family!r}", {"family": repr(family)})
+
+
+# --------------------------------------------------------------------------
+# family descriptor grammar:  name(arg;arg;...), nested families allowed
+# --------------------------------------------------------------------------
+
+# Deepest nesting of families in one descriptor: parsing and generation recurse
+# once per level.  The default corpora nest at most 3 deep.
+_MAX_FAMILY_DEPTH = 64
+
+
+def _split_args(body: str) -> List[str]:
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+            if depth >= _MAX_FAMILY_DEPTH:  # the body is one level in already
+                raise ParseError(
+                    f"family descriptor nests deeper than {_MAX_FAMILY_DEPTH} levels",
+                    {"cap": _MAX_FAMILY_DEPTH},
+                )
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(
+                    f"unbalanced parentheses in family {body!r}", {"family": body}
+                )
+        elif ch == ";" and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    if depth:
+        raise ParseError(f"unbalanced parentheses in family {body!r}", {"family": body})
+    parts.append(body[start:])
+    return [p.strip() for p in parts]
+
+
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(
+            f"{what} must be an integer, got {text!r}", {what.replace(" ", "_"): text}
+        )
+
+
+def _size_arg(text: str) -> int:
+    n = _int_arg(text, "n")
+    if n < 1:
+        raise ParseError(f"n must be positive, got {n}", {"n": n})
+    _check_dimension(n, "family size")
+    return n
+
+
+def _family_walk(family: PairFamily) -> Tuple[int, int]:
+    """``(n, work)``: the size of ``family``'s n x n pairs, and ``m**3``
+    summed over the conjugations in it, each of an m x m pair."""
+    if isinstance(family, DirectSum):
+        n_left, work_left = _family_walk(family.left)
+        n_right, work_right = _family_walk(family.right)
+        return n_left + n_right, work_left + work_right
+    if isinstance(family, Conjugated):
+        n, work = _family_walk(family.inner)
+        return n, work + n**3
+    return family.n, 0
+
+
+def _gen_work(family: PairFamily) -> int:
+    """The work of one n x n pair of ``family``: n**2, plus m**3 per m x m conjugation."""
+    n, work = _family_walk(family)
+    return n**2 + work
+
+
+def parse_family(text: str) -> PairFamily:
+    """Parse a family descriptor.
+
+    Grammar: ``name(arg;...)`` with nested descriptors, e.g.
+    ``weighted-shift(3)``, ``diag-tripotents(3;1,-1,0;-1,1,1)``,
+    ``scalar-identity(2;-1)``, ``zero-b(2)``, ``exhaustive(3;2;0)``,
+    ``conjugated(weighted-shift(2);7)``,
+    ``direct-sum(weighted-shift(2);zero-b(1))``.
+    """
+    text = text.strip()
+    open_at = text.find("(")
+    if open_at < 0 or not text.endswith(")"):
+        raise ParseError(
+            f"family descriptor {text!r} must look like name(args)", {"family": text}
+        )
+    name = text[:open_at].strip()
+    args = _split_args(text[open_at + 1 : -1])
+    if name == "weighted-shift" and len(args) == 1:
+        return WeightedShift(_size_arg(args[0]))
+    if name == "diag-tripotents" and len(args) in (1, 3):
+        n = _size_arg(args[0])
+        if len(args) == 1:
+            return DiagTripotents(n)
+        pa = tuple(_int_arg(x, "pattern entry") for x in args[1].split(","))
+        pb = tuple(_int_arg(x, "pattern entry") for x in args[2].split(","))
+        return DiagTripotents(n, (pa, pb))
+    if name == "scalar-identity" and len(args) in (1, 2):
+        n = _size_arg(args[0])
+        scale = _int_arg(args[1], "scale") if len(args) == 2 else -1
+        return ScalarTimesIdentity(n, scale)
+    if name == "zero-b" and len(args) == 1:
+        return TrivialZeroB(_size_arg(args[0]))
+    if name == "conjugated" and len(args) == 2:
+        return Conjugated(parse_family(args[0]), _int_arg(args[1], "seed"))
+    if name == "direct-sum" and len(args) == 2:
+        family = DirectSum(parse_family(args[0]), parse_family(args[1]))
+        _check_dimension(_family_walk(family)[0], "family size")
+        return family
+    if name == "exhaustive" and len(args) == 3:
+        return ExhaustiveHit(
+            _int_arg(args[0], "p"),
+            _size_arg(args[1]),
+            _int_arg(args[2], "ordinal"),
+        )
+    raise ParseError(f"unknown family descriptor {text!r}", {"family": text})
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +428,8 @@ def _gen_pair(
 
     if isinstance(family, ScalarTimesIdentity):
         n, scale = family.n, family.scale
-        value = field.from_int(scale)
-        if value == field.zero:
+        value = field.reduce(scale)
+        if not value:
             raise IncompatibleFamily(
                 "scale must be a unit of the field",
                 {"scale": scale, "field": field.to_json_obj()},
@@ -327,7 +446,7 @@ def _gen_pair(
                 field, [field.scalar(_rand_unit(field, rng)) for _ in range(n)]
             )
             return a, b
-        if value not in (field.one, field.from_int(-1)):
+        if value not in (1, field.reduce(-1)):
             raise IncompatibleFamily(
                 "cube relations need a**3 == a, so scale must be 1 or -1",
                 {"scale": scale, "relation": rel.name},

@@ -26,8 +26,10 @@ from drazinkit import (
     ExhaustiveHit,
     IdentityItem,
     IdentityReport,
+    InternalCertificationFailure,
     LambdaCommute,
     Matrix,
+    NotNilpotentWithinBound,
     ParseError,
     PrimeField,
     ScalarTimesIdentity,
@@ -1621,7 +1623,7 @@ def _nested_family(levels):
     return "conjugated(" * (levels - 1) + "zero-b(1)" + ";1)" * (levels - 1)
 
 
-@pytest.mark.parametrize("levels", [cli._MAX_FAMILY_DEPTH + 1, 1500])
+@pytest.mark.parametrize("levels", [pairs._MAX_FAMILY_DEPTH + 1, 1500])
 def test_gen_family_nested_past_cap_exit_2(monkeypatch, capsys, levels):
     argv = ["gen", "--relation", "cross-cube", "--family", _nested_family(levels)]
     code, out, err = _run(monkeypatch, capsys, argv)
@@ -1637,7 +1639,7 @@ def test_gen_family_nested_past_cap_exit_2(monkeypatch, capsys, levels):
 
 
 def test_gen_family_nested_at_cap(monkeypatch, capsys):
-    levels = cli._MAX_FAMILY_DEPTH
+    levels = pairs._MAX_FAMILY_DEPTH
     argv = ["gen", "--relation", "cross-cube", "--family", _nested_family(levels)]
     code, out, _ = _run(monkeypatch, capsys, argv)
     assert code == 0
@@ -1669,6 +1671,91 @@ def test_cli_spells_no_relation_name():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
     ]
     assert spelled == []
+
+
+def test_cli_knows_no_family():
+    """The families, their descriptor grammar and their walks live in
+    ``pairs``: the CLI's source names no family type, spells no family wire
+    name, and no module of the package keeps a second walk over a family."""
+    types = {
+        "WeightedShift",
+        "DiagTripotents",
+        "ScalarTimesIdentity",
+        "DirectSum",
+        "Conjugated",
+        "TrivialZeroB",
+        "ExhaustiveHit",
+        "PairFamily",
+    }
+    wire = {
+        "weighted-shift",
+        "diag-tripotents",
+        "scalar-identity",
+        "zero-b",
+        "conjugated",
+        "direct-sum",
+        "exhaustive",
+    }
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    spelled = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert (named & types, spelled & wire) == (set(), set())
+    src = os.path.dirname(cli.__file__)
+    for module in sorted(os.listdir(src)):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "_family_size" not in text and "_conjugation_work" not in text, module
+
+
+def test_compute_internal_failure_exit_1(monkeypatch, capsys):
+    # A certificate that fails is a bug: exit 1, one error JSON, no stdout.
+    def fail(m):
+        raise InternalCertificationFailure("certificate failed", {"check": "AXA = A"})
+
+    monkeypatch.setattr(cli, "drazin_inverse", fail)
+    code, out, err = _run(monkeypatch, capsys, ["compute"], stdin_text=json.dumps(SHIFT2))
+    assert (code, out) == (1, "")
+    assert err == (
+        '{"error":{"code":"internal-certification-failure",'
+        '"detail":{"check":"AXA = A"},"message":"certificate failed"}}\n'
+    )
+
+
+def test_thm23_not_nilpotent_exit_1(monkeypatch, capsys):
+    def fail(a, b, lam):
+        raise NotNilpotentWithinBound("residual not nilpotent", {"bound": 2})
+
+    monkeypatch.setattr(cli, "evaluate_thm23", fail)
+    code, out, err = _run(monkeypatch, capsys, ["thm23"], stdin_text=json.dumps(LAMBDA_PAIR))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == "not-nilpotent-within-bound"
+
+
+def test_gen_pair_breaking_its_relation_exit_1(monkeypatch, capsys):
+    # gen_pair re-checks each pair against its relation before handing it out.
+    def broken(family, rel, field, seed):
+        return Matrix.from_rows(field, [[0, 1], [0, 0]]), Matrix.diagonal(field, [1, 2])
+
+    monkeypatch.setattr(pairs, "_gen_pair", broken)
+    code, out, err = _run(monkeypatch, capsys, ["gen", "--family", "weighted-shift(2)"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {
+            "code": "internal-certification-failure",
+            "message": "family weighted-shift(n=2) emitted a pair violating its relation",
+            "detail": {},
+        }
+    }
 
 
 def test_selftest_runs_green(monkeypatch, capsys):

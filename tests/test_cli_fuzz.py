@@ -47,7 +47,8 @@ from drazinkit import (
     corpus_to_json_obj,
     gen_pair,
 )
-from drazinkit.cli import _MAX_FAMILY_DEPTH, _WHICH, main
+from drazinkit.cli import _WHICH, main
+from drazinkit.pairs import _MAX_FAMILY_DEPTH
 
 SETTINGS = settings(
     max_examples=40,

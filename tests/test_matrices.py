@@ -584,3 +584,37 @@ def test_pickle_leaves_the_cached_hash_behind():
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+_F5 = PrimeField(5)
+_S = _F5.scalar(3)
+_M = Matrix.from_rows(_F5, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        # An operand of a type the operator does not take gives NotImplemented,
+        # so Python raises TypeError, or == falls back to identity.
+        (lambda: 3 - _S, _F5.scalar(0)),
+        (lambda: _S**1.5, TypeError),
+        (lambda: _S == 1.5, False),
+        (lambda: repr(_S), "FieldScalar(PrimeField(5), '3')"),
+        (lambda: repr(QQ.scalar("-6/4")), "FieldScalar(QQ, '-3/2')"),
+        (lambda: _M + 1.5, TypeError),
+        (lambda: _M - 1.5, TypeError),
+        (lambda: _M * 1.5, TypeError),
+        (lambda: 1.5 * _M, TypeError),
+        (lambda: _M**1.5, TypeError),
+        (lambda: _M == 1.5, False),
+        (lambda: repr(_M), "Matrix(PrimeField(5), 2x2: 1 2; 3 4)"),
+        (lambda: repr(Matrix.from_rows(QQ, [[Fraction(1, 2), 0]])), "Matrix(QQ, 1x2: 1/2 0)"),
+    ],
+)
+def test_operator_fallbacks(expr, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            expr()
+    else:
+        got = expr()
+        assert (type(got), got) == (type(want), want)
