@@ -6,8 +6,11 @@ canonical order.  For each a, only the b that solve the relation's
 equation that is linear in b are visited: one elimination mod p fixes
 the pivot entries of b from the free ones.  With require_nontrivial,
 a = 0 is skipped (0*b == 0), and the a*b != 0 filter stops at the first
-nonzero entry.  Under lambda-commute, s*a has the kernel of a for every
-unit s, so one kernel is listed per line of multiples of a.
+nonzero entry.  Conjugating a and b by a monomial matrix whose entries
+keep the domain, and scaling a by a unit (any under lambda-commute, +-1
+under the cube relations), maps hits to hits, so one kernel is listed per
+orbit of a and conjugated for the rest of the orbit.  Under a cube
+relation, which is symmetric in a and b, that kernel is listed from a up.
 
 Run:  python3 demos/04_search.py
 """

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -689,85 +691,171 @@ def _kernel(
     return members
 
 
+def _domain_units(domain: Tuple[int, ...], p: int) -> List[int]:
+    """The units ``m`` with ``m*D == D`` for the domain ``D``, ascending, or
+    just 1 when ``D == {0}``, so that no loop runs over every unit.
+
+    They form a subgroup of the cyclic group of units, of some order
+    ``k``.  The cosets of the subgroup of order ``k`` are the fibers of
+    ``x -> x**k``, and the nonzero values of ``D`` are a union of those
+    cosets exactly when each fiber holds ``k`` of them or none.  So ``k``
+    is the largest divisor of ``p - 1`` and of their number for which
+    that holds.
+    """
+    nonzero = [v for v in domain if v]
+    if not nonzero:
+        return [1]
+    size = math.gcd(p - 1, len(nonzero))
+    for k in range(size, 0, -1):
+        if size % k == 0 and all(
+            count == k for count in Counter(pow(v, k, p) for v in nonzero).values()
+        ):
+            break
+    inv = pow(nonzero[0], -1, p)
+    return sorted(v * inv % p for v in nonzero if pow(v * inv, k, p) == 1)
+
+
+Conjugation = Tuple[Tuple[int, int], ...]
+
+
+def _symmetries(spec: SearchSpec) -> Tuple[List[Conjugation], List[int]]:
+    """The group the search walks ``a`` by (see :func:`_search_flat`): its
+    conjugations ``x -> S*x*S**-1``, the identity first, and its scales of
+    ``a``.  Entry ``q`` of the image of row-major ``x`` under a conjugation
+    is ``x[src]*mul`` mod ``p`` for the conjugation's ``q``-th ``(src, mul)``.
+    """
+    p, n = spec.p, spec.n
+    units = _domain_units(spec.domain(), p)
+    conjugations = []
+    for perm in itertools.permutations(range(n)):
+        for tail in itertools.product(units, repeat=n - 1):
+            diag = (1,) + tail
+            entries = [(0, 0)] * (n * n)
+            for i in range(n):
+                for j in range(n):
+                    mul = diag[i] * pow(diag[j], -1, p) % p
+                    entries[perm[i] * n + perm[j]] = (i * n + j, mul)
+            conjugations.append(tuple(entries))
+    if isinstance(spec.relation, LambdaCommute):
+        return conjugations, units
+    return conjugations, [c for c in units if c * c % p == 1]
+
+
 def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Every hit as a pair of row-major residue tuples, in ``(a, b)`` order.
 
     For a fixed ``a`` the relation's equation linear in ``b`` is
     ``x*b == mu*b*y``: ``a*b == lam*b*a`` (lambda-commute, each solution a
     hit), ``a**3*b == b*a`` (cross-cube) or ``a*b == b*a**3`` (swapped-cube);
-    :func:`_kernel` lists its solutions.  Three facts cut the work:
+    :func:`_kernel` lists its solutions.
 
-    * ``0*b == 0``, so under ``require_nontrivial`` ``a = 0`` has no hit
-      and its kernel is never listed.
-    * The nontrivial filter stops at the first nonzero entry of ``a*b``.
-    * Under lambda-commute the map of ``s*a`` for a unit ``s`` is ``s``
-      times the map of ``a``, and ``(s*a)*b != 0`` exactly when
-      ``a*b != 0``.  So one filtered kernel is listed per line of
-      multiples, keyed by the multiple whose first nonzero entry is 1,
-      and shared by every ``a`` of the line that lies in the domain.
+    The hits ``B(a)`` of ``a`` are listed for one ``a`` per orbit of a
+    group that keeps the relation and the domain ``D``.  With ``M`` the
+    units ``m`` with ``m*D == D``, its elements are ``(a, b) -> (c*S*a*S**-1,
+    S*b*S**-1)`` for ``S = P*diag(1, u_2, ..., u_n)``, ``P`` a permutation
+    matrix and each ``u_i`` in ``M``: each entry of ``S*x*S**-1`` is an
+    entry of ``x`` times a ratio of two ``u_i``, so ``D`` is kept.  The
+    scale ``c`` is any ``m`` in ``M`` under lambda-commute, and one with
+    ``m*m == 1`` under a cube relation, where ``(c*a)**3 == c*a**3`` must
+    hold.  Conjugation keeps every relation and ``a*b != 0``, and so
+    ``B(g*a)`` is ``B(a)`` conjugated by ``g``'s ``S``.
+
+    ``a`` is walked in order.  The first ``a`` of an orbit lists its
+    kernel and filters it; each other ``a`` takes the sorted image of that
+    list under its ``S``, formed when that ``a`` is reached and shared by
+    its multiples in the orbit.  So the hits come out ordered.  Under
+    ``require_nontrivial`` ``a = 0``, whose hits all have ``a*b == 0``, is
+    skipped, and the filter stops at the first nonzero entry of ``a*b``.
 
     A cube relation is symmetric: the other equation of ``(a, b)`` is the
     linear one of ``(b, a)``, and on a hit ``a*b == 0`` exactly when
-    ``b*a == 0``.  So each unordered pair is checked once: the kernel is
-    listed from ``a`` up, only its members ``b >= a`` are formed, and a hit
-    gives ``(b, a)`` too.
+    ``b*a == 0``.  So the first ``a`` of an orbit lists its kernel from
+    ``a`` up and checks only the members ``b >= a``; its hits ``b < a``
+    are the earlier ``b`` whose hits held ``a``, noted as they were walked.
 
-    Raises BudgetExceeded as soon as the hits of the ``a`` so far are
-    more than ``_MAX_HITS``, so no ``a`` after that one is searched.
+    Beyond the hits, each a 2-tuple, the walk holds one list entry per hit
+    of the orbits it has met and not finished, an entry for each ``a``
+    ahead of it in those orbits, and under a cube relation an entry per
+    hit ``(b, a)`` with ``a`` ahead of it, and the cube of each matrix met.
+
+    Raises BudgetExceeded after the first ``a`` at which the hits counted
+    so far are more than ``_MAX_HITS``, so no ``a`` after it is searched.
+    Under a cube relation the count is that of the hits with ``min(a, b)``
+    so far, and under lambda-commute that of the hits with ``a`` so far.
     """
     p, n, domain = spec.p, spec.n, spec.domain()
     rel = spec.relation
     nontrivial = spec.require_nontrivial
-    space = itertools.product(domain, repeat=n * n)
-    if nontrivial:
-        space = filter(any, space)  # drops a = 0
-    if isinstance(rel, LambdaCommute):
-        lam = rel.lam.value
-        # The filtered kernel of each line, keyed by its multiple with
-        # first nonzero entry 1 (a = 0 is its own line).
-        lines: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        hits = []
-        for a in space:
-            lead = next(filter(None, a), 0)
-            if lead:
-                inv = pow(lead, -1, p)
-                line = tuple([v * inv % p for v in a])
-            else:
-                line = a
-            members = lines.get(line)
-            if members is None:
-                members = _kernel(_sylvester_rows(line, line, lam, n, p), domain, p)
-                if nontrivial:
-                    members = [b for b in members if _product_nonzero(line, b, n, p)]
-                lines[line] = members
-            hits += [(a, b) for b in members]
-            if len(hits) > _MAX_HITS:
-                raise _too_many_hits(len(hits))
-        return hits
-
-    cross = isinstance(rel, CrossCube)
+    cube = not isinstance(rel, LambdaCommute)
+    mu = 1 if cube else rel.lam.value
+    conjugations, scales = _symmetries(spec)
     memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     def sides(m: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        # The equation of (m, b) linear in b is x*b == b*y, x, y = sides(m).
+        # The equation of (m, b) linear in b is x*b == mu*b*y, x, y = sides(m).
+        if not cube:
+            return m, m
         if m not in memo:
-            cube = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
-            memo[m] = (cube, m) if cross else (m, cube)
+            m3 = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
+            memo[m] = (m3, m) if isinstance(rel, CrossCube) else (m, m3)
         return memo[m]
 
+    def listed(a: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        # Under a cube relation only the hits b >= a.
+        low = a if cube else None
+        members = _kernel(_sylvester_rows(*sides(a), mu, n, p), domain, p, low)
+        if cube:
+            members = [
+                b
+                for b, (u, v) in zip(members, map(sides, members))
+                if _products_equal(u, a, a, v, n, p)
+            ]
+        if nontrivial:
+            members = [b for b in members if _product_nonzero(a, b, n, p)]
+        return members
+
+    # For each a ahead of the walk whose orbit has been met: that orbit's
+    # images of the listed hits, keyed by the index of an S, and that of
+    # the S that maps the orbit's first a to a multiple of this one.
+    ahead: Dict[Tuple[int, ...], Tuple[Dict[int, List[Tuple[int, ...]]], int]] = {}
+    # Under a cube relation, for each a ahead of the walk: the b walked so
+    # far with (b, a) a hit, so that (a, b) is one too, in order.
+    below: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    space = itertools.product(domain, repeat=n * n)
+    if nontrivial:
+        space = filter(any, space)  # drops a = 0
     hits = []
+    counted = 0
     for a in space:
-        for b in _kernel(_sylvester_rows(*sides(a), 1, n, p), domain, p, a):
-            u, v = sides(b)
-            if _products_equal(u, a, a, v, n, p) and (
-                not nontrivial or _product_nonzero(a, b, n, p)
-            ):
-                hits.append((a, b))
-                if b != a:
-                    hits.append((b, a))
-        if len(hits) > _MAX_HITS:
-            raise _too_many_hits(len(hits))
-    hits.sort()
+        lower = below.pop(a, [])
+        if a in ahead:
+            images, k = ahead.pop(a)
+            members = images.get(k)
+            if members is None:
+                members = images[k] = sorted(
+                    tuple([b[src] * mul % p for src, mul in conjugations[k]])
+                    for b in images[0]
+                )
+        else:
+            members = lower + listed(a)
+            images = {0: members}
+            for k, conj in enumerate(conjugations):
+                image = [a[src] * mul for src, mul in conj]
+                entry = images, k
+                for c in scales:
+                    other = tuple([v * c % p for v in image])
+                    if other != a and other not in ahead:
+                        ahead[other] = entry
+        hits += [(a, b) for b in members]
+        if cube:
+            above = bisect.bisect_right(members, a)
+            counted += 2 * (len(members) - above) + (above > 0 and members[above - 1] == a)
+            for b in members[above:]:
+                below.setdefault(b, []).append(a)
+        else:
+            counted += len(members)
+        if counted > _MAX_HITS:
+            raise _too_many_hits(counted)
     return hits
 
 

@@ -250,3 +250,49 @@ def search_hits(
             if ok and not (nontrivial and matmul(a, b, p) == zero):
                 hits.append((a, b))
     return hits
+
+
+def search_group(p: int, n: int, relation: str, domain: Sequence[int]) -> List[tuple]:
+    """The symmetries the search walks ``a`` by, built from their definition.
+
+    ``M`` is the units ``m`` with ``{m*v : v in domain} == domain``.  Each
+    element is ``(c, s, s_inv)``, acting as ``(a, b) -> (c*s*a*s_inv,
+    s*b*s_inv)``, for ``s = P*diag(1, u_2, ..., u_n)`` with ``P`` a
+    permutation matrix and each ``u_i`` in ``M``; ``c`` is in ``M``, and
+    under a cube relation also ``c*c == 1``.
+    """
+    values = sorted(set(domain))
+    units = [m for m in range(1, p) if sorted(m * v % p for v in values) == values]
+    scales = [c for c in units if relation == "lambda-commute" or c * c % p == 1]
+    group = []
+    for perm in itertools.permutations(range(n)):
+        for tail in itertools.product(units, repeat=n - 1):
+            diag = (1,) + tail
+            # s sends basis vector j to diag[j] times basis vector perm[j].
+            s = [[diag[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+            s_inv = [
+                [_inv_mod(diag[i], p) if perm[i] == j else 0 for j in range(n)]
+                for i in range(n)
+            ]
+            group += [(c, s, s_inv) for c in scales]
+    return group
+
+
+def search_orbit_firsts(
+    p: int, n: int, relation: str, domain: Sequence[int], nontrivial: bool
+) -> List[tuple]:
+    """The first ``a`` in row-major order of each orbit of
+    :func:`search_group` on the matrices with entries in ``domain``, as
+    row-major tuples; with ``nontrivial``, the orbit of ``a = 0`` is left
+    out."""
+    group = search_group(p, n, relation, domain)
+    seen, firsts = set(), []
+    for flat in itertools.product(sorted(set(domain)), repeat=n * n):
+        if flat in seen or (nontrivial and not any(flat)):
+            continue
+        firsts.append(flat)
+        a = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        for c, s, s_inv in group:
+            image = scale(c, matmul(matmul(s, a, p), s_inv, p), p)
+            seen.add(tuple(v for row in image for v in row))
+    return firsts

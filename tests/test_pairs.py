@@ -48,24 +48,31 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
-def _candidates_with_b_at_least_a(p, n, relation, nonzero_a=False):
-    """Pairs ``(a, b)`` over F_p with ``b >= a`` in row-major order that
-    meet the cube relation's equation linear in ``b``: ``a**3*b == b*a``
-    (cross-cube) or ``b*a**3 == a*b`` (swapped-cube); with ``nonzero_a``,
-    only those with ``a != 0``."""
+def _orbit_candidates(p, n, relation, nontrivial):
+    """Pairs ``(a, b)`` over F_p with ``a`` the first of an orbit of the
+    search's group and ``b >= a`` in row-major order that meet the cube
+    relation's equation linear in ``b``: ``a**3*b == b*a`` (cross-cube) or
+    ``b*a**3 == a*b`` (swapped-cube)."""
+    firsts = _naive.search_orbit_firsts(p, n, relation.name, range(p), nontrivial)
     flats = list(itertools.product(range(p), repeat=n * n))
     rows = {f: [list(f[i * n : (i + 1) * n]) for i in range(n)] for f in flats}
     count = 0
-    for fa, fb in itertools.combinations_with_replacement(flats, 2):
-        if nonzero_a and not any(fa):
-            continue
-        a, b = rows[fa], rows[fb]
+    for fa in firsts:
+        a = rows[fa]
         a3 = _naive.matpow(a, 3, p)
-        if isinstance(relation, CrossCube):
-            count += _naive.matmul(a3, b, p) == _naive.matmul(b, a, p)
-        else:
-            count += _naive.matmul(b, a3, p) == _naive.matmul(a, b, p)
+        for fb in flats[flats.index(fa) :]:
+            b = rows[fb]
+            if isinstance(relation, CrossCube):
+                count += _naive.matmul(a3, b, p) == _naive.matmul(b, a, p)
+            else:
+                count += _naive.matmul(b, a3, p) == _naive.matmul(a, b, p)
     return count
+
+
+def _line(a, p):
+    """The multiple of row-major ``a`` whose first nonzero entry is 1."""
+    lead = next(filter(None, a), 1)
+    return tuple(v * pow(lead, -1, p) % p for v in a)
 
 
 def _entries(m: Matrix):
@@ -185,6 +192,12 @@ class TestFamilies:
         with pytest.raises(IncompatibleFamily) as exc:
             gen_pair(ExhaustiveHit(3, 1, 99), CrossCube(), F3, 1)
         assert "out of range" in str(exc.value)
+
+    def test_unknown_family_refused(self):
+        family = object()
+        with pytest.raises(IncompatibleFamily) as exc:
+            gen_pair(family, CrossCube(), QQ, 0)
+        assert exc.value.detail == {"family": repr(family)}
 
     def test_refusals_name_what_they_refused(self):
         cases = [
@@ -342,7 +355,12 @@ class TestExhaustiveSearch:
             exhaustive_search(SearchSpec(3, 1, CrossCube()), budget=8)
 
     @pytest.mark.parametrize(
-        "nontrivial,calls", [(False, 476), (True, 395)], ids=["False", "True"]
+        "nontrivial,calls",
+        [
+            (False, {"cross-cube": 225, "swapped-cube": 221}),
+            (True, {"cross-cube": 144, "swapped-cube": 140}),
+        ],
+        ids=["False", "True"],
     )
     @pytest.mark.parametrize(
         "relation", [CrossCube(), SwappedCube()], ids=["cross-cube", "swapped-cube"]
@@ -351,9 +369,17 @@ class TestExhaustiveSearch:
         self, monkeypatch, relation, calls, nontrivial
     ):
         # The other equation of (a, b) is the linear one of (b, a), so it
-        # is evaluated only for the candidates with b >= a: 476 by brute
-        # force.  Under --nontrivial a = 0 is skipped, and its equation
-        # 0 == 0 holds for all 3**4 = 81 b >= 0: 476 - 81 = 395.
+        # is evaluated only for the candidates b >= a of the kernel of the
+        # first a of each orbit of the search's group.  At p = 3, n = 2
+        # the group has 8 elements (2 permutations, u_2 and the scale c in
+        # {1, 2}).  By Burnside's lemma the 81 a fall in 17 orbits: the
+        # identity fixes all 81, a == -a only a = 0, and each of the 6
+        # others the 9 a with two entries set by the other two, so
+        # (81 + 1 + 6*9)/8 = 17, as the naive orbits count.  Their first a
+        # have 225 such candidates by brute force under cross-cube and 221
+        # under swapped-cube.  Under --nontrivial the orbit {0} is skipped,
+        # whose equation 0 == 0 holds for all 3**4 = 81 b >= 0: 144 and
+        # 140.
         seen = []
         inner = pairs._products_equal
 
@@ -363,23 +389,33 @@ class TestExhaustiveSearch:
 
         monkeypatch.setattr(pairs, "_products_equal", counted)
         exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
-        assert len(seen) == calls
-        assert len(seen) == _candidates_with_b_at_least_a(3, 2, relation, nontrivial)
+        assert len(seen) == calls[relation.name]
+        assert len(seen) == _orbit_candidates(3, 2, relation, nontrivial)
 
     @pytest.mark.parametrize(
-        "p,nontrivial,members", [(3, False, 476), (3, True, 395), (5, True, 3310)],
+        "p,nontrivial,members",
+        [
+            (3, False, {"cross-cube": 225, "swapped-cube": 221}),
+            (3, True, {"cross-cube": 144, "swapped-cube": 140}),
+            (5, True, {"cross-cube": 905, "swapped-cube": 904}),
+        ],
         ids=["p3", "p3-nontrivial", "p5-nontrivial"],
     )
     @pytest.mark.parametrize("relation", [CrossCube(), SwappedCube()])
     def test_cube_kernel_members_listed_from_a_up(
         self, monkeypatch, relation, p, nontrivial, members
     ):
-        # Under a cube relation the kernel of each a is listed from a up,
-        # so only its members b >= a are formed (945 in all at p = 3 and
-        # 7,825 at p = 5 when the whole kernel is): 476 at p = 3, the
-        # brute-force count.  Under --nontrivial a = 0, whose kernel is all
-        # p**4 matrices b >= 0, is skipped: 476 - 81 = 395 at p = 3 and
-        # 3,935 - 625 = 3,310 at p = 5, from p**4 - 1 kernels (80 and 624).
+        # Under a cube relation one kernel is listed per orbit of the
+        # search's group, from its first a up, so only its members b >= a
+        # are formed.  At p = 3, n = 2 the group's 8 elements put the 81 a
+        # in 17 orbits, whose first a have 225 (cross-cube) and 221
+        # (swapped-cube) members b >= a by brute force; 945 members over
+        # every whole kernel.  Under --nontrivial the orbit {0}, whose
+        # kernel is all p**4 matrices b >= 0, is skipped: 144 and 140 at
+        # p = 3, and 905 and 904 at p = 5, where 16 elements (2
+        # permutations, 4 units u_2, c = +-1) fix 928 a in all, so the 625
+        # a fall in 928/16 = 58 orbits, 57 of them nonzero (7,825 members
+        # over every whole kernel).
         built = []
         inner = pairs._kernel
 
@@ -390,31 +426,31 @@ class TestExhaustiveSearch:
 
         monkeypatch.setattr(pairs, "_kernel", counted)
         exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
-        assert len(built) == p**4 - nontrivial  # one per a, but a = 0
-        assert sum(built) == members
+        firsts = _naive.search_orbit_firsts(p, 2, relation.name, range(p), nontrivial)
+        assert len(built) == len(firsts) == {3: 17, 5: 58}[p] - nontrivial
+        assert sum(built) == members[relation.name]
         if p == 3:
-            assert sum(built) == _candidates_with_b_at_least_a(3, 2, relation, nontrivial)
+            assert sum(built) == _orbit_candidates(3, 2, relation, nontrivial)
 
     @pytest.mark.parametrize(
         "relation,kernels,products",
         [
-            (CrossCube(), 81, 225),
-            (SwappedCube(), 81, 225),
-            (LambdaCommute(F3.scalar(2)), 41, 168),
+            (CrossCube(), 17, 81),
+            (SwappedCube(), 17, 81),
+            (LambdaCommute(F3.scalar(2)), 17, 80),
         ],
         ids=["cross-cube", "swapped-cube", "lambda-commute-2"],
     )
     def test_nontrivial_filter_once_per_kept_pair(
         self, monkeypatch, relation, kernels, products
     ):
-        # Under a cube relation, where a*b == 0 exactly when b*a == 0, the
-        # filter runs once per relation hit with b >= a and a != 0: 306 by
-        # brute force less the 81 hits (0, b), so 225, one kernel per a
-        # (81).  Under lambda-commute it runs once per member of each line
-        # of multiples' kernel, keyed by the a whose first nonzero entry is
-        # 1: the 417 hits less the 81 of a = 0 leave 336 over the two
-        # nonzero a of each line, so 168, and (3**4 - 1)/2 = 40 lines of
-        # nonzero a and a = 0 make 41 kernels.  Under --nontrivial a = 0
+        # One kernel is listed per orbit of the search's group: its 8
+        # elements at p = 3, n = 2 put the 81 a in 17 orbits (see the
+        # Burnside count above), as the naive orbits count.  The filter
+        # runs once per relation hit (a, b) with a the first of an orbit
+        # but {0}, and under a cube relation, where a*b == 0 exactly when
+        # b*a == 0, only for b >= a: 81 of the 306 cube hits and 80 of the
+        # 417 lambda hits by brute force.  Under --nontrivial the orbit {0}
         # lists no kernel.
         calls = {"_product_nonzero": 0, "_kernel": 0}
         for name in calls:
@@ -433,21 +469,59 @@ class TestExhaustiveSearch:
             filtered.append(calls["_product_nonzero"])
         assert filtered == [0, products]
         lam = relation.lam.value if isinstance(relation, LambdaCommute) else None
+        firsts = _naive.search_orbit_firsts(3, 2, relation.name, range(3), True)
+        assert len(firsts) == kernels - 1
         hits = _naive.search_hits(3, 2, relation.name, lam, range(3), False)
-        leads = [next((v for row in a for v in row if v), 0) for a, _ in hits]
-        if lam is None:
-            hits = [(a, b) for (a, b), lead in zip(hits, leads) if lead and b >= a]
-        else:
-            hits = [hit for hit, lead in zip(hits, leads) if lead == 1]
-        assert len(hits) == products
+        kept = [
+            (a, b)
+            for a, b in hits
+            if tuple(v for row in a for v in row) in firsts and (lam is not None or b >= a)
+        ]
+        assert len(kept) == products
 
-    @pytest.mark.parametrize("p,lines", [(3, 40), (5, 156)])
-    def test_lambda_kernel_listed_once_per_line(self, monkeypatch, p, lines):
-        # The map b -> (s*a)*b - lam*b*(s*a) is s times the map of a, so
-        # each line {s*a : s a unit} of nonzero a shares one kernel:
-        # (p**4 - 1)/(p - 1) lines, 40 at p = 3 and 156 at p = 5, and one
-        # more for a = 0 without --nontrivial.
+    @pytest.mark.parametrize(
+        "p,lines,orbits", [(3, 40, 16), (5, 156, 29)], ids=["3-40", "5-156"]
+    )
+    def test_lambda_kernel_listed_once_per_line(self, monkeypatch, p, lines, orbits):
+        # The map b -> (s*a)*b - lam*b*(s*a) is s times the map of a, and
+        # the search's group holds every scale s of a, so each line
+        # {s*a : s a unit} of nonzero a lies in one orbit and no line lists
+        # two kernels: one per orbit of nonzero a, 16 at p = 3 (8
+        # elements) and 29 at p = 5, where 32 elements (2 permutations, 4
+        # units u_2, 4 scales) fix 960 a in all, so 960/32 = 30 orbits
+        # with {0}.  There (p**4 - 1)/(p - 1) lines are 40 and 156.  One
+        # more kernel is listed for a = 0 without --nontrivial.
         assert lines == (p**4 - 1) // (p - 1)
+        listed = []
+        inner = pairs._sylvester_rows
+
+        def counted(x, *rest):
+            listed.append(x)  # x is a under lambda-commute
+            return inner(x, *rest)
+
+        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
+        relation = LambdaCommute(PrimeField(p).scalar(2))
+        for nontrivial in (False, True):
+            listed.clear()
+            exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
+            assert len(listed) == orbits + (not nontrivial)
+            assert listed == _naive.search_orbit_firsts(
+                p, 2, relation.name, range(p), nontrivial
+            )
+            assert len({_line(a, p) for a in listed}) == len(listed)
+
+    @pytest.mark.parametrize("lam,bound", [(2, (0, 1)), (4, (0, 2))])
+    def test_benchmark_search_pass_lists_452_kernels(self, monkeypatch, lam, bound):
+        # A search pass of the benchmark runs the three relations with
+        # --nontrivial at p = 5, n = 2 and at p = 3, n = 3 under a
+        # two-residue bound with 0.  One kernel is listed per orbit of
+        # nonzero a: 29 under lambda-commute at p = 5 (group of 32) and 57
+        # under each cube relation (group of 16), and 103 for each
+        # relation at p = 3, n = 3, where only the 6 permutations keep the
+        # bound: the 104 3 x 3 zero-one matrices up to simultaneous
+        # permutation of rows and columns, less 0.  29 + 2*57 + 3*103 is
+        # 452, where one kernel per a (and per line of multiples under
+        # lambda-commute) made 156 + 2*624 + 3*511 = 2,937.
         built = []
         inner = pairs._kernel
 
@@ -456,11 +530,11 @@ class TestExhaustiveSearch:
             return inner(*args)
 
         monkeypatch.setattr(pairs, "_kernel", counted)
-        relation = LambdaCommute(PrimeField(p).scalar(2))
-        for nontrivial in (False, True):
-            built.clear()
-            exhaustive_search(SearchSpec(p, 2, relation, require_nontrivial=nontrivial))
-            assert len(built) == lines + (not nontrivial)
+        for p, n, entry_bound, lam_value in ((5, 2, None, lam), (3, 3, bound, 2)):
+            lambda_commute = LambdaCommute(PrimeField(p).scalar(lam_value))
+            for relation in (lambda_commute, CrossCube(), SwappedCube()):
+                exhaustive_search(SearchSpec(p, n, relation, entry_bound, True))
+        assert len(built) == 29 + 2 * 57 + 3 * 103 == 452
 
     @pytest.mark.parametrize(
         "relation",
@@ -500,20 +574,30 @@ class TestExhaustiveSearch:
         )
 
     @pytest.mark.parametrize(
-        "relation",
-        [CrossCube(), SwappedCube(), LambdaCommute(F3.scalar(1)), LambdaCommute(F3.scalar(2))],
+        "relation,kernels",
+        [
+            (CrossCube(), 6),
+            (SwappedCube(), 6),
+            (LambdaCommute(F3.scalar(1)), 13),
+            (LambdaCommute(F3.scalar(2)), 13),
+        ],
         ids=["cross-cube", "swapped-cube", "lambda-commute-1", "lambda-commute-2"],
     )
-    def test_hit_cap_stops_at_the_a_that_crosses_it(self, monkeypatch, relation):
+    def test_hit_cap_stops_at_the_a_that_crosses_it(self, monkeypatch, relation, kernels):
         # The cap is checked after each a, so the refusal counts the hits
         # of the a up to the first one that crosses it, and no kernel is
-        # listed after that a: one per a under a cube relation, one per
-        # line of multiples under lambda-commute (a = 0 its own line).
+        # listed after that a: one per orbit of the search's group whose
+        # first a is not past it.  A cap of half the hits is crossed at
+        # a = (0, 1, 1, 0) under a cube relation (13th of the 81 a), and
+        # at (1, 1, 0, 0) (37th) and (1, 0, 1, 2) (33rd) under
+        # lambda-commute with lambda 1 and 2.  Of the 17 naive orbits, 6
+        # have their first a up to the 13th a, and 13 up to the 33rd and
+        # up to the 37th.
         spec = SearchSpec(3, 2, relation)
         cube = not isinstance(relation, LambdaCommute)
         per_a = {}
         for x, y in pairs._search_flat(spec):
-            a = min(x, y) if cube else x  # a cube hit (x, y) comes from min(x, y)
+            a = min(x, y) if cube else x  # a cube hit (x, y) is counted at min(x, y)
             per_a[a] = per_a.get(a, 0) + 1
         cap = sum(per_a.values()) // 2
         found = 0
@@ -521,28 +605,22 @@ class TestExhaustiveSearch:
             found += per_a.get(last, 0)
             if found > cap:
                 break
-        searched = [a for a in itertools.product(range(3), repeat=4) if a <= last]
+        firsts = _naive.search_orbit_firsts(3, 2, relation.name, range(3), False)
+        listed = []
+        inner = pairs._sylvester_rows
 
-        def line(a):
-            lead = next(filter(None, a), 1)
-            return tuple(v * pow(lead, -1, 3) % 3 for v in a)
+        def counted(x, y, *rest):
+            # a is y under cross-cube and x under the other relations.
+            listed.append(y if isinstance(relation, CrossCube) else x)
+            return inner(x, y, *rest)
 
-        kernels = len(searched) if cube else len({line(a) for a in searched})
-        built = []
-        inner = pairs._kernel
-
-        def counted(*args):
-            built.append(args[3:])
-            return inner(*args)
-
-        monkeypatch.setattr(pairs, "_kernel", counted)
+        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
         monkeypatch.setattr(pairs, "_MAX_HITS", cap)
         with pytest.raises(BudgetExceeded) as exc:
             exhaustive_search(spec)
         assert exc.value.detail == {"hits": found, "cap": cap}
-        assert len(built) == kernels
-        if cube:
-            assert built[-1] == (last,)
+        assert listed == [a for a in firsts if a <= last]
+        assert len(listed) == kernels
 
     def test_search_at_the_hit_cap_is_accepted(self, monkeypatch):
         spec = SearchSpec(3, 2, CrossCube())

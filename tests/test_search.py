@@ -12,13 +12,20 @@ so they also reach spaces too large for the oracle:
 
 Under each relation ``a*b == 0`` holds exactly when ``b*a == 0`` does, so
 the nontrivial filter keeps all three facts.
+
+The search lists hits for one ``a`` per orbit of a group of symmetries
+(``pairs._symmetries``); each of its elements must keep the domain and
+map every brute-force hit to a hit, and the units that keep a domain
+(``pairs._domain_units``) must be those found by trying every unit.
 """
 
+import itertools
 from functools import lru_cache
 
 import pytest
 
 import _naive
+import drazinkit.pairs as pairs
 from drazinkit import (
     CrossCube,
     LambdaCommute,
@@ -41,6 +48,12 @@ def _relation(p, name, lam):
 def _search(p, n, name, lam=None, bound=None, nontrivial=True):
     spec = SearchSpec(p, n, _relation(p, name, lam), bound, nontrivial)
     return tuple(exhaustive_search(spec))
+
+
+@lru_cache(maxsize=None)
+def _brute_force(p, n, name, lam=None, bound=None, nontrivial=True):
+    domain = bound if bound is not None else range(p)
+    return _naive.search_hits(p, n, name, lam, domain, nontrivial)
 
 
 def _flat(m):
@@ -94,9 +107,58 @@ _DIFFERENTIAL_SPECS = list(_differential_specs())
 )
 def test_search_equals_brute_force(p, n, name, lam, bound, nontrivial):
     hits = _search(p, n, name, lam, bound, nontrivial)
-    domain = bound if bound is not None else range(p)
-    expected = _naive.search_hits(p, n, name, lam, domain, nontrivial)
+    expected = _brute_force(p, n, name, lam, bound, nontrivial)
     assert [(_naive.from_matrix(a), _naive.from_matrix(b)) for a, b in hits] == expected
+
+
+# (p, n, relation, lambda, bound, nontrivial, the group's order).  The order
+# is n! * |M|**(n - 1) * |scales| for the units M that keep the domain:
+# the full range at p = 5 keeps M = {1, 2, 3, 4}, so 2 * 4 * 4 = 32 under
+# lambda-commute and 2 * 4 * 2 = 16 with the scales +-1 of a cube
+# relation; 2*{0, 1} is not {0, 1}, so at p = 3, n = 3 only the 6
+# permutations remain; -{0, 1, 4} == {0, 1, 4} at p = 5, so M = {1, 4};
+# and at p = 3 every M is {1, 2} (also for the bound 1,2 without 0), so 2 *
+# 2 * 2 = 8.
+_GROUP_SPACES = [
+    (5, 2, "lambda-commute", 2, None, True, 32),
+    (5, 2, "cross-cube", None, None, True, 16),
+    (3, 3, "cross-cube", None, (0, 1), True, 6),
+    (3, 3, "lambda-commute", 2, (0, 1), True, 6),
+    (5, 2, "lambda-commute", 2, (0, 1, 4), False, 8),
+    (3, 2, "cross-cube", None, None, False, 8),
+    (3, 2, "swapped-cube", None, None, False, 8),
+    (3, 2, "swapped-cube", None, (1, 2), True, 8),
+    (3, 2, "lambda-commute", 1, None, False, 8),
+]
+
+
+def _act(x, conjugation, scale, p):
+    return tuple(x[src] * mul * scale % p for src, mul in conjugation)
+
+
+@pytest.mark.parametrize(
+    "p,n,name,lam,bound,nontrivial,order",
+    _GROUP_SPACES,
+    ids=[_spec_id(space[:6]) for space in _GROUP_SPACES],
+)
+def test_search_group_keeps_domain_and_hits(p, n, name, lam, bound, nontrivial, order):
+    spec = SearchSpec(p, n, _relation(p, name, lam), bound, nontrivial)
+    conjugations, scales = pairs._symmetries(spec)
+    assert len(conjugations) * len(scales) == order
+    domain = bound if bound is not None else range(p)
+    assert len(_naive.search_group(p, n, name, domain)) == order
+    matrices = list(itertools.product(sorted(domain), repeat=n * n))
+    hits = {
+        (tuple(v for row in a for v in row), tuple(v for row in b for v in row))
+        for a, b in _brute_force(p, n, name, lam, bound, nontrivial)
+    }
+    assert hits
+    for conjugation in conjugations:
+        for scale in scales:
+            assert sorted(_act(m, conjugation, scale, p) for m in matrices) == matrices
+            for a, b in hits:
+                image = (_act(a, conjugation, scale, p), _act(b, conjugation, 1, p))
+                assert image in hits
 
 
 @pytest.mark.parametrize(
@@ -143,3 +205,12 @@ def test_swap_maps_lambda_hits_onto_inverse_lambda_hits(p, lam):
     keys = _keys(_search(p, 2, "lambda-commute", lam))
     inverse_keys = _keys(_search(p, 2, "lambda-commute", inverse))
     assert sorted((kb, ka) for ka, kb in keys) == inverse_keys
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_domain_units_equal_brute_force(p):
+    # Every nonempty domain mod p: the units m with m*D == D, tried one by one.
+    for size in range(1, p + 1):
+        for domain in itertools.combinations(range(p), size):
+            units = [m for m in range(1, p) if {m * v % p for v in domain} == set(domain)]
+            assert pairs._domain_units(domain, p) == (units if any(domain) else [1])
