@@ -9,34 +9,27 @@ Two scalar domains are supported:
 
 A :class:`Field` instance is the value-like descriptor attached to every
 scalar and matrix (structural equality, JSON encoding) and knows only what
-the field alone decides: :meth:`Field.reduce`, the canonical raw value of
-an integer or ``Fraction`` expression; :meth:`Field.inv`; the matrix hooks
-below; and the wire codec.  Raw values are ``fractions.Fraction`` for the
-rationals and plain ``int`` residues for prime fields, so scalar sums,
-differences and products are written with Python's operators on raw
-values, followed by one ``reduce`` per result.
+the field alone decides, through the hooks the :class:`Field` docstring
+lists.  Raw values are ``fractions.Fraction`` for the rationals and plain
+``int`` residues for prime fields, so scalar sums, differences and
+products are written with Python's operators on raw values, followed by
+one ``reduce`` per result.
 User-facing code sees only :class:`FieldScalar`, built by :meth:`Field.scalar`.
 
 Matrices do not hold raw values: a ``Matrix`` keeps integer rows over one
 positive denominator, canonical (see :mod:`drazinkit.matrices`), and over
 ``F_p`` the denominator is always 1.  So both fields run one integer
-kernel, and a field adds only where they differ.  :meth:`Field.normalize`
-makes ``rows / den`` canonical: over the rationals one gcd pass over the
-rows and ``den``, skipped when ``den`` is 1; over ``F_p`` one ``% p`` per
-entry.  :meth:`Field.dot`, the batched product kernel, is called once per
-product with every integer row of the left factor and every integer column
-of the right one: integer multiply-accumulate, then one normalization of
-the result.  Elimination clears columns with :meth:`Field.combine` and
-divides each row by its final scale with :meth:`Field.unscale`.
-:meth:`Field.value` gives the raw value of one stored entry.  Rows of raw
-values need no hook to become integer rows: a ``Fraction`` and an ``int``
-both have a numerator and a denominator (see ``Matrix.from_rows``).
+kernel, and a field adds only where they differ: ``normalize``, ``dot``
+(one call per product), ``combine`` and ``unscale`` (elimination) and
+``value`` (one stored entry).  Rows of raw values need no hook to become
+integer rows: a ``Fraction`` and an ``int`` both have a numerator and a
+denominator (see ``Matrix.from_rows``).
 
 Text encoding, used verbatim by all JSON I/O: rationals as ``"n"`` or
 ``"n/d"`` with ``d > 0`` and ``gcd(n, d) = 1``; prime-field residues as the
-decimal digits of the canonical representative.  :meth:`Field.decode` reads
-one entry's text straight to a ``(num, den)`` int pair, which
-``Matrix.from_json_obj`` puts over one denominator and :meth:`normalize`
+decimal digits of the canonical representative.  ``decode`` reads one
+entry's text straight to a ``(num, den)`` int pair, which
+``Matrix.from_json_obj`` puts over one denominator and ``normalize``
 makes canonical, so text need not be canonical to be read (``"6/4"``,
 ``"-0"``); :meth:`Field.scalar` reads text by the same decode.
 """
@@ -110,68 +103,39 @@ def is_prime(n: int) -> bool:
 class Field:
     """A scalar domain.  Instances are immutable and compare structurally.
 
-    Raw values combine with Python's ``+ - *`` and one :meth:`reduce` per
-    result; a field adds :meth:`inv`, the hooks on stored matrices and the
-    codec.
+    Raw values are canonical: a ``Fraction`` over the rationals, a residue
+    in ``[0, p)`` over ``F_p``.  A stored matrix is int rows over one
+    positive ``den``, which is 1 over ``F_p``.  The base class shares
+    :meth:`encode` and :meth:`scalar`; :class:`RationalField` and
+    :class:`PrimeField` each implement these hooks:
+
+    * ``reduce(x)``: the canonical raw value of ``x``, an ``int`` (or over
+      the rationals a ``Fraction``) built with ``+ - *`` from raw values
+      and ints: ``Fraction(x)`` over the rationals, ``x % p`` over ``F_p``.
+    * ``inv(x)``: the raw inverse of ``x``; :class:`DivisionByZero` at 0.
+    * ``value(n, den)``: the raw value of the stored entry ``n / den``.
+    * ``normalize(rows, den)``: the canonical form of the matrix ``rows /
+      den``, a tuple of int row tuples over a positive int: over the
+      rationals divided by their gcd, over ``F_p`` reduced mod ``p``.
+    * ``dot(rows, cols, den)``: the batched product kernel.  ``rows`` are
+      the int rows of the left factor, ``cols`` the int columns of the
+      right one and ``den`` the product of their denominators; returns the
+      canonical ``(rows, den)`` of the product.
+    * ``combine(lead, row, g, pivot)``: ``lead * row - g * pivot`` on ints,
+      at a smaller nonzero scale: over the rationals divided by the gcd of
+      its entries, over ``F_p`` reduced mod ``p``.
+    * ``unscale(rows, scales)``: ``(int rows, den)``, ``den > 0``, whose row
+      ``i`` over ``den`` is ``rows[i] / scales[i]``, for nonzero int scales:
+      ``den`` is their lcm over the rationals and 1 over ``F_p``.
+    * ``decode(text)``: the ``(num, den)`` ints of the wire text ``text``,
+      ``den > 0``, not necessarily in lowest terms; ``den`` is 1 over ``F_p``.
+    * ``to_json_obj()``: ``"Q"`` or ``{"Fp": p}``, which
+      :func:`field_from_json_obj` reads back.
     """
 
     __slots__ = ()
 
     characteristic: int
-
-    # -- raw values: canonical Fraction over Q, residue in [0, p) over F_p --
-    def reduce(self, x):
-        """The canonical raw value of ``x``.
-
-        ``x`` is an ``int``, or over the rationals a ``Fraction``, built with
-        ``+ - *`` from canonical raw values and ints.  Over the rationals
-        this is ``Fraction(x)``; over ``F_p`` it is ``x % p``.
-        """
-        raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    # -- stored matrices: a Matrix keeps integer rows over one denominator
-    # ``den`` (see :mod:`drazinkit.matrices`); over F_p ``den`` is always 1.
-    def value(self, n: int, den: int):
-        """The canonical raw value of the stored entry ``n / den``."""
-        raise NotImplementedError
-
-    def normalize(self, rows, den):
-        """The canonical form of the matrix ``rows / den``.
-
-        ``rows`` is a tuple of int row tuples and ``den`` a positive int.
-        Over the rationals the rows and ``den`` are divided by their gcd;
-        over ``F_p`` (``den`` 1) each entry is reduced mod ``p``.
-        """
-        raise NotImplementedError
-
-    def dot(self, rows, cols, den):
-        """The batched product kernel: every row-by-column dot product.
-
-        ``rows`` are the integer rows of the left factor and ``cols`` the
-        integer columns of the right one, and ``den`` the product of their
-        denominators.  Returns the canonical ``(rows, den)`` of the product,
-        so ``Matrix.__mul__`` is one call.
-        """
-        raise NotImplementedError
-
-    # -- elimination hooks: Matrix._eliminate keeps each row as ints, a
-    # nonzero multiple of the row, and forms no scalar until the end.
-    def combine(self, lead, row, g, pivot):
-        """``lead * row - g * pivot`` on ints, at a smaller nonzero scale:
-        over the rationals divided by the gcd of its entries, over ``F_p``
-        reduced mod ``p``."""
-        raise NotImplementedError
-
-    def unscale(self, rows, scales):
-        """The rows ``rows[i] / scales[i]``, for nonzero int ``scales``, over
-        one denominator: ``(int rows, den)`` with ``den > 0``, for
-        :meth:`normalize` to make canonical.  Over the rationals ``den`` is
-        the lcm of the scales; over ``F_p`` each row is multiplied by the
-        inverse of its scale and ``den`` is 1."""
-        raise NotImplementedError
 
     def encode(self, x, den: int = 1) -> str:
         """Wire text of the raw value ``x``, or of the stored entry ``x / den``."""
@@ -183,14 +147,8 @@ class Field:
         except ValueError:
             raise _past_digit_limit(OutputTooLarge, "result entry") from None
 
-    def decode(self, text: str):
-        """The ``(num, den)`` ints of the wire text ``text``, ``den > 0``,
-        not necessarily in lowest terms; over ``F_p`` ``den`` is 1."""
-        raise NotImplementedError
-
-    # -- user-facing helpers ---------------------------------------------
     def scalar(self, value) -> "FieldScalar":
-        """The scalar of ``value``: an int, wire text (read by :meth:`decode`,
+        """The scalar of ``value``: an int, wire text (read by ``decode``,
         so ``"6/4"`` gives 3/2), a scalar of this field, or over the
         rationals a ``Fraction``.  The one scalar constructor."""
         if isinstance(value, FieldScalar):
@@ -202,9 +160,6 @@ class Field:
         if isinstance(value, str):
             return _scalar(self, self.value(*self.decode(value)))
         raise ParseError(f"cannot coerce {type(value).__name__!r} into {self}")
-
-    def to_json_obj(self):
-        raise NotImplementedError
 
 
 class RationalField(Field):

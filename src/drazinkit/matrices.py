@@ -7,15 +7,15 @@ tuples, and ``_den``, a positive int with ``gcd(_den, every entry) == 1``
 canonical residues and ``_den`` is always 1.  The form is canonical, so
 equality and hashing compare ``(_den, _num)``, and products, sums and
 elimination all run on plain ints, for both fields; a product is one call
-of the field's batched kernel :meth:`~drazinkit.fields.Field.dot`.  Only
-the package builds a matrix from this form, unchecked, with ``_stored``.
-Per-entry raw values (``Fraction`` over Q) enter only through
-:meth:`Matrix.from_rows` and :meth:`Matrix.diagonal`, and leave only
-through :meth:`Matrix.entry`, :meth:`Matrix.to_rows` and ``_data``.  The
-codec reads each entry's text straight to ints
-(:meth:`~drazinkit.fields.Field.decode`) and writes each entry from ``(n,
-_den)`` with one gcd.  Matrices are immutable; all operators return new
-instances and refuse mixed fields or shapes.
+of the field's batched kernel ``dot`` (a hook of
+:class:`~drazinkit.fields.Field`).  Only the package builds a matrix from
+this form, unchecked, with ``_stored``.  Per-entry raw values
+(``Fraction`` over Q) enter only through :meth:`Matrix.from_rows` and
+:meth:`Matrix.diagonal`, and leave only through :meth:`Matrix.entry`,
+:meth:`Matrix.to_rows` and ``_data``.  The codec reads each entry's text
+straight to ints (the field's ``decode`` hook) and writes each entry from
+``(n, _den)`` with one gcd.  Matrices are immutable; all operators return
+new instances and refuse mixed fields or shapes.
 
 Elimination is deterministic so that two independent implementations can
 agree bit for bit.  There is one pivot rule, :data:`PivotOrder.TOP_DOWN`:
@@ -211,8 +211,18 @@ class Matrix:
                 {"left": self.field.to_json_obj(), "right": other.field.to_json_obj()},
             )
 
-    def _entrywise(self, other: "Matrix", op) -> "Matrix":
-        # ``op`` entrywise on both operands over the lcm of their denominators.
+    def _entrywise(self, other, op, message: str):
+        # ``op`` entrywise on both operands over the lcm of their denominators,
+        # after the checks ``+`` and ``-`` share; ``message`` names the shapes
+        # of ``self`` and ``other`` as {0} and {1}.
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_field(other)
+        if (other.rows, other.cols) != (self.rows, self.cols):
+            raise ShapeMismatch(
+                message.format(f"{self.rows}x{self.cols}", f"{other.rows}x{other.cols}"),
+                {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
+            )
         den = lcm(self._den, other._den)
         left = _times(self._num, den // self._den)
         right = _times(other._num, den // other._den)
@@ -221,26 +231,10 @@ class Matrix:
         )
 
     def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ShapeMismatch(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}",
-                {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
-            )
-        return self._entrywise(other, add)
+        return self._entrywise(other, add, "cannot add {0} and {1}")
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ShapeMismatch(
-                f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}",
-                {"left": [self.rows, self.cols], "right": [other.rows, other.cols]},
-            )
-        return self._entrywise(other, sub)
+        return self._entrywise(other, sub, "cannot subtract {1} from {0}")
 
     def __neg__(self):
         return _canonical(self.field, _times(self._num, -1), self._den)

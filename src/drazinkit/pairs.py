@@ -741,8 +741,9 @@ def _symmetries(spec: SearchSpec) -> Tuple[List[Conjugation], List[int]]:
     return conjugations, [c for c in units if c * c % p == 1]
 
 
-def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Every hit as a pair of row-major residue tuples, in ``(a, b)`` order.
+def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+    """Every hit, as ``(a, bs)`` for each ``a`` with hits, in order, where
+    ``bs`` ascends and ``a`` and each ``b`` are row-major residue tuples.
 
     For a fixed ``a`` the relation's equation linear in ``b`` is
     ``x*b == mu*b*y``: ``a*b == lam*b*a`` (lambda-commute, each solution a
@@ -773,10 +774,12 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
     ``a`` up and checks only the members ``b >= a``; its hits ``b < a``
     are the earlier ``b`` whose hits held ``a``, noted as they were walked.
 
-    Beyond the hits, each a 2-tuple, the walk holds one list entry per hit
-    of the orbits it has met and not finished, an entry for each ``a``
-    ahead of it in those orbits, and under a cube relation an entry per
-    hit ``(b, a)`` with ``a`` ahead of it, and the cube of each matrix met.
+    The hits hold a 2-tuple per ``a`` and a list entry per hit, and the
+    multiples of one ``a`` in an orbit share their list.  Beyond them the
+    walk holds one list entry per hit of the orbits it has met and not
+    finished, an entry for each ``a`` ahead of it in those orbits, and
+    under a cube relation an entry per hit ``(b, a)`` with ``a`` ahead of
+    it, and the cube of each matrix met.
 
     Raises BudgetExceeded after the first ``a`` at which the hits counted
     so far are more than ``_MAX_HITS``, so no ``a`` after it is searched.
@@ -846,7 +849,8 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], Tuple[int, ...
                     other = tuple([v * c % p for v in image])
                     if other != a and other not in ahead:
                         ahead[other] = entry
-        hits += [(a, b) for b in members]
+        if members:
+            hits.append((a, members))
         if cube:
             above = bisect.bisect_right(members, a)
             counted += 2 * (len(members) - above) + (above > 0 and members[above - 1] == a)
@@ -893,7 +897,7 @@ def exhaustive_search(
             matrices[flat] = _stored(field, rows, 1)
         return matrices[flat]
 
-    return [(matrix(fa), matrix(fb)) for fa, fb in _search_flat(spec)]
+    return [(ma, matrix(b)) for a, bs in _search_flat(spec) for ma in [matrix(a)] for b in bs]
 
 
 @lru_cache(maxsize=32)

@@ -220,6 +220,42 @@ def test_one_spelling_per_scalar_operation():
     assert calls > 0
 
 
+FIELD_HOOKS = {
+    "reduce", "inv", "value", "normalize", "dot", "combine", "unscale", "decode", "to_json_obj",
+}
+
+
+def test_field_is_the_interface_its_two_fields_implement():
+    # Field holds no stubs: both fields define the same hooks, which the
+    # base class does not, and its docstring states each one's contract.
+    for cls in (RationalField, PrimeField):
+        own = {
+            name for name, v in vars(cls).items()
+            if not name.startswith("_") and callable(v) and name not in vars(Field)
+        }
+        assert own == FIELD_HOOKS, cls.__name__
+    for name in FIELD_HOOKS:
+        assert not hasattr(Field, name), name
+        assert f"* ``{name}(" in Field.__doc__, name
+    # No src/ function only raises, except the constructors that point to
+    # their factories and the parser hook that turns usage errors into
+    # ParseError.
+    src = Path(__file__).resolve().parent.parent / "src" / "drazinkit"
+    raising = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        for cls in [tree, *[n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]]:
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                body = node.body[1:] if ast.get_docstring(node) else node.body
+                if len(body) == 1 and isinstance(body[0], ast.Raise):
+                    raising.add(f"{path.stem}.{getattr(cls, 'name', '')}.{node.name}")
+    assert raising == {
+        "cli._ArgumentParser.error", "fields.FieldScalar.__init__", "matrices.Matrix.__init__",
+    }
+
+
 def test_scalar_str_is_wire_format():
     # str() output must be valid JSON content after json round-trip
     x = QQ.scalar(Fraction(-7, 3))

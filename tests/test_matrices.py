@@ -1,6 +1,7 @@
 """Matrix arithmetic, elimination kernels, inner inverses, JSON wire form."""
 
 import json
+import operator
 import os
 import pickle
 import subprocess
@@ -161,6 +162,26 @@ def test_refusals_name_shapes_fields_and_exponents():
         with pytest.raises(error) as exc:
             call()
         assert exc.value.detail == detail
+
+
+def test_sum_and_difference_refuse_shapes_with_one_message_each():
+    cases = [
+        (operator.add, (2, 3), (3, 3), "cannot add 2x3 and 3x3"),
+        (operator.add, (1, 1), (2, 1), "cannot add 1x1 and 2x1"),
+        (operator.sub, (2, 3), (3, 3), "cannot subtract 3x3 from 2x3"),
+        (operator.sub, (3, 1), (1, 3), "cannot subtract 1x3 from 3x1"),
+    ]
+    for op, left, right, message in cases:
+        for field in (QQ, F5):
+            with pytest.raises(ShapeMismatch) as exc:
+                op(Matrix.zero(field, *left), Matrix.zero(field, *right))
+            assert str(exc.value) == message
+            assert exc.value.detail == {"left": list(left), "right": list(right)}
+    # A field mismatch is found before the shapes are compared.
+    with pytest.raises(FieldMismatch):
+        Matrix.zero(QQ, 2) - Matrix.zero(F5, 3)
+    assert Matrix.zero(QQ, 2).__add__(2) is NotImplemented
+    assert Matrix.zero(QQ, 2).__sub__(QQ.scalar(2)) is NotImplemented
 
 
 def test_matmul_against_naive_oracle():

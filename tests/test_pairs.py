@@ -596,9 +596,10 @@ class TestExhaustiveSearch:
         spec = SearchSpec(3, 2, relation)
         cube = not isinstance(relation, LambdaCommute)
         per_a = {}
-        for x, y in pairs._search_flat(spec):
-            a = min(x, y) if cube else x  # a cube hit (x, y) is counted at min(x, y)
-            per_a[a] = per_a.get(a, 0) + 1
+        for x, ys in pairs._search_flat(spec):
+            for y in ys:
+                a = min(x, y) if cube else x  # a cube hit (x, y) is counted at min(x, y)
+                per_a[a] = per_a.get(a, 0) + 1
         cap = sum(per_a.values()) // 2
         found = 0
         for last in itertools.product(range(3), repeat=4):
@@ -636,6 +637,28 @@ class TestExhaustiveSearch:
         hits = exhaustive_search(SearchSpec(3, 2, CrossCube()))
         matrices = [m for pair in hits for m in pair]
         assert len({id(m) for m in matrices}) == len(set(matrices))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SearchSpec(3, 2, CrossCube()),
+            SearchSpec(3, 2, SwappedCube(), require_nontrivial=True),
+            SearchSpec(5, 2, LambdaCommute(F5.scalar(2)), entry_bound=(0, 1, 4)),
+        ],
+        ids=["cross-cube", "swapped-cube-nontrivial", "lambda-commute-bounded"],
+    )
+    def test_search_holds_one_hit_list_per_a(self, spec):
+        # The walk hands over each a that has hits once, with its b
+        # ascending, not one pair per hit; the search flattens them.
+        flat = pairs._search_flat(spec)
+        firsts = [a for a, _ in flat]
+        assert firsts == sorted(set(firsts))
+        assert all(bs and bs == sorted(set(bs)) for _, bs in flat)
+        hits = [(a, b) for a, bs in flat for b in bs]
+        assert hits == [
+            tuple(tuple(x.value for row in m.to_rows() for x in row) for m in pair)
+            for pair in exhaustive_search(spec)
+        ]
 
     def test_swapped_and_cross_hit_sets_coincide_at_n2(self):
         # observed coincidence, frozen: every nontrivial 2x2 hit over F_3
