@@ -29,6 +29,13 @@ Families
 
 :func:`parse_family` reads a family from its ``gen --family`` descriptor.
 
+The search's arithmetic on residue tuples, :func:`_unrolled`, is
+straight-line code generated for each dimension ``n`` (1 to 3, all the
+search takes) on the first search at that ``n``: at this size the loops
+and index arithmetic of a generic product cost several times its
+multiplications, and compiling all three takes about 3 ms, which the
+import and the commands without a search do not pay.
+
 Determinism: generation is a pure function of (family, relation, field,
 seed), and search output is a pure function of its ``SearchSpec``.
 """
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetExceeded,
@@ -510,6 +517,11 @@ def gen_pair(
 # --------------------------------------------------------------------------
 
 
+def _check_search_dimension(n: Any) -> None:
+    if type(n) is not int or not 1 <= n <= 3:  # a bool is refused
+        raise ParseError(f"search dimension must be 1..3, got {n!r}", {"n": n})
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Full enumeration space: all (a, b) with entries from a subset of F_p.
@@ -527,10 +539,7 @@ class SearchSpec:
 
     def __post_init__(self):
         field = PrimeField(self.p)  # validates primality
-        if type(self.n) is not int or not 1 <= self.n <= 3:  # a bool is refused
-            raise ParseError(
-                f"search dimension must be 1..3, got {self.n!r}", {"n": self.n}
-            )
+        _check_search_dimension(self.n)
         if self.entry_bound is not None:
             # Types first: sorting fails on mixed types, and a set could keep
             # a bool in place of the int it equals.
@@ -573,67 +582,70 @@ class SearchSpec:
         return d ** (2 * self.n * self.n)
 
 
-def _flat_mul(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> Tuple[int, ...]:
-    out = []
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += x[base + k] * y[k * n + j]
-            out.append(s % p)
-    return tuple(out)
+class _Unrolled(NamedTuple):
+    """The search's arithmetic on ``n x n`` residue matrices, row-major
+    tuples, mod ``p``: ``flat_mul(x, y, p)`` is ``x*y``;
+    ``products_equal(x, y, u, v, p)`` whether ``x*y == u*v``, decided at
+    the first entry that differs; ``product_nonzero(x, y, p)`` whether
+    ``x*y != 0``, decided at the first nonzero entry; and
+    ``sylvester_rows(x, y, mu, p)`` the matrix of ``b -> x*b - mu*b*y`` on
+    row-major ``b``, by rows: entry ``(i*n + j, r*n + c)`` is
+    ``x[i][r]*[c == j] - mu*[i == r]*y[c][j]``."""
+
+    flat_mul: Callable[..., Tuple[int, ...]]
+    products_equal: Callable[..., bool]
+    product_nonzero: Callable[..., bool]
+    sylvester_rows: Callable[..., List[Tuple[int, ...]]]
 
 
-def _products_equal(
-    x: Tuple[int, ...],
-    y: Tuple[int, ...],
-    u: Tuple[int, ...],
-    v: Tuple[int, ...],
-    n: int,
-    p: int,
-) -> bool:
-    # Entrywise comparison of x*y against u*v with early exit.
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            t = 0
-            for k in range(n):
-                kj = k * n + j
-                s += x[base + k] * y[kj]
-                t += u[base + k] * v[kj]
-            if (s - t) % p:
-                return False
-    return True
-
-
-def _product_nonzero(x: Tuple[int, ...], y: Tuple[int, ...], n: int, p: int) -> bool:
-    # Whether x*y != 0, decided at its first nonzero entry.
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += x[base + k] * y[k * n + j]
-            if s % p:
-                return True
-    return False
-
-
-def _sylvester_rows(
-    x: Tuple[int, ...], y: Tuple[int, ...], mu: int, n: int, p: int
-) -> List[Tuple[int, ...]]:
-    """The matrix of ``b -> x*b - mu*b*y`` on row-major ``b``, by rows: entry
-    ``(i*n + j, r*n + c)`` is ``x[i][r]*[c == j] - mu*[i == r]*y[c][j]``."""
+@lru_cache(maxsize=None)
+def _unrolled(n: int) -> _Unrolled:
+    """The functions of :class:`_Unrolled` for one search dimension ``n``,
+    as straight-line code: the entries unpacked, one expression per entry,
+    with no loop and no index arithmetic.  The source depends on ``n``
+    alone and is compiled on the first search at ``n``, not at import."""
+    _check_search_dimension(n)
     span = range(n)
-    return [
-        tuple([
-            ((x[i * n + r] if c == j else 0) - (mu * y[c * n + j] if i == r else 0)) % p
-            for r in span for c in span
-        ])
-        for i in span for j in span
+    cells = [(i, j) for i in span for j in span]
+
+    def unpack(*names: str) -> str:
+        return "\n    ".join(
+            ", ".join(f"{v}{q}" for q in range(n * n)) + f", = {v}" for v in names
+        )
+
+    def entry(x: str, y: str, i: int, j: int, sign: str = "+") -> str:
+        return f" {sign} ".join(f"{x}{i * n + k} * {y}{k * n + j}" for k in span)
+
+    def coefficient(i: int, j: int, r: int, c: int) -> str:
+        x_term = f"x{i * n + r}" if c == j else ""
+        y_term = f" - mu * y{c * n + j}" if i == r else ""
+        return f"({x_term}{y_term}) % p" if x_term or y_term else "0"
+
+    products = [f"({entry('x', 'y', i, j)}) % p" for i, j in cells]
+    differences = [
+        f"({entry('x', 'y', i, j)} - {entry('u', 'v', i, j, '-')}) % p" for i, j in cells
     ]
+    rows = [f"({', '.join(coefficient(i, j, r, c) for r, c in cells)},)" for i, j in cells]
+    source = f"""
+def flat_mul(x, y, p):
+    {unpack('x', 'y')}
+    return ({', '.join(products)},)
+
+def products_equal(x, y, u, v, p):
+    {unpack('x', 'y', 'u', 'v')}
+    return not ({' or '.join(differences)})
+
+def product_nonzero(x, y, p):
+    {unpack('x', 'y')}
+    return ({' or '.join(products)}) != 0
+
+def sylvester_rows(x, y, mu, p):
+    {unpack('x', 'y')}
+    return [{', '.join(rows)}]
+"""
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<unrolled n={n}>", "exec"), namespace)
+    return _Unrolled(*(namespace[name] for name in _Unrolled._fields))
 
 
 def _kernel(
@@ -792,6 +804,7 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], List[Tuple[int
     cube = not isinstance(rel, LambdaCommute)
     mu = 1 if cube else rel.lam.value
     conjugations, scales = _symmetries(spec)
+    flat_mul, products_equal, product_nonzero, sylvester_rows = _unrolled(n)
     memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     def sides(m: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -799,22 +812,22 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], List[Tuple[int
         if not cube:
             return m, m
         if m not in memo:
-            m3 = _flat_mul(_flat_mul(m, m, n, p), m, n, p)
+            m3 = flat_mul(flat_mul(m, m, p), m, p)
             memo[m] = (m3, m) if isinstance(rel, CrossCube) else (m, m3)
         return memo[m]
 
     def listed(a: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         # Under a cube relation only the hits b >= a.
         low = a if cube else None
-        members = _kernel(_sylvester_rows(*sides(a), mu, n, p), domain, p, low)
+        members = _kernel(sylvester_rows(*sides(a), mu, p), domain, p, low)
         if cube:
             members = [
                 b
                 for b, (u, v) in zip(members, map(sides, members))
-                if _products_equal(u, a, a, v, n, p)
+                if products_equal(u, a, a, v, p)
             ]
         if nontrivial:
-            members = [b for b in members if _product_nonzero(a, b, n, p)]
+            members = [b for b in members if product_nonzero(a, b, p)]
         return members
 
     # For each a ahead of the walk whose orbit has been met: that orbit's

@@ -1403,6 +1403,30 @@ def test_parser_is_not_built_at_import():
     assert proc.stdout == "0\n"
 
 
+def test_unrolled_arithmetic_is_built_by_a_search_alone():
+    # pairs compiles a search's arithmetic on its first search of each n, so
+    # the import and a compute request build none; a search at n = 1
+    # builds one set.
+    script = (
+        "import io, sys; import drazinkit.cli as c; from drazinkit import pairs; "
+        "built = [pairs._unrolled.cache_info().misses]; "
+        f"sys.stdin = io.StringIO({json.dumps(SHIFT2)!r}); c.main(['compute']); "
+        "built.append(pairs._unrolled.cache_info().misses); "
+        "c.main(['search', '--mod', '2', '--dim', '1', '--relation', 'cross-cube']); "
+        "built.append(pairs._unrolled.cache_info().misses); "
+        "print(*built, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "0 0 1\n"
+
+
 @pytest.mark.parametrize(
     "family",
     [

@@ -75,6 +75,24 @@ def _line(a, p):
     return tuple(v * pow(lead, -1, p) % p for v in a)
 
 
+def _note_unrolled_calls(monkeypatch, name, note):
+    """Have the search call ``note(*args)`` before each call of its function
+    ``name`` of ``pairs._Unrolled``, which a search binds once."""
+    build = pairs._unrolled
+
+    def patched(n):
+        unrolled = build(n)
+        inner = getattr(unrolled, name)
+
+        def noted(*args):
+            note(*args)
+            return inner(*args)
+
+        return unrolled._replace(**{name: noted})
+
+    monkeypatch.setattr(pairs, "_unrolled", patched)
+
+
 def _entries(m: Matrix):
     return tuple(tuple(str(m.entry(i, j)) for j in range(m.cols)) for i in range(m.rows))
 
@@ -381,13 +399,7 @@ class TestExhaustiveSearch:
         # whose equation 0 == 0 holds for all 3**4 = 81 b >= 0: 144 and
         # 140.
         seen = []
-        inner = pairs._products_equal
-
-        def counted(*args):
-            seen.append(None)
-            return inner(*args)
-
-        monkeypatch.setattr(pairs, "_products_equal", counted)
+        _note_unrolled_calls(monkeypatch, "products_equal", lambda *args: seen.append(None))
         exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
         assert len(seen) == calls[relation.name]
         assert len(seen) == _orbit_candidates(3, 2, relation, nontrivial)
@@ -452,21 +464,25 @@ class TestExhaustiveSearch:
         # b*a == 0, only for b >= a: 81 of the 306 cube hits and 80 of the
         # 417 lambda hits by brute force.  Under --nontrivial the orbit {0}
         # lists no kernel.
-        calls = {"_product_nonzero": 0, "_kernel": 0}
-        for name in calls:
-            inner = getattr(pairs, name)
+        calls = {"product_nonzero": 0, "_kernel": 0}
+        inner = pairs._kernel
 
-            def counted(*args, name=name, inner=inner):
-                calls[name] += 1
-                return inner(*args)
+        def counted(*args):
+            calls["_kernel"] += 1
+            return inner(*args)
 
-            monkeypatch.setattr(pairs, name, counted)
+        monkeypatch.setattr(pairs, "_kernel", counted)
+
+        def count_filter(*args):
+            calls["product_nonzero"] += 1
+
+        _note_unrolled_calls(monkeypatch, "product_nonzero", count_filter)
         filtered = []
         for nontrivial in (False, True):
             calls.update(dict.fromkeys(calls, 0))
             exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
             assert calls["_kernel"] == kernels - nontrivial
-            filtered.append(calls["_product_nonzero"])
+            filtered.append(calls["product_nonzero"])
         assert filtered == [0, products]
         lam = relation.lam.value if isinstance(relation, LambdaCommute) else None
         firsts = _naive.search_orbit_firsts(3, 2, relation.name, range(3), True)
@@ -493,13 +509,11 @@ class TestExhaustiveSearch:
         # more kernel is listed for a = 0 without --nontrivial.
         assert lines == (p**4 - 1) // (p - 1)
         listed = []
-        inner = pairs._sylvester_rows
 
         def counted(x, *rest):
             listed.append(x)  # x is a under lambda-commute
-            return inner(x, *rest)
 
-        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
+        _note_unrolled_calls(monkeypatch, "sylvester_rows", counted)
         relation = LambdaCommute(PrimeField(p).scalar(2))
         for nontrivial in (False, True):
             listed.clear()
@@ -546,13 +560,11 @@ class TestExhaustiveSearch:
         # one with x and y both zero: y = a (cross-cube), x = a
         # (swapped-cube), x = y = the line's key (lambda-commute).
         zero_maps = []
-        inner = pairs._sylvester_rows
 
         def counted(x, y, *rest):
             zero_maps.append(not any(x) and not any(y))
-            return inner(x, y, *rest)
 
-        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
+        _note_unrolled_calls(monkeypatch, "sylvester_rows", counted)
         for nontrivial, expected in ((False, 1), (True, 0)):
             zero_maps.clear()
             exhaustive_search(SearchSpec(3, 2, relation, require_nontrivial=nontrivial))
@@ -608,14 +620,12 @@ class TestExhaustiveSearch:
                 break
         firsts = _naive.search_orbit_firsts(3, 2, relation.name, range(3), False)
         listed = []
-        inner = pairs._sylvester_rows
 
         def counted(x, y, *rest):
             # a is y under cross-cube and x under the other relations.
             listed.append(y if isinstance(relation, CrossCube) else x)
-            return inner(x, y, *rest)
 
-        monkeypatch.setattr(pairs, "_sylvester_rows", counted)
+        _note_unrolled_calls(monkeypatch, "sylvester_rows", counted)
         monkeypatch.setattr(pairs, "_MAX_HITS", cap)
         with pytest.raises(BudgetExceeded) as exc:
             exhaustive_search(spec)
