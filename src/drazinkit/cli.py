@@ -4,8 +4,9 @@ One subcommand per invocation; standard output carries exactly one JSON
 document in canonical form (sorted keys, compact separators, one trailing
 newline), standard error carries diagnostics.  Exit codes:
 
-* 0 - success / every identity checked holds
-* 1 - a verification mismatch (the report on stdout carries witnesses), or
+* 0 - success / every identity checked holds / the formula's report holds
+* 1 - a verification mismatch (the report on stdout carries witnesses; for
+      ``thm23`` and ``thm36``, a report whose ``holds`` is false), or
       an internal certificate failure, a bug: one error JSON, nothing on stdout
 * 2 - malformed input (error JSON on stderr locates the problem); this
       includes an unknown flag, a missing required flag, a flag value of
@@ -153,15 +154,14 @@ def _read_json(path: str) -> Any:
 
 
 def _field_from_flags(args: argparse.Namespace) -> Field:
-    name = getattr(args, "field", None) or "Q"
-    if name == "Q":
-        if getattr(args, "mod", None) is not None:
+    if args.field == "Q":
+        if args.mod is not None:
             raise ParseError(
-                "--mod is only meaningful with --field Fp", {"field": name, "mod": args.mod}
+                "--mod is only meaningful with --field Fp", {"field": args.field, "mod": args.mod}
             )
         return QQ
-    if getattr(args, "mod", None) is None:
-        raise ParseError("--field Fp requires --mod p", {"field": name, "mod": None})
+    if args.mod is None:
+        raise ParseError("--field Fp requires --mod p", {"field": args.field, "mod": None})
     return PrimeField(args.mod)
 
 
@@ -188,22 +188,16 @@ _I_MAX = 3
 
 _Runner = Callable[[CorpusPair, int, Workspace], Union[IdentityReport, bool]]
 
-
-def _thm36_holds(cp: CorpusPair, i_max: int, ws: Workspace) -> bool:
-    report = evaluate_thm36(cp.a, cp.b, ws=ws)
-    return report.match and report.projectors_orthogonal
-
-
 # The paper's catalog in selftest report order: (label, relation, runner).
 # An L row is an identity suite and returns its report; a T row is an
-# additive formula, checked against the oracle, and returns whether it held.
+# additive formula, checked against the oracle, and returns its verdict.
 # Runners look the suites up in this module's globals when they run, so a
 # suite replaced here (by a test or a tracer) is the one that runs.  Every
 # runner of one invocation shares that invocation's Workspace.
 _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
     ("L2.1", LambdaCommute.name, lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
     ("L2.2", LambdaCommute.name, lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
-    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).match),
+    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).holds),
     ("L3.1", CrossCube.name, lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
     ("L3.2", CrossCube.name, lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
     ("L3.3", SwappedCube.name, lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
@@ -211,7 +205,7 @@ _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
     ("L3.5[i=0,j=0]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
     ("L3.5[i=1,j=2]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
     ("L3.5[i=2,j=1]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
-    ("T3.6", CrossCube.name, _thm36_holds),
+    ("T3.6", CrossCube.name, lambda cp, i_max, ws: evaluate_thm36(cp.a, cp.b, ws=ws).holds),
 )
 
 # ``lemmas --which`` choices: the relation whose L rows each one runs.
@@ -355,7 +349,7 @@ def _cmd_thm23(args: argparse.Namespace) -> int:
         )
     report = evaluate_thm23(a, b, lam)
     _emit(report.to_json_obj(), args.output)
-    return 0 if report.match else 1
+    return 0 if report.holds else 1
 
 
 def _cmd_thm36(args: argparse.Namespace) -> int:
@@ -367,7 +361,7 @@ def _cmd_thm36(args: argparse.Namespace) -> int:
         )
     report = evaluate_thm36(a, b)
     _emit(report.to_json_obj(), args.output)
-    return 0 if report.match else 1
+    return 0 if report.holds else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -24,7 +24,8 @@ again and again (the identity catalog over a corpus) compute each once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +39,18 @@ __all__ = [
     "certify",
     "drazin_inverse",
 ]
+
+
+def _record_json_obj(record) -> dict:
+    """Every field of a dataclass record, keyed by name; matrices and
+    Drazin data in their JSON form, plain values as they are."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (Matrix, DrazinData)):
+            value = value.to_json_obj()
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,12 +68,7 @@ class DrazinData:
     is_group: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": self.d.to_json_obj(),
-            "index": self.index,
-            "pi": self.pi.to_json_obj(),
-            "is_group": self.is_group,
-        }
+        return _record_json_obj(self)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -75,7 +83,7 @@ def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
     """Drazin index: where the rank sequence ``rank(a**k)`` plateaus.
 
     The sequence ``n = rank(I) >= rank(a) >= rank(a**2) >= ...`` strictly
-    decreases until it stabilizes, so the loop terminates within ``n``
+    decreases until it stabilizes, so the loop returns within ``n + 1``
     steps.  The zero matrix has index 1; the identity (any invertible
     matrix) has index 0.
 
@@ -87,7 +95,7 @@ def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
     n = a.rows
     power = a
     r_prev = n
-    for k in range(n + 1):
+    for k in itertools.count():
         if ladder is not None:
             ladder.append(power)
         r_next = power.rank()
@@ -95,9 +103,6 @@ def compute_index(a: Matrix, ladder: Optional[List[Matrix]] = None) -> int:
             return k
         r_prev = r_next
         power = power * a
-    raise InternalCertificationFailure(
-        "rank sequence failed to stabilize; this cannot happen"
-    )
 
 
 def certify(a: Matrix, candidate: Matrix, index: int) -> bool:

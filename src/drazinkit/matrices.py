@@ -505,15 +505,16 @@ def _stored(field: Field, num, den: int, _new=object.__new__, _cls=Matrix) -> Ma
     return m
 
 
-def nilpotency_degree(m: Matrix, cap: Optional[int] = None) -> Optional[int]:
-    """Smallest ``k >= 1`` with ``m**k == 0``, or None if none up to ``cap``.
+def nilpotency_degree(m: Matrix) -> Optional[int]:
+    """Smallest ``k >= 1`` with ``m**k == 0``, or None if ``m`` is not
+    nilpotent.
 
-    ``cap`` defaults to the dimension, which suffices for any nilpotent
-    matrix.  The zero matrix has degree 1.
+    The powers are walked up to the dimension, which suffices for any
+    nilpotent matrix.  The zero matrix has degree 1.
     """
     if not m.is_square():
         raise ShapeMismatch("nilpotency is defined for square matrices", {"shape": [m.rows, m.cols]})
-    return _powers_until_zero(m, m.rows if cap is None else cap)[1]
+    return _powers_until_zero(m, m.rows)[1]
 
 
 def _powers_until_zero(m: Matrix, limit: int) -> Tuple[List[Matrix], Optional[int]]:

@@ -872,15 +872,11 @@ def _search_flat(spec: SearchSpec) -> List[Tuple[Tuple[int, ...], List[Tuple[int
         else:
             counted += len(members)
         if counted > _MAX_HITS:
-            raise _too_many_hits(counted)
+            raise BudgetExceeded(
+                f"search found {counted} hits, over the cap of {_MAX_HITS}",
+                {"hits": counted, "cap": _MAX_HITS},
+            )
     return hits
-
-
-def _too_many_hits(count: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"search found {count} hits, over the cap of {_MAX_HITS}",
-        {"hits": count, "cap": _MAX_HITS},
-    )
 
 
 def exhaustive_search(

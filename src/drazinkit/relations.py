@@ -291,16 +291,16 @@ def _add(items: List[IdentityItem], iid: str, lhs: Matrix, rhs: Matrix) -> None:
     items.append(IdentityItem(iid, lhs, rhs, lhs == rhs))
 
 
-def _check_i_max(i_max: int, cap: int, cap_name: str, field) -> None:
-    """Refuse an ``i_max`` below 1 or past ``cap`` before any product is formed."""
-    if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 1:
-        raise ParseError(
-            f"i_max must be a positive integer, got {i_max!r}", {"i_max": i_max}
-        )
-    if i_max > cap:
+def _check_exponent(name: str, value: int, low: int, cap: int, cap_name: str, field) -> None:
+    """Refuse a suite exponent ``name`` below ``low`` (0 or 1) or past
+    ``cap`` before any product is formed."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        sign = "positive" if low else "nonnegative"
+        raise ParseError(f"{name} must be a {sign} integer, got {value!r}", {name: value})
+    if value > cap:
         raise ExponentOverflow(
-            f"i_max {i_max} exceeds the {cap_name} cap {cap} over {field}",
-            {"i_max": i_max, "cap": cap},
+            f"{name} {value} exceeds the {cap_name} cap {cap} over {field}",
+            {name: value, "cap": cap},
         )
 
 
@@ -340,7 +340,7 @@ def lemma21_suite(
     over the rationals, 128 over a prime field); beyond the cap raises
     :class:`ExponentOverflow` before any product is formed.
     """
-    _check_i_max(i_max, lambda_exponent_cap(a.field), "lambda-power", a.field)
+    _check_exponent("i_max", i_max, 1, lambda_exponent_cap(a.field), "lambda-power", a.field)
     rel = LambdaCommute(lam)
     a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
@@ -392,7 +392,7 @@ def lemma31_suite(
     :class:`ExponentOverflow`.  Matrix powers are honest square-and-multiply
     products; exponents are never reduced modulo anything.
     """
-    _check_i_max(i_max, cube_exponent_cap(a.field), "3^i growth", a.field)
+    _check_exponent("i_max", i_max, 1, cube_exponent_cap(a.field), "3^i growth", a.field)
     rel = CrossCube()
     a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod
@@ -513,12 +513,17 @@ def lemma35_suite(
     ``aa^D*a*b*b^D == a^D*(b^D)**2``; ``aa^D*a**3*b*b^D == a^D*b*b^D``;
     ``aa^D*a**2*b*b*b^D == aa^D*b^D``; ``aa^D*a*b**2*b*b^D == a^D*b*b^D``;
     ``a*b*(I - aa^D) == 0``; ``b*a*(I - bb^D) == 0``.
+
+    The largest power formed, ``a**(4+i)`` or ``b**(2+j)``, stays within
+    the largest power L3.1 forms at its cap (``a**104`` over the rationals,
+    ``a**6561`` over a prime field), so ``i`` and ``j`` are capped at 100
+    and 6557; beyond the cap raises :class:`ExponentOverflow` before any
+    product is formed.
     """
-    for name, v in (("i", i), ("j", j)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ParseError(
-                f"{name} must be a nonnegative integer, got {v!r}", {name: v}
-            )
+    c = cube_exponent_cap(a.field)
+    cap = max(3**c, 26 * c) - 4
+    _check_exponent("i", i, 0, cap, "L3.1-power", a.field)
+    _check_exponent("j", j, 0, cap, "L3.1-power", a.field)
     rel = CrossCube()
     a, b, ws = _hypothesis(a, b, rel, ws)
     pw, pr = ws.power, ws.prod

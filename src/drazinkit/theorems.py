@@ -24,19 +24,26 @@ the formula path, never the formula itself):
   The evaluation additionally certifies that the scaled spectral
   projectors annihilate each other (``a*a_pi*b*b_pi == 0`` both ways).
 
-Each report also records the nilpotency degree of the residual
-``s - s**2*x`` (``s`` the difference or sum, ``x`` the formula value),
-which certifies the index bound behind the formula; the degree is computed
-up to the dimension and is None only when the residual is not nilpotent,
-which cannot happen when the hypothesis holds.
+One oracle check serves both formulas: it computes the direct Drazin data
+of ``s`` (the difference or sum), compares the formula value ``x`` with
+``s^D`` entrywise, and records the nilpotency degree of the residual
+``s - s**2*x``, which certifies the index bound behind the formula; the
+degree is computed up to the dimension and is None only when the residual
+is not nilpotent, which cannot happen when the hypothesis holds.
+
+A report's verdict is its ``holds`` property: the value matches the oracle
+and every certificate in the report holds (the residual degree for both
+formulas, the projector orthogonality too for the sum formula).  Under the
+hypothesis every certificate holds, so a report that matches but fails a
+certificate can only come from a bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from .drazin import DrazinData, Workspace
+from .drazin import DrazinData, Workspace, _record_json_obj
 from .errors import CharacteristicTwo, NotNilpotentWithinBound, ParseError, ShapeMismatch
 from .fields import FieldScalar
 from .matrices import Matrix, _powers_until_zero, nilpotency_degree
@@ -51,20 +58,20 @@ __all__ = [
 ]
 
 
-def _report_json_obj(report) -> dict:
-    """Every field of a report, keyed by name; matrices and Drazin data in
-    their JSON form, plain values as they are."""
-    out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if isinstance(value, (Matrix, DrazinData)):
-            value = value.to_json_obj()
-        out[f.name] = value
-    return out
+class _FormulaReport:
+    """What the two formula reports share: their verdict and JSON form."""
+
+    @property
+    def holds(self) -> bool:
+        """The value matches the oracle and every certificate holds."""
+        return self.match and self.residual_nilpotency_degree is not None
+
+    def to_json_obj(self) -> dict:
+        return _record_json_obj(self)
 
 
 @dataclass(frozen=True)
-class Theorem23Report:
+class Theorem23Report(_FormulaReport):
     """Evaluation trace of the difference formula.
 
     ``w`` is the core cross term ``a*a^D*(a - b)*b*b^D`` with its own
@@ -83,12 +90,9 @@ class Theorem23Report:
     match: bool
     residual_nilpotency_degree: Optional[int]
 
-    def to_json_obj(self) -> dict:
-        return _report_json_obj(self)
-
 
 @dataclass(frozen=True)
-class Theorem36Report:
+class Theorem36Report(_FormulaReport):
     """Evaluation trace of the sum formula.
 
     ``m1``, ``m2``, ``m3`` are the three summands; ``m`` their sum;
@@ -106,8 +110,9 @@ class Theorem36Report:
     residual_nilpotency_degree: Optional[int]
     projectors_orthogonal: bool
 
-    def to_json_obj(self) -> dict:
-        return _report_json_obj(self)
+    @property
+    def holds(self) -> bool:
+        return super().holds and self.projectors_orthogonal
 
 
 def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
@@ -134,6 +139,16 @@ def invert_one_minus_nilpotent(u: Matrix, bound: int) -> Matrix:
     )
 
 
+def _oracle_check(
+    s: Matrix, x: Matrix, ws: Workspace
+) -> Tuple[DrazinData, bool, Optional[int]]:
+    """``(direct, match, degree)`` for a formula value ``x`` of ``s^D``:
+    the oracle Drazin data of ``s``, whether ``x == s^D`` entrywise, and
+    the nilpotency degree of the residual ``s - s*s*x``."""
+    direct = ws.drazin(s)
+    return direct, x == direct.d, nilpotency_degree(s - ws.prod(s, s, x))
+
+
 def evaluate_thm23(
     a: Matrix, b: Matrix, lam: FieldScalar, *, ws: Optional[Workspace] = None
 ) -> Theorem23Report:
@@ -158,18 +173,7 @@ def evaluate_thm23(
     neumann_b = invert_one_minus_nilpotent(pr(b, db.pi, da.d), db.index)
     neumann_a = invert_one_minus_nilpotent(pr(db.d, a, da.pi), da.index)
     x = w_data.d + pr(da.d, neumann_b, db.pi) - pr(da.pi, neumann_a, db.d)
-    direct = ws.drazin(diff)
-    residual = diff - pr(diff, diff, x)
-    return Theorem23Report(
-        w=w,
-        w_data=w_data,
-        neumann_b=neumann_b,
-        neumann_a=neumann_a,
-        x=x,
-        direct=direct,
-        match=x == direct.d,
-        residual_nilpotency_degree=nilpotency_degree(residual),
-    )
+    return Theorem23Report(w, w_data, neumann_b, neumann_a, x, *_oracle_check(diff, x, ws))
 
 
 def evaluate_thm36(
@@ -199,19 +203,8 @@ def evaluate_thm36(
     m2 = pr(da.d, db.pi)
     m3 = pr(da.pi, db.d)
     m = m1 + m2 + m3
-    total = a + b
-    direct = ws.drazin(total)
-    residual = total - pr(total, total, m)
+    oracle = _oracle_check(a + b, m, ws)
     napi = pr(a, da.pi)
     nbpi = pr(b, db.pi)
-    zero = Matrix.zero(a.field, a.rows)
-    return Theorem36Report(
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        m=m,
-        direct=direct,
-        match=m == direct.d,
-        residual_nilpotency_degree=nilpotency_degree(residual),
-        projectors_orthogonal=(pr(napi, nbpi) == zero and pr(nbpi, napi) == zero),
-    )
+    orthogonal = pr(napi, nbpi).is_zero() and pr(nbpi, napi).is_zero()
+    return Theorem36Report(m1, m2, m3, m, *oracle, orthogonal)

@@ -445,6 +445,37 @@ def test_thm36_characteristic_two_exit_3(monkeypatch, capsys):
     assert error["detail"] == {"field": {"Fp": 2}}
 
 
+@pytest.mark.parametrize(
+    "command, label, pair, failed",
+    [
+        ("thm23", "T2.3", LAMBDA_PAIR, {"residual_nilpotency_degree": None}),
+        ("thm36", "T3.6", {"a": _diag([1, -1, 0]), "b": _diag([-1, 1, 1])}, {"residual_nilpotency_degree": None}),
+        ("thm36", "T3.6", {"a": _diag([1, -1, 0]), "b": _diag([-1, 1, 1])}, {"projectors_orthogonal": False}),
+    ],
+    ids=["thm23-residual", "thm36-residual", "thm36-projectors"],
+)
+def test_formula_exit_1_when_a_certificate_fails(monkeypatch, capsys, command, label, pair, failed):
+    # A report that matches the oracle but fails a certificate (only a bug
+    # can make one) does not hold: the command prints it and exits 1, and
+    # the selftest row of the same formula fails.
+    name = "evaluate_" + command
+    evaluate = getattr(cli, name)
+    monkeypatch.setattr(
+        cli, name, lambda *args, **kw: dataclasses.replace(evaluate(*args, **kw), **failed)
+    )
+    code, out, err = _run(monkeypatch, capsys, [command], stdin_text=json.dumps(pair))
+    assert (code, err) == (1, "")
+    obj = json.loads(out)
+    assert obj["match"] is True
+    assert {key: obj[key] for key in failed} == failed
+
+    _small_selftest_corpora(monkeypatch)
+    code, out, _ = _run(monkeypatch, capsys, ["selftest"])
+    assert code == 1
+    failing = [s["suite"] for s in json.loads(out)["suites"] if not s["passed"]]
+    assert failing == [label]
+
+
 def test_lemmas_section2_small_corpus(monkeypatch, capsys):
     corpus = [
         {

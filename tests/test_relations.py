@@ -386,6 +386,25 @@ def test_lemma35_exponent_grid_and_validation():
         assert exc.value.detail == detail
 
 
+@pytest.mark.parametrize("field,cap", [(QQ, 100), (F5, 6557)])
+def test_lemma35_exponent_cap(field, cap):
+    # a**(4 + i) and b**(2 + j) stay within the largest power L3.1 forms at
+    # its cap: a**104 over Q, a**6561 over a prime field.
+    a = Matrix.from_rows(field, [[2, 1], [1, 1]])
+    zero = Matrix.zero(field, 2)
+    assert lemma35_suite(a, zero, cap, cap).all_pass
+    assert lemma35_suite(zero, a, cap, cap).all_pass
+    # refused before any work: no product, and a pair that breaks the
+    # relation gets the cap error, not PreconditionViolated
+    for x, y in ((a, zero), (a, a + Matrix.identity(field, 2))):
+        for i, j, name in ((cap + 1, 0, "i"), (0, cap + 1, "j"), (10**7, 10**7, "i")):
+            ws = Workspace()
+            with pytest.raises(ExponentOverflow) as exc:
+                lemma35_suite(x, y, i, j, ws=ws)
+            assert exc.value.detail == {name: max(i, j), "cap": cap}
+            assert ws.products_computed == 0
+
+
 def test_suites_fail_loudly_off_relation():
     a = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
     b = Matrix.from_rows(QQ, [[1, 0], [1, 1]])

@@ -155,13 +155,13 @@ def test_elimination(case):
     field, p, x, _ = case
     a = _build(field, x)
     assert a.rank() == rank(x, p)
-    reduced, transform, pivots = rref(x, PivotOrder.TOP_DOWN.value, p)
+    reduced, transform, pivots = rref(x, "top-down", p)
     res = a.rref()
     _check(res.reduced, reduced, p)
     _check(res.transform, transform, p)
     assert res.pivot_cols == tuple(pivots) and res.rank == len(pivots)
     # the inner inverse: row k of the transform at row pivots[k]
-    g = inner_inverse(x, PivotOrder.TOP_DOWN.value, p)
+    g = inner_inverse(x, "top-down", p)
     _check(a.inner_inverse(), g, p)
     assert matmul(matmul(x, g, p), x, p) == _normalized(x, p)
     if len(pivots) == len(x) == len(x[0]):
@@ -236,7 +236,7 @@ def test_equal_values_by_different_routes(case):
         a * Matrix.identity(field, a.cols),
         Matrix.identity(field, a.rows) * a,
         Matrix.diagonal(field, [1] * a.rows) * a,
-        Matrix.from_rows(field, a._data),
+        Matrix.from_rows(field, a.to_rows()),
         Matrix.from_json_obj(a.to_json_obj()),
         -(-a),
     ]

@@ -1,5 +1,6 @@
 """Difference and sum formulas against the direct Drazin oracle."""
 
+import dataclasses
 import json
 from random import Random
 
@@ -27,8 +28,8 @@ from drazinkit import (
     evaluate_thm36,
     gen_pair,
     invert_one_minus_nilpotent,
-    nilpotency_degree,
 )
+from drazinkit.matrices import _powers_until_zero
 
 from _naive import drazin_axioms_hold, from_matrix
 
@@ -89,8 +90,9 @@ class TestInvertOneMinusNilpotent:
         ],
     )
     def test_no_power_past_the_bound(self, monkeypatch, u, bound, products):
-        # Both walks over the powers of ``u`` form u**2, u**3, ... up to the
-        # first zero one or to u**max(bound, 1), and no product more.
+        # The inverse, and the power walk it shares with nilpotency_degree,
+        # form u**2, u**3, ... up to the first zero one or to
+        # u**max(bound, 1), and no product more.
         formed = []
         mul = Matrix.__mul__
         monkeypatch.setattr(Matrix, "__mul__", lambda x, y: formed.append(y) or mul(x, y))
@@ -100,7 +102,7 @@ class TestInvertOneMinusNilpotent:
             pass
         assert len(formed) == products
         formed.clear()
-        nilpotency_degree(u, max(bound, 1))
+        _powers_until_zero(u, max(bound, 1))
         assert len(formed) == products
 
     def test_rejects_non_square_and_bad_bound(self):
@@ -294,3 +296,36 @@ def test_random_commuting_pairs_both_formulas():
         c = Matrix.diagonal(QQ, [rng.randint(-3, 3) for _ in range(n)])
         d = Matrix.diagonal(QQ, [rng.randint(-3, 3) for _ in range(n)])
         assert evaluate_thm23(c, d, QQ.scalar(1)).match
+
+
+def _records():
+    a, b = Matrix.from_rows(QQ, [[0, 1], [0, 0]]), Matrix.diagonal(QQ, [1, 2])
+    c, d = Matrix.diagonal(QQ, [1, -1, 0]), Matrix.diagonal(QQ, [-1, 1, 1])
+    return [drazin_inverse(a), evaluate_thm23(a, b, QQ.scalar(2)), evaluate_thm36(c, d)]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["DrazinData", "Theorem23Report", "Theorem36Report"])
+def test_json_keys_are_the_field_names(index):
+    record = _records()[index]
+    names = [f.name for f in dataclasses.fields(record)]
+    obj = record.to_json_obj()
+    assert list(obj) == names
+    for name in names:
+        value = getattr(record, name)
+        assert obj[name] == (value.to_json_obj() if hasattr(value, "to_json_obj") else value)
+
+
+@pytest.mark.parametrize(
+    "index, failed",
+    [
+        (1, {"match": False}),
+        (1, {"residual_nilpotency_degree": None}),
+        (2, {"match": False}),
+        (2, {"residual_nilpotency_degree": None}),
+        (2, {"projectors_orthogonal": False}),
+    ],
+)
+def test_holds_needs_the_match_and_every_certificate(index, failed):
+    report = _records()[index]
+    assert report.holds
+    assert not dataclasses.replace(report, **failed).holds
