@@ -84,7 +84,7 @@ from .relations import (
     relation_from_json_fields,
     relation_to_json_fields,
 )
-from .theorems import evaluate_thm23, evaluate_thm36
+from .theorems import Theorem23Report, Theorem36Report, evaluate_thm23, evaluate_thm36
 
 __all__ = ["main"]
 
@@ -186,18 +186,20 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
 # the default of ``lemmas --i-max``.
 _I_MAX = 3
 
-_Runner = Callable[[CorpusPair, int, Workspace], Union[IdentityReport, bool]]
+_Runner = Callable[
+    [CorpusPair, int, Workspace], Union[IdentityReport, Theorem23Report, Theorem36Report]
+]
 
 # The paper's catalog in selftest report order: (label, relation, runner).
 # An L row is an identity suite and returns its report; a T row is an
-# additive formula, checked against the oracle, and returns its verdict.
+# additive formula, checked against the oracle, and returns its report.
 # Runners look the suites up in this module's globals when they run, so a
 # suite replaced here (by a test or a tracer) is the one that runs.  Every
 # runner of one invocation shares that invocation's Workspace.
 _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
     ("L2.1", LambdaCommute.name, lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
     ("L2.2", LambdaCommute.name, lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
-    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).holds),
+    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws)),
     ("L3.1", CrossCube.name, lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
     ("L3.2", CrossCube.name, lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
     ("L3.3", SwappedCube.name, lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
@@ -205,7 +207,7 @@ _CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
     ("L3.5[i=0,j=0]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
     ("L3.5[i=1,j=2]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
     ("L3.5[i=2,j=1]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
-    ("T3.6", CrossCube.name, lambda cp, i_max, ws: evaluate_thm36(cp.a, cp.b, ws=ws).holds),
+    ("T3.6", CrossCube.name, lambda cp, i_max, ws: evaluate_thm36(cp.a, cp.b, ws=ws)),
 )
 
 # ``lemmas --which`` choices: the relation whose L rows each one runs.
@@ -446,6 +448,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _formula_failure(
+    report: Union[Theorem23Report, Theorem36Report]
+) -> Optional[Dict[str, Any]]:
+    """The first false part of a formula report's verdict, as its selftest
+    row writes it, or None when the report holds."""
+    if report.holds:
+        return None
+    if not report.match:
+        return {"match": False}
+    if report.residual_nilpotency_degree is None:
+        return {"residual_nilpotency_degree": None}
+    return {"projectors_orthogonal": False}
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
     field = _field_from_flags(args)
     if field.characteristic == 2:
@@ -466,7 +482,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             if isinstance(result, IdentityReport):
                 failure = None if result.all_pass else {"failing": result.failing_ids()}
             else:
-                failure = None if result else {"match": False}
+                failure = _formula_failure(result)
             if failure is not None:
                 failures.append({"pair": idx, "provenance": cp.provenance, **failure})
         ok = not failures

@@ -221,16 +221,18 @@ class Workspace:
         later step keyed by it compares by identity.
         """
         products = self._products
-        p = factors[0]
-        for f in factors[1:]:
+        steps = iter(factors)
+        p = next(steps)
+        reused = len(factors) - 1
+        for f in steps:
             key = (p, f)
             q = products.get(key)
             if q is None:
                 q = products[key] = self.intern(p * f)
                 self.products_computed += 1
-            else:
-                self.products_reused += 1
+                reused -= 1
             p = q
+        self.products_reused += reused
         return p
 
     def power(self, a: Matrix, e: int) -> Matrix:

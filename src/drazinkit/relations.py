@@ -14,6 +14,10 @@ unconditionally (no short-circuit after a failure) and reported in
 lexicographic identity-id order, so two runs, or two implementations, agree
 on the ledger layout bit for bit.
 
+Both records, :class:`IdentityItem` and :class:`IdentityReport`, are named
+tuples: immutable, hashed and compared by value, indexable and iterable in
+field order, and equal to a plain tuple of the same values.
+
 Every suite takes an optional keyword ``ws``, a
 :class:`~drazinkit.drazin.Workspace` from which it takes Drazin data,
 powers and every matrix product (:meth:`~drazinkit.drazin.Workspace.prod`),
@@ -40,7 +44,9 @@ triangular number ``i*(i-1)/2``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .drazin import Workspace
 from .errors import (
@@ -244,8 +250,7 @@ def det_consistency_diagnostic(
     return lam**n == 1
 
 
-@dataclass(frozen=True)
-class IdentityItem:
+class IdentityItem(NamedTuple):
     """One verified identity: both sides retained as failure witnesses."""
 
     identity_id: str
@@ -254,8 +259,7 @@ class IdentityItem:
     passed: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Itemized outcome of one suite over one pair."""
 
     relation: RelationKind
@@ -264,8 +268,8 @@ class IdentityReport:
 
     @classmethod
     def build(cls, relation: RelationKind, items: List[IdentityItem]) -> "IdentityReport":
-        ordered = tuple(sorted(items, key=lambda it: it.identity_id))
-        return cls(relation, ordered, all(it.passed for it in ordered))
+        ordered = tuple(sorted(items, key=itemgetter(0)))
+        return cls(relation, ordered, all(map(itemgetter(3), ordered)))
 
     def failing_ids(self) -> List[str]:
         return [it.identity_id for it in self.items if not it.passed]
@@ -289,6 +293,19 @@ class IdentityReport:
 
 def _add(items: List[IdentityItem], iid: str, lhs: Matrix, rhs: Matrix) -> None:
     items.append(IdentityItem(iid, lhs, rhs, lhs == rhs))
+
+
+# The item ids of the power suites at one exponent, in the order each suite
+# adds them.
+_POWER_PARTS = {
+    "L2.1": ("1a", "1b", "2a", "2b"),
+    "L3.1": ("1a", "1b", "2a", "2b", "3a", "3b"),
+}
+
+
+@lru_cache(maxsize=None)
+def _power_ids(suite: str, i: int) -> Tuple[str, ...]:
+    return tuple(f"{suite}-{part}-i{i:02d}" for part in _POWER_PARTS[suite])
 
 
 def _check_exponent(name: str, value: int, low: int, cap: int, cap_name: str, field) -> None:
@@ -349,10 +366,11 @@ def lemma21_suite(
     for i in range(1, i_max + 1):
         tri = i * (i - 1) // 2
         ai, bi = pw(a, i), pw(b, i)
-        _add(items, f"L2.1-1a-i{i:02d}", pr(a, bi), (lam**i) * pr(bi, a))
-        _add(items, f"L2.1-1b-i{i:02d}", pr(ai, b), (lam**i) * pr(b, ai))
-        _add(items, f"L2.1-2a-i{i:02d}", pw(ab, i), (lam**-tri) * pr(ai, bi))
-        _add(items, f"L2.1-2b-i{i:02d}", pw(ba, i), (lam**tri) * pr(bi, ai))
+        id1a, id1b, id2a, id2b = _power_ids("L2.1", i)
+        _add(items, id1a, pr(a, bi), (lam**i) * pr(bi, a))
+        _add(items, id1b, pr(ai, b), (lam**i) * pr(b, ai))
+        _add(items, id2a, pw(ab, i), (lam**-tri) * pr(ai, bi))
+        _add(items, id2b, pw(ba, i), (lam**tri) * pr(bi, ai))
     return IdentityReport.build(rel, items)
 
 
@@ -400,12 +418,13 @@ def lemma31_suite(
     ab, ba = pr(a, b), pr(b, a)
     for i in range(1, i_max + 1):
         ai, bi = pw(a, i), pw(b, i)
-        _add(items, f"L3.1-1a-i{i:02d}", pr(b, ai), pr(pw(a, 3 * i), b))
-        _add(items, f"L3.1-1b-i{i:02d}", pr(bi, a), pr(pw(a, 3**i), bi))
-        _add(items, f"L3.1-2a-i{i:02d}", pr(a, bi), pr(pw(b, 3 * i), a))
-        _add(items, f"L3.1-2b-i{i:02d}", pr(ai, b), pr(pw(b, 3**i), ai))
-        _add(items, f"L3.1-3a-i{i:02d}", ab, pr(pw(a, 26 * i), ab, pw(b, 2 * i)))
-        _add(items, f"L3.1-3b-i{i:02d}", ba, pr(pw(b, 26 * i), ba, pw(a, 2 * i)))
+        id1a, id1b, id2a, id2b, id3a, id3b = _power_ids("L3.1", i)
+        _add(items, id1a, pr(b, ai), pr(pw(a, 3 * i), b))
+        _add(items, id1b, pr(bi, a), pr(pw(a, 3**i), bi))
+        _add(items, id2a, pr(a, bi), pr(pw(b, 3 * i), a))
+        _add(items, id2b, pr(ai, b), pr(pw(b, 3**i), ai))
+        _add(items, id3a, ab, pr(pw(a, 26 * i), ab, pw(b, 2 * i)))
+        _add(items, id3b, ba, pr(pw(b, 26 * i), ba, pw(a, 2 * i)))
     return IdentityReport.build(rel, items)
 
 

@@ -470,10 +470,21 @@ def test_formula_exit_1_when_a_certificate_fails(monkeypatch, capsys, command, l
     assert {key: obj[key] for key in failed} == failed
 
     _small_selftest_corpora(monkeypatch)
+    corpus = cli.default_lambda_corpus(QQ) if label == "T2.3" else cli.default_cube_corpus(QQ)
     code, out, _ = _run(monkeypatch, capsys, ["selftest"])
     assert code == 1
-    failing = [s["suite"] for s in json.loads(out)["suites"] if not s["passed"]]
-    assert failing == [label]
+    suites = json.loads(out)["suites"]
+    assert [s["suite"] for s in suites if not s["passed"]] == [label]
+    # the row names the certificate that failed, not the oracle match
+    (row,) = [s for s in suites if s["suite"] == label]
+    assert row == {
+        "suite": label,
+        "pairs": 2,
+        "passed": False,
+        "failures": [
+            {"pair": i, "provenance": cp.provenance, **failed} for i, cp in enumerate(corpus)
+        ],
+    }
 
 
 def test_lemmas_section2_small_corpus(monkeypatch, capsys):

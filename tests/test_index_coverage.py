@@ -113,4 +113,4 @@ def test_cube_rows_hold_at_index_3(field, descriptor):
                 if isinstance(result, IdentityReport):
                     assert result.all_pass, (label, seed, result.failing_ids())
                 else:
-                    assert result, (label, seed)
+                    assert result.holds, (label, seed)

@@ -216,6 +216,81 @@ def test_identity_report_mechanics():
     json.dumps(obj)
 
 
+def test_identity_records_are_immutable_values():
+    eye = Matrix.identity(QQ, 2)
+    item = IdentityItem("Z-1", eye, eye, True)
+    rep = IdentityReport.build(CrossCube(), [item])
+    for record, field in ((item, "passed"), (rep, "all_pass")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, False)
+        with pytest.raises(TypeError):
+            record[0] = None
+    # equal values built apart are equal and hash alike
+    twin = IdentityItem("Z-1", Matrix.identity(QQ, 2), Matrix.diagonal(QQ, [1, 1]), True)
+    assert twin == item and hash(twin) == hash(item)
+    assert twin != item._replace(passed=False)
+    twin_rep = IdentityReport.build(CrossCube(), [twin])
+    assert twin_rep == rep and hash(twin_rep) == hash(rep)
+    assert twin_rep != IdentityReport.build(SwappedCube(), [twin])
+    assert len({item, twin, rep, twin_rep}) == 2
+    # named tuples: indexable, iterable in field order, equal to a plain tuple
+    assert IdentityItem._fields == ("identity_id", "lhs", "rhs", "passed")
+    assert IdentityReport._fields == ("relation", "items", "all_pass")
+    assert tuple(item) == ("Z-1", eye, eye, True) == item
+    assert rep[1][0] is item and rep == (CrossCube(), (item,), True)
+    assert repr(item) == (
+        "IdentityItem(identity_id='Z-1', lhs=Matrix(QQ, 2x2: 1 0; 0 1), "
+        "rhs=Matrix(QQ, 2x2: 1 0; 0 1), passed=True)"
+    )
+    assert repr(rep) == f"IdentityReport(relation=CrossCube(), items=({item!r},), all_pass=True)"
+
+
+def test_failing_report_json_is_pinned():
+    lhs = Matrix.from_rows(F5, [[1, 2], [0, 3]])
+    rhs = Matrix.from_rows(F5, [[1, 2], [0, 4]])
+    rep = IdentityReport.build(
+        LambdaCommute(F5.scalar(2)),
+        [IdentityItem("L2.1-1b-i02", lhs, rhs, False), IdentityItem("L2.1-1a-i02", lhs, lhs, True)],
+    )
+    assert rep.failing_ids() == ["L2.1-1b-i02"]
+    assert rep.to_json_obj() == {
+        "relation": "lambda-commute",
+        "lambda": "2",
+        "items": [{"id": "L2.1-1a-i02", "pass": True}, {"id": "L2.1-1b-i02", "pass": False}],
+        "all_pass": False,
+        "witnesses": {
+            "L2.1-1b-i02": {
+                "lhs": {"field": {"Fp": 5}, "rows": 2, "cols": 2, "entries": [["1", "2"], ["0", "3"]]},
+                "rhs": {"field": {"Fp": 5}, "rows": 2, "cols": 2, "entries": [["1", "2"], ["0", "4"]]},
+            }
+        },
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_power_suite_ids_are_the_spelled_ids(field):
+    """The power suites' cached ids, at every exponent up to each cap, are
+    the ids spelled out in full, in sorted order."""
+    lam = field.scalar(2)
+    a, b = gen_pair(WeightedShift(2), LambdaCommute(lam), field, 1)
+    c, d = gen_pair(DiagTripotents(3), CrossCube(), field, 21)
+    ws = Workspace()
+    suites = [
+        ("L2.1", ("1a", "1b", "2a", "2b"), lambda_exponent_cap(field),
+         lambda i_max: lemma21_suite(a, b, lam, i_max, ws=ws)),
+        ("L3.1", ("1a", "1b", "2a", "2b", "3a", "3b"), cube_exponent_cap(field),
+         lambda i_max: lemma31_suite(c, d, i_max, ws=ws)),
+    ]
+    for suite, parts, cap, run in suites:
+        for i_max in (1, 2, cap):
+            spelled = sorted(
+                f"{suite}-{part}-i{i:02d}" for i in range(1, i_max + 1) for part in parts
+            )
+            rep = run(i_max)
+            assert [it.identity_id for it in rep.items] == spelled, (suite, i_max)
+            assert rep.all_pass, (suite, i_max)
+
+
 def test_relations_closed_under_conjugation_and_direct_sum():
     lam = QQ.scalar(2)
     a, b = gen_pair(WeightedShift(3), LambdaCommute(lam), lam.field, 7)

@@ -22,7 +22,6 @@ from drazinkit import (
     default_lambda_corpus,
     drazin_inverse,
     evaluate_thm23,
-    evaluate_thm36,
     exhaustive_hits_corpus,
     gen_pair,
     lemma22_suite,
@@ -50,11 +49,9 @@ def _corpora():
 
 def _row_result(label, runner, cp, ws):
     """Everything one catalog row computes on one pair, as comparable data."""
-    if label == "T2.3":
-        return evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws).to_json_obj()
-    if label == "T3.6":
-        return evaluate_thm36(cp.a, cp.b, ws=ws).to_json_obj()
     report = runner(cp, cli._I_MAX, ws)
+    if label.startswith("T"):
+        return report.to_json_obj()
     return report.to_json_obj(), report.items
 
 
