@@ -36,7 +36,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .drazin import Workspace, drazin_inverse
 from .errors import (
@@ -72,19 +72,14 @@ from .relations import (
     RelationKind,
     SwappedCube,
     _RELATIONS,
+    _checked,
     det_consistency_diagnostic,
     first_violation,
-    lemma21_suite,
-    lemma22_suite,
-    lemma31_suite,
-    lemma32_suite,
-    lemma33_suite,
-    lemma34_suite,
-    lemma35_suite,
     relation_from_json_fields,
     relation_to_json_fields,
 )
-from .theorems import Theorem23Report, Theorem36Report, evaluate_thm23, evaluate_thm36
+from .theorems import Theorem23Report, Theorem36Report, _thm23, _thm36
+from .theorems import evaluate_thm23, evaluate_thm36
 
 __all__ = ["main"]
 
@@ -186,29 +181,38 @@ def _relation_from_flags(args: argparse.Namespace, field: Field) -> RelationKind
 # the default of ``lemmas --i-max``.
 _I_MAX = 3
 
-_Runner = Callable[
-    [CorpusPair, int, Workspace], Union[IdentityReport, Theorem23Report, Theorem36Report]
-]
+_Report = Union[IdentityReport, Theorem23Report, Theorem36Report]
 
-# The paper's catalog in selftest report order: (label, relation, runner).
-# An L row is an identity suite and returns its report; a T row is an
-# additive formula, checked against the oracle, and returns its report.
-# Runners look the suites up in this module's globals when they run, so a
-# suite replaced here (by a test or a tracer) is the one that runs.  Every
-# runner of one invocation shares that invocation's Workspace.
-_CATALOG: Tuple[Tuple[str, str, _Runner], ...] = (
-    ("L2.1", LambdaCommute.name, lambda cp, i_max, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, i_max, ws=ws)),
-    ("L2.2", LambdaCommute.name, lambda cp, i_max, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws)),
-    ("T2.3", LambdaCommute.name, lambda cp, i_max, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws)),
-    ("L3.1", CrossCube.name, lambda cp, i_max, ws: lemma31_suite(cp.a, cp.b, i_max, ws=ws)),
-    ("L3.2", CrossCube.name, lambda cp, i_max, ws: lemma32_suite(cp.a, cp.b, ws=ws)),
-    ("L3.3", SwappedCube.name, lambda cp, i_max, ws: lemma33_suite(cp.a, cp.b, ws=ws)),
-    ("L3.4", CrossCube.name, lambda cp, i_max, ws: lemma34_suite(cp.a, cp.b, ws=ws)),
-    ("L3.5[i=0,j=0]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws)),
-    ("L3.5[i=1,j=2]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws)),
-    ("L3.5[i=2,j=1]", CrossCube.name, lambda cp, i_max, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws)),
-    ("T3.6", CrossCube.name, lambda cp, i_max, ws: evaluate_thm36(cp.a, cp.b, ws=ws)),
+# The paper's catalog in selftest report order: (label, relation, suite).
+# An L row runs a suite of the row table in ``relations``: its name, then
+# L3.5's exponents (i, j); L2.1 and L3.1 take the command's ``i_max``.  A
+# T row is an additive formula, checked against the oracle, and has none.
+_CATALOG: Tuple[Tuple[str, str, Optional[tuple]], ...] = (
+    ("L2.1", LambdaCommute.name, ("L2.1",)),
+    ("L2.2", LambdaCommute.name, ("L2.2",)),
+    ("T2.3", LambdaCommute.name, None),
+    ("L3.1", CrossCube.name, ("L3.1",)),
+    ("L3.2", CrossCube.name, ("L3.2",)),
+    ("L3.3", SwappedCube.name, ("L3.3",)),
+    ("L3.4", CrossCube.name, ("L3.4",)),
+    ("L3.5[i=0,j=0]", CrossCube.name, ("L3.5", 0, 0)),
+    ("L3.5[i=1,j=2]", CrossCube.name, ("L3.5", 1, 2)),
+    ("L3.5[i=2,j=1]", CrossCube.name, ("L3.5", 2, 1)),
+    ("T3.6", CrossCube.name, None),
 )
+
+_FORMULAS = {"T2.3": _thm23, "T3.6": _thm36}
+
+
+def _pair_reports(cp: CorpusPair, rows: list, i_max: int, ws: Workspace) -> Dict[str, _Report]:
+    """The reports of ``rows``, catalog rows of ``cp``'s relation, on ``cp``
+    by label: one check of the relation and one plan for the L rows, then
+    the formulas, which find the pair's Drazin data in the same workspace."""
+    suites = tuple(suite for _, _, suite in rows if suite is not None)
+    a, b, ws, reports = _checked(cp.a, cp.b, cp.relation, ws, suites, i_max)
+    it = iter(reports)
+    return {label: next(it) if suite else _FORMULAS[label](a, b, ws) for label, _, suite in rows}
+
 
 # ``lemmas --which`` choices: the relation whose L rows each one runs.
 _WHICH = {
@@ -295,11 +299,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         obj = [obj]
     corpus = corpus_from_json_obj(obj, "input")
     relation = _WHICH[args.which]
-    suites = [
-        (label, runner)
-        for label, kind, runner in _CATALOG
-        if kind == relation and label.startswith("L")
-    ]
+    rows = [row for row in _CATALOG if row[1] == relation and row[2] is not None]
     ws = Workspace()
     all_pass = True
     results = []
@@ -309,8 +309,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
                 f"{args.which} suites need a {relation} pair, got {cp.relation.name}",
                 {"relation": cp.relation.name, "expected": relation},
             )
-        for label, runner in suites:
-            report = runner(cp, args.i_max, ws)
+        for label, report in _pair_reports(cp, rows, args.i_max, ws).items():
             entry: Dict[str, Any] = {
                 "pair": idx,
                 "provenance": cp.provenance,
@@ -321,15 +320,8 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
                 all_pass = False
                 entry["report"] = report.to_json_obj()
             results.append(entry)
-    _emit(
-        {
-            "which": args.which,
-            "pairs": len(corpus),
-            "all_pass": all_pass,
-            "results": results,
-        },
-        args.output,
-    )
+    out = {"which": args.which, "pairs": len(corpus), "all_pass": all_pass, "results": results}
+    _emit(out, args.output)
     return 0 if all_pass else 1
 
 
@@ -448,11 +440,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _formula_failure(
-    report: Union[Theorem23Report, Theorem36Report]
-) -> Optional[Dict[str, Any]]:
-    """The first false part of a formula report's verdict, as its selftest
-    row writes it, or None when the report holds."""
+def _failure(report: _Report) -> Optional[Dict[str, Any]]:
+    """The first false part of a report's verdict, as its selftest row
+    writes it, or None when the report holds."""
+    if isinstance(report, IdentityReport):
+        return None if report.all_pass else {"failing": report.failing_ids()}
     if report.holds:
         return None
     if not report.match:
@@ -469,33 +461,29 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             "the selftest exercises the sum formula, which needs 2 invertible",
             {"field": field.to_json_obj()},
         )
-    corpora = {LambdaCommute.name: default_lambda_corpus(field)}
+    # Cube pairs first: the largest plan compiles before products fill memory.
+    corpora = {}
     for rel in (CrossCube(), SwappedCube()):
         corpora[rel.name] = default_cube_corpus(field, rel) + exhaustive_hits_corpus(rel)
+    corpora[LambdaCommute.name] = default_lambda_corpus(field)
     ws = Workspace()
-    suites: List[Dict[str, Any]] = []
-    for label, relation, runner in _CATALOG:
-        corpus = corpora[relation]
-        failures = []
+    failures: Dict[str, List[Dict[str, Any]]] = {label: [] for label, _, _ in _CATALOG}
+    for relation, corpus in corpora.items():
+        rows = [row for row in _CATALOG if row[1] == relation]
         for idx, cp in enumerate(corpus):
-            result = runner(cp, _I_MAX, ws)
-            if isinstance(result, IdentityReport):
-                failure = None if result.all_pass else {"failing": result.failing_ids()}
-            else:
-                failure = _formula_failure(result)
-            if failure is not None:
-                failures.append({"pair": idx, "provenance": cp.provenance, **failure})
-        ok = not failures
-        suites.append(
-            {"suite": label, "pairs": len(corpus), "passed": ok, "failures": failures}
-        )
-        sys.stderr.write(f"{label}: {len(corpus)} pairs, {'ok' if ok else 'FAIL'}\n")
+            for label, report in _pair_reports(cp, rows, _I_MAX, ws).items():
+                failure = _failure(report)
+                if failure is not None:
+                    failures[label].append({"pair": idx, "provenance": cp.provenance, **failure})
+    suites: List[Dict[str, Any]] = []
+    for label, relation, _ in _CATALOG:
+        ok = not failures[label]
+        pairs = len(corpora[relation])
+        suites.append({"suite": label, "pairs": pairs, "passed": ok, "failures": failures[label]})
+        sys.stderr.write(f"{label}: {pairs} pairs, {'ok' if ok else 'FAIL'}\n")
 
     all_pass = all(s["passed"] for s in suites)
-    _emit(
-        {"field": field.to_json_obj(), "suites": suites, "all_pass": all_pass},
-        args.output,
-    )
+    _emit({"field": field.to_json_obj(), "suites": suites, "all_pass": all_pass}, args.output)
     return 0 if all_pass else 1
 
 

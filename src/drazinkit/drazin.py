@@ -213,26 +213,24 @@ class Workspace:
             self.drazin_reused += 1
         return data
 
-    def prod(self, *factors: Matrix) -> Matrix:
-        """``factors[0] * factors[1] * ...``, each step formed once per
+    def prod(self, p: Matrix, *factors: Matrix) -> Matrix:
+        """``p * factors[0] * factors[1] * ...``, each step formed once per
         ``(left, right)`` value.
 
-        A step found in the workspace returns the stored matrix, so a
-        later step keyed by it compares by identity.
+        A step found in the workspace returns the stored matrix, and a new
+        step is keyed by the workspace's own objects of its operands' values
+        where it has them, so a later step keyed by those compares by identity.
         """
         products = self._products
-        steps = iter(factors)
-        p = next(steps)
-        reused = len(factors) - 1
-        for f in steps:
-            key = (p, f)
-            q = products.get(key)
+        for f in factors:
+            q = products.get((p, f))
             if q is None:
-                q = products[key] = self.intern(p * f)
+                stored = self._interned.get
+                q = products[stored(p, p), stored(f, f)] = self.intern(p * f)
                 self.products_computed += 1
-                reused -= 1
+                self.products_reused -= 1
             p = q
-        self.products_reused += reused
+        self.products_reused += len(factors)
         return p
 
     def power(self, a: Matrix, e: int) -> Matrix:

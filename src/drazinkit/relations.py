@@ -7,9 +7,9 @@ are recognized:
 * ``CrossCube`` - ``a**3*b == b*a`` and ``b**3*a == a*b``,
 * ``SwappedCube`` - ``a*b**3 == b*a`` and ``b*a**3 == a*b``.
 
-Each suite re-checks its hypothesis, then evaluates a fixed catalog of
-identities that follow from it, returning an :class:`IdentityReport` whose
-items carry both sides of every identity as witnesses.  Items are evaluated
+Each suite re-checks its hypothesis, then evaluates its rows of the
+paper's catalog, returning an :class:`IdentityReport` whose items carry
+both sides of every identity as witnesses.  Items are evaluated
 unconditionally (no short-circuit after a failure) and reported in
 lexicographic identity-id order, so two runs, or two implementations, agree
 on the ledger layout bit for bit.
@@ -18,35 +18,27 @@ Both records, :class:`IdentityItem` and :class:`IdentityReport`, are named
 tuples: immutable, hashed and compared by value, indexable and iterable in
 field order, and equal to a plain tuple of the same values.
 
+The catalog is one table of rows, ``_ROWS`` (the README lists it): an id,
+a relation, two words in ``a``, ``b`` and their Drazin data, and the power
+of ``lam`` on the right.  Any set of suites runs as one straight-line
+function compiled on first use (:func:`_plan`), which asks for each
+distinct power, product step and Drazin inverse of a pair once.
+
 Every suite takes an optional keyword ``ws``, a
 :class:`~drazinkit.drazin.Workspace` from which it takes Drazin data,
 powers and every matrix product (:meth:`~drazinkit.drazin.Workspace.prod`),
 its hypothesis check's included, so that suites run over a corpus compute
 each once.  Without one it makes a fresh workspace, with the same results.
-
-Suite catalog (exponent arguments shown as ``i``, ``j``; ``T(i)`` is the
-triangular number ``i*(i-1)/2``):
-
-* ``L2.1`` - powers under lambda-commutation: ``a*b**i == lam**i*(b**i*a)``;
-  ``a**i*b == lam**i*(b*a**i)``; ``(a*b)**i == lam**(-T(i))*(a**i*b**i)``;
-  ``(b*a)**i == lam**T(i)*(b**i*a**i)``.
-* ``L2.2`` - Drazin inverses under lambda-commutation, e.g.
-  ``(a*b)^D == b^D*a^D == lam**-1*(a^D*b^D)``.
-* ``L3.1`` - powers under the cross-cube relation, e.g.
-  ``b*a**i == a**(3*i)*b`` and ``a*b == a**(26*i)*(a*b)*b**(2*i)``.
-* ``L3.2`` - Drazin inverses under cross-cube (twelve mixed identities).
-* ``L3.3`` - the swapped-cube relation: ``a^D*b^D == b**3*a`` and the
-  group-inverse facts for ``a*b`` and ``b*a``.
-* ``L3.4`` - two four-term product chains under cross-cube.
-* ``L3.5`` - eight projector-absorption identities under cross-cube.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .drazin import Workspace
 from .errors import (
@@ -169,23 +161,6 @@ def _validate_pair(a: Matrix, b: Matrix, rel: RelationKind) -> None:
         )
 
 
-def _defining_equations(
-    a: Matrix, b: Matrix, rel: RelationKind, ws: Workspace
-) -> List[Tuple[str, Matrix, Matrix]]:
-    pw, pr = ws.power, ws.prod
-    if isinstance(rel, LambdaCommute):
-        return [("a*b = lam*(b*a)", pr(a, b), rel.lam * pr(b, a))]
-    if isinstance(rel, CrossCube):
-        return [
-            ("a^3*b = b*a", pr(pw(a, 3), b), pr(b, a)),
-            ("b^3*a = a*b", pr(pw(b, 3), a), pr(a, b)),
-        ]
-    return [
-        ("a*b^3 = b*a", pr(a, pw(b, 3)), pr(b, a)),
-        ("b*a^3 = a*b", pr(b, pw(a, 3)), pr(a, b)),
-    ]
-
-
 def check_relation(a: Matrix, b: Matrix, rel: RelationKind) -> bool:
     """True iff the defining equations of ``rel`` hold exactly for (a, b)."""
     return first_violation(a, b, rel) is None
@@ -193,25 +168,17 @@ def check_relation(a: Matrix, b: Matrix, rel: RelationKind) -> bool:
 
 def first_violation(a: Matrix, b: Matrix, rel: RelationKind) -> Optional[Dict[str, Any]]:
     """Locate the first entry (row-major) where a defining equation breaks."""
-    return _violation(a, b, rel, Workspace())
-
-
-def _violation(a: Matrix, b: Matrix, rel: RelationKind, ws: Workspace) -> Optional[dict]:
     _validate_pair(a, b, rel)
-    for name, lhs, rhs in _defining_equations(a, b, rel, ws):
-        if lhs == rhs:
-            continue
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                le, re = lhs.entry(i, j), rhs.entry(i, j)
-                if le != re:
-                    return {
-                        "equation": name,
-                        "row": i,
-                        "col": j,
-                        "lhs": str(le),
-                        "rhs": str(re),
-                    }
+    return _located(_plan(rel.name, (), None)(Workspace(), a, b, rel)[0])
+
+
+def _located(equations: "IdentityReport") -> Optional[dict]:
+    for name, lhs, rhs, passed in equations.items:
+        cells = [] if passed else [(i, j) for i in range(lhs.rows) for j in range(lhs.cols)]
+        for i, j in cells:
+            left, right = lhs.entry(i, j), rhs.entry(i, j)
+            if left != right:
+                return {"equation": name, "row": i, "col": j, "lhs": str(left), "rhs": str(right)}
     return None
 
 
@@ -223,14 +190,7 @@ def require_relation(
     The products come from ``ws``, or from a fresh workspace without one,
     so a pair checked again in one workspace forms no product again.
     """
-    violation = _violation(a, b, rel, Workspace() if ws is None else ws)
-    if violation is not None:
-        raise PreconditionViolated(
-            f"pair does not satisfy {rel.name}: {violation['equation']} fails at "
-            f"entry ({violation['row']}, {violation['col']}): "
-            f"{violation['lhs']} != {violation['rhs']}",
-            violation,
-        )
+    _evaluate(a, b, rel, (), None, Workspace() if ws is None else ws)
 
 
 def det_consistency_diagnostic(
@@ -291,23 +251,6 @@ class IdentityReport(NamedTuple):
         return out
 
 
-def _add(items: List[IdentityItem], iid: str, lhs: Matrix, rhs: Matrix) -> None:
-    items.append(IdentityItem(iid, lhs, rhs, lhs == rhs))
-
-
-# The item ids of the power suites at one exponent, in the order each suite
-# adds them.
-_POWER_PARTS = {
-    "L2.1": ("1a", "1b", "2a", "2b"),
-    "L3.1": ("1a", "1b", "2a", "2b", "3a", "3b"),
-}
-
-
-@lru_cache(maxsize=None)
-def _power_ids(suite: str, i: int) -> Tuple[str, ...]:
-    return tuple(f"{suite}-{part}-i{i:02d}" for part in _POWER_PARTS[suite])
-
-
 def _check_exponent(name: str, value: int, low: int, cap: int, cap_name: str, field) -> None:
     """Refuse a suite exponent ``name`` below ``low`` (0 or 1) or past
     ``cap`` before any product is formed."""
@@ -321,6 +264,18 @@ def _check_exponent(name: str, value: int, low: int, cap: int, cap_name: str, fi
         )
 
 
+def _check_exponents(suites: Tuple[tuple, ...], i_max: Optional[int], field) -> None:
+    """:func:`_check_exponent` on every exponent of ``suites`` (see :func:`_plan`)."""
+    c = cube_exponent_cap(field)
+    for name, *ij in suites:
+        if name == "L2.1":
+            _check_exponent("i_max", i_max, 1, lambda_exponent_cap(field), "lambda-power", field)
+        elif name == "L3.1":
+            _check_exponent("i_max", i_max, 1, c, "3^i growth", field)
+        for var, value in zip("ij", ij):  # L3.5
+            _check_exponent(var, value, 0, max(3**c, 26 * c) - 4, "L3.1-power", field)
+
+
 def cube_exponent_cap(field) -> int:
     # 3^i growth: rational entries explode, residues do not.
     return 4 if field.characteristic == 0 else 8
@@ -331,25 +286,225 @@ def lambda_exponent_cap(field) -> int:
     return 32 if field.characteristic == 0 else 128
 
 
-def _hypothesis(
-    a: Matrix, b: Matrix, rel: RelationKind, ws: Optional[Workspace]
-) -> Tuple[Matrix, Matrix, Workspace]:
-    """Check a suite's relation and return the operands, interned, and the
-    workspace the suite runs in: the caller's, or a fresh one when the
-    suite is called on its own."""
+# One identity, ``lhs == lam**lam_power * rhs``.  A word is a product, left
+# to right, of factors separated by spaces: letters or parenthesised words,
+# each with an optional power ``^e``.  The letters are a, b, aD and bD (their
+# Drazin inverses), pa = I - a*aD and pb, abD = (a*b)^D, I and 0; ``b (a aD)``
+# is b*(a*aD), not (b*a)*aD.  A template row's id is a format string, and its
+# exponents and ``lam_power`` are expressions in i, j and T = i*(i-1)/2.
+_Row = namedtuple("_Row", "id relation lhs rhs lam_power", defaults=("0",))
+_L, _C, _S = LambdaCommute.name, CrossCube.name, SwappedCube.name
+
+# The defining equations of each relation, named as a violation names them.
+_EQUATIONS = (
+    _Row("a*b = lam*(b*a)", _L, "a b", "b a", "1"),
+    _Row("a^3*b = b*a", _C, "a^3 b", "b a"),
+    _Row("b^3*a = a*b", _C, "b^3 a", "a b"),
+    _Row("a*b^3 = b*a", _S, "a b^3", "b a"),
+    _Row("b*a^3 = a*b", _S, "b a^3", "a b"),
+)
+
+# The catalog; a row's suite is its id up to the first "-".  Rows with i in
+# the id (L2.1, L3.1) are templates over i in 1..i_max, L3.5's over its (i, j).
+_ROWS = (
+    _Row("L2.1-1a-i{i:02d}", _L, "a b^i", "b^i a", "i"),
+    _Row("L2.1-1b-i{i:02d}", _L, "a^i b", "b a^i", "i"),
+    _Row("L2.1-2a-i{i:02d}", _L, "(a b)^i", "a^i b^i", "-T"),
+    _Row("L2.1-2b-i{i:02d}", _L, "(b a)^i", "b^i a^i", "T"),
+    _Row("L2.2-1", _L, "aD b", "b aD", "-1"),
+    _Row("L2.2-2", _L, "a bD", "bD a", "-1"),
+    _Row("L2.2-3a", _L, "abD", "bD aD"),
+    _Row("L2.2-3b", _L, "abD", "aD bD", "-1"),
+    _Row("L2.2-4a", _L, "a aD b", "b (a aD)"),
+    _Row("L2.2-4b", _L, "a (b bD)", "b bD a"),
+    _Row("L3.1-1a-i{i:02d}", _C, "b a^i", "a^3*i b"),
+    _Row("L3.1-1b-i{i:02d}", _C, "b^i a", "a^3**i b^i"),
+    _Row("L3.1-2a-i{i:02d}", _C, "a b^i", "b^3*i a"),
+    _Row("L3.1-2b-i{i:02d}", _C, "a^i b", "b^3**i a^i"),
+    _Row("L3.1-3a-i{i:02d}", _C, "a b", "a^26*i (a b) b^2*i"),
+    _Row("L3.1-3b-i{i:02d}", _C, "b a", "b^26*i (b a) a^2*i"),
+    _Row("L3.2-1a", _C, "aD^3 b", "b aD"),
+    _Row("L3.2-1b", _C, "bD^3 a", "a bD"),
+    _Row("L3.2-2a", _C, "a aD b", "b (a aD)"),
+    _Row("L3.2-2b", _C, "a aD bD", "bD (a aD)"),
+    _Row("L3.2-3a", _C, "b bD a", "a (b bD)"),
+    _Row("L3.2-3b", _C, "b bD aD", "aD (b bD)"),
+    # 4b is the a<->b mirror of 4a; the one-sided product order matters on
+    # noncommuting pairs (the finite-field search exhibits 24 of them at
+    # p=3, n=2 where b*a^D = a^D*b**3 holds but a^D*b = a^D*b**3 fails).
+    _Row("L3.2-4a", _C, "a bD", "bD a^3"),
+    _Row("L3.2-4b", _C, "b aD", "aD b^3"),
+    _Row("L3.2-5a", _C, "aD bD", "bD aD^3"),
+    _Row("L3.2-5b", _C, "bD aD", "aD bD^3"),
+    _Row("L3.2-6a", _C, "aD bD", "bD aD b^2"),
+    _Row("L3.2-6b", _C, "bD aD", "aD bD a^2"),
+    _Row("L3.3-1", _S, "aD bD", "b^3 a"),
+    _Row("L3.3-2", _S, "bD aD", "a^3 b"),
+    _Row("L3.3-3", _S, "aD b", "b aD^3"),
+    _Row("L3.3-4a", _S, "a b (bD aD)", "bD aD (a b)"),
+    _Row("L3.3-4b", _S, "bD aD (a b) (bD aD)", "bD aD"),
+    _Row("L3.3-4c", _S, "a b", "a b (a b) (bD aD)"),
+    _Row("L3.3-5a", _S, "b a (aD bD)", "aD bD (b a)"),
+    _Row("L3.3-5b", _S, "aD bD (b a) (aD bD)", "aD bD"),
+    _Row("L3.3-5c", _S, "b a", "b a (b a) (aD bD)"),
+    _Row("L3.4-1a", _C, "aD bD", "bD^3 aD"),
+    _Row("L3.4-1b", _C, "bD^3 aD", "bD aD a^2"),
+    _Row("L3.4-1c", _C, "bD aD a^2", "b^2 bD aD"),
+    _Row("L3.4-1d", _C, "aD bD", "b^2 bD aD"),
+    _Row("L3.4-2a", _C, "bD aD", "aD^3 bD"),
+    _Row("L3.4-2b", _C, "aD^3 bD", "aD bD b^2"),
+    _Row("L3.4-2c", _C, "aD bD b^2", "a^2 aD bD"),
+    _Row("L3.4-2d", _C, "bD aD", "a^2 aD bD"),
+    _Row("L3.5-1", _C, "a aD a^4+i b^j (b bD)", "a aD a^i b^j (b bD)"),
+    _Row("L3.5-2", _C, "a aD a^2+i b^2+j (b bD)", "a aD a^i b^j (b bD)"),
+    _Row("L3.5-3", _C, "a aD a b bD", "aD bD bD"),
+    _Row("L3.5-4", _C, "a aD a^3 b bD", "aD b bD"),
+    _Row("L3.5-5", _C, "a aD a^2 b b bD", "a aD bD"),
+    _Row("L3.5-6", _C, "a aD a b^2 b bD", "aD b bD"),
+    _Row("L3.5-7", _C, "a b pa", "0"),
+    _Row("L3.5-8", _C, "b a pb", "0"),
+)
+
+# A Drazin letter: the word whose Drazin data it is, and the field it reads.
+_DRAZIN_LETTERS = {
+    "aD": ("a", "d"), "bD": ("b", "d"), "pa": ("a", "pi"), "pb": ("b", "pi"), "abD": ("a b", "d"),
+}
+
+
+def _instance(row: _Row, i: int = 0, j: int = 0) -> _Row:
+    """``row`` at (i, j), with its id formatted and every exponent an integer."""
+    scope = {"__builtins__": {}, "i": i, "j": j, "T": i * (i - 1) // 2}
+
+    def at(word: str) -> str:
+        return re.sub(r"\^([^\s()]+)", lambda m: f"^{eval(m[1], scope)}", word)
+
+    lam_power = eval(row.lam_power, scope)
+    return _Row(row.id.format(i=i), row.relation, at(row.lhs), at(row.rhs), lam_power)
+
+
+def _rows(suite: tuple, i_max: Optional[int]) -> List[_Row]:
+    """The rows of ``suite`` (see :func:`_plan`) in id order, each template
+    over i at each i in 1..i_max."""
+    name, *ij = suite
+    out = []
+    for row in _ROWS:
+        if row.id.partition("-")[0] == name:
+            at = [(i,) for i in range(1, i_max + 1)] if "{i" in row.id else [ij]
+            out += [_instance(row, *x) for x in at]
+    return sorted(out, key=itemgetter(0))
+
+
+@lru_cache(maxsize=1024)
+def _parse(word: str) -> tuple:
+    """A word as a tuple of ``(atom, exponent)`` factors, an atom being a
+    letter or, for a parenthesised word, a tuple of factors."""
+    stack: List[list] = [[]]
+    for token in word.replace("(", "( ").replace(")", " )").split():
+        if token == "(":
+            stack.append([])
+            continue
+        atom, _, e = token.partition("^")
+        factor = (tuple(stack.pop()) if atom == ")" else atom, int(e or 1))
+        stack[-1].append(factor)
+    (factors,) = stack
+    return tuple(factors)
+
+
+@lru_cache(maxsize=64)
+def _plan(relation: str, suites: Tuple[tuple, ...], i_max: Optional[int]) -> Callable:
+    """``run(ws, a, b, rel)``: the report of ``relation``'s defining
+    equations and, if they hold, one report per suite (its name, then
+    L3.5's ``(i, j)``; L2.1 and L3.1 take ``i_max``), as straight-line code.
+
+    Each distinct power, product step and Drazin inverse of the rows is one
+    local variable, asked of ``ws`` once per run: local common
+    subexpressions by value numbering (Aho, Lam, Sethi & Ullman,
+    *Compilers*, 2nd ed., 2006, §8.5).  The steps are the words' own.
+    """
+    lines = ["pr, pw, dz = ws.prod, ws.power, ws.drazin", "lam = getattr(rel, 'lam', None)"]
+    names: Dict[tuple, str] = {}
+
+    def node(key: tuple, expr: str) -> str:
+        if key not in names:
+            names[key] = f"v{len(names)}"
+            lines.append(f"{names[key]} = {expr}")
+        return names[key]
+
+    def letter(x: str) -> str:
+        if x in ("a", "b"):
+            return x
+        if x in ("I", "0"):
+            return node((x,), "pw(a, 0)" if x == "I" else "Matrix.zero(a.field, a.rows)")
+        source, field = _DRAZIN_LETTERS[x]
+        data = node(("drazin", source), f"dz({word(_parse(source))})")
+        return node((field, data), f"{data}.{field}")
+
+    def word(factors: tuple) -> str:
+        value = ""
+        for atom, e in factors:
+            x = letter(atom) if isinstance(atom, str) else word(atom)
+            if e != 1:
+                x = letter("I") if e == 0 else node(("power", x, e), f"pw({x}, {e})")
+            value = node(("prod", value, x), f"pr({value}, {x})") if value else x
+        return value
+
+    def report(rows: List[_Row]) -> str:
+        items, verdicts = [], []
+        for row in rows:
+            lhs, rhs = word(_parse(row.lhs)), word(_parse(row.rhs))
+            if row.lam_power:
+                scale = node(("lam", row.lam_power), f"lam ** {row.lam_power}")
+                rhs = node(("scale", scale, rhs), f"{rhs} * {scale}")
+            verdicts.append(node(("eq", lhs, rhs), f"{lhs} == {rhs}"))
+            items.append(f"new(Item, ({row.id!r}, {lhs}, {rhs}, {verdicts[-1]}))")
+        return f"new(Report, (rel, ({', '.join(items)},), {' and '.join(verdicts)}))"
+
+    equations = [_instance(row) for row in _EQUATIONS if row.relation == relation]
+    lines.append(f"equations = {report(equations)}")
+    lines.append("if not equations.all_pass: return (equations,)")
+    reports = "".join(report(_rows(suite, i_max)) + ", " for suite in suites)
+    lines.append(f"return (equations, {reports})")
+    source = "def run(ws, a, b, rel):\n    " + "\n    ".join(lines) + "\n"
+    namespace = dict(new=tuple.__new__, Item=IdentityItem, Report=IdentityReport, Matrix=Matrix)
+    exec(compile(source, f"<plan {relation}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _evaluate(
+    a: Matrix, b: Matrix, rel: RelationKind, suites: tuple, i_max: Optional[int], ws: Workspace
+) -> List[IdentityReport]:
+    """The reports of ``suites`` on a pair of ``ws``'s own matrices after
+    one check of ``rel``, from one run of their :func:`_plan`; an exponent
+    out of range is refused first."""
+    _check_exponents(suites, i_max, a.field)
+    _validate_pair(a, b, rel)
+    equations, *reports = _plan(rel.name, suites, i_max)(ws, a, b, rel)
+    if not equations.all_pass:
+        v = _located(equations)
+        raise PreconditionViolated(
+            f"pair does not satisfy {rel.name}: {v['equation']} fails at entry "
+            f"({v['row']}, {v['col']}): {v['lhs']} != {v['rhs']}",
+            v,
+        )
+    return reports
+
+
+def _checked(
+    a: Matrix, b: Matrix, rel: RelationKind, ws: Optional[Workspace], suites=(), i_max=None
+) -> Tuple[Matrix, Matrix, Workspace, List[IdentityReport]]:
+    """The operands interned in ``ws`` (a fresh workspace without one),
+    that workspace, and the reports of ``suites`` after one check of ``rel``."""
     ws = Workspace() if ws is None else ws
     a, b = ws.intern(a), ws.intern(b)
-    require_relation(a, b, rel, ws=ws)
-    return a, b, ws
+    return a, b, ws, _evaluate(a, b, rel, suites, i_max, ws)
+
+
+def _suite(a: Matrix, b: Matrix, rel: RelationKind, suite: tuple, i_max, ws) -> IdentityReport:
+    return _checked(a, b, rel, ws, (suite,), i_max)[3][0]
 
 
 def lemma21_suite(
-    a: Matrix,
-    b: Matrix,
-    lam: FieldScalar,
-    i_max: int,
-    *,
-    ws: Optional[Workspace] = None,
+    a: Matrix, b: Matrix, lam: FieldScalar, i_max: int, *, ws: Optional[Workspace] = None
 ) -> IdentityReport:
     """Power identities under ``a*b == lam*(b*a)``, for each i in 1..i_max.
 
@@ -357,47 +512,15 @@ def lemma21_suite(
     over the rationals, 128 over a prime field); beyond the cap raises
     :class:`ExponentOverflow` before any product is formed.
     """
-    _check_exponent("i_max", i_max, 1, lambda_exponent_cap(a.field), "lambda-power", a.field)
-    rel = LambdaCommute(lam)
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    ab, ba = pr(a, b), pr(b, a)
-    items: List[IdentityItem] = []
-    for i in range(1, i_max + 1):
-        tri = i * (i - 1) // 2
-        ai, bi = pw(a, i), pw(b, i)
-        id1a, id1b, id2a, id2b = _power_ids("L2.1", i)
-        _add(items, id1a, pr(a, bi), (lam**i) * pr(bi, a))
-        _add(items, id1b, pr(ai, b), (lam**i) * pr(b, ai))
-        _add(items, id2a, pw(ab, i), (lam**-tri) * pr(ai, bi))
-        _add(items, id2b, pw(ba, i), (lam**tri) * pr(bi, ai))
-    return IdentityReport.build(rel, items)
+    return _suite(a, b, LambdaCommute(lam), ("L2.1",), i_max, ws)
 
 
 def lemma22_suite(
     a: Matrix, b: Matrix, lam: FieldScalar, *, ws: Optional[Workspace] = None
 ) -> IdentityReport:
-    """Drazin-inverse identities under ``a*b == lam*(b*a)``.
-
-    Catalog: ``a^D*b == lam**-1*(b*a^D)``; ``a*b^D == lam**-1*(b^D*a)``;
-    ``(a*b)^D == b^D*a^D == lam**-1*(a^D*b^D)``; and the auxiliary
-    projector commutations ``a*a^D`` with ``b`` and ``b*b^D`` with ``a``.
-    """
-    rel = LambdaCommute(lam)
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pr = ws.prod
-    da, db = ws.drazin(a).d, ws.drazin(b).d
-    dab = ws.drazin(pr(a, b)).d
-    aaD, bbD = pr(a, da), pr(b, db)
-    linv = lam.inverse()
-    items: List[IdentityItem] = []
-    _add(items, "L2.2-1", pr(da, b), linv * pr(b, da))
-    _add(items, "L2.2-2", pr(a, db), linv * pr(db, a))
-    _add(items, "L2.2-3a", dab, pr(db, da))
-    _add(items, "L2.2-3b", dab, linv * pr(da, db))
-    _add(items, "L2.2-4a", pr(aaD, b), pr(b, aaD))
-    _add(items, "L2.2-4b", pr(a, bbD), pr(bbD, a))
-    return IdentityReport.build(rel, items)
+    """Drazin-inverse identities under ``a*b == lam*(b*a)``, e.g.
+    ``(a*b)^D == b^D*a^D == lam**-1*(a^D*b^D)``."""
+    return _suite(a, b, LambdaCommute(lam), ("L2.2",), None, ws)
 
 
 def lemma31_suite(
@@ -405,120 +528,30 @@ def lemma31_suite(
 ) -> IdentityReport:
     """Power identities under the cross-cube relation, i in 1..i_max.
 
-    Exponents reach ``3**i`` and ``26*i``, so ``i_max`` is capped (4 over
-    the rationals, 8 over a prime field); beyond the cap raises
-    :class:`ExponentOverflow`.  Matrix powers are honest square-and-multiply
-    products; exponents are never reduced modulo anything.
+    Exponents reach ``3**i`` and ``26*i`` and are never reduced, so
+    ``i_max`` is capped (4 over the rationals, 8 over a prime field);
+    beyond the cap raises :class:`ExponentOverflow`.
     """
-    _check_exponent("i_max", i_max, 1, cube_exponent_cap(a.field), "3^i growth", a.field)
-    rel = CrossCube()
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    items: List[IdentityItem] = []
-    ab, ba = pr(a, b), pr(b, a)
-    for i in range(1, i_max + 1):
-        ai, bi = pw(a, i), pw(b, i)
-        id1a, id1b, id2a, id2b, id3a, id3b = _power_ids("L3.1", i)
-        _add(items, id1a, pr(b, ai), pr(pw(a, 3 * i), b))
-        _add(items, id1b, pr(bi, a), pr(pw(a, 3**i), bi))
-        _add(items, id2a, pr(a, bi), pr(pw(b, 3 * i), a))
-        _add(items, id2b, pr(ai, b), pr(pw(b, 3**i), ai))
-        _add(items, id3a, ab, pr(pw(a, 26 * i), ab, pw(b, 2 * i)))
-        _add(items, id3b, ba, pr(pw(b, 26 * i), ba, pw(a, 2 * i)))
-    return IdentityReport.build(rel, items)
+    return _suite(a, b, CrossCube(), ("L3.1",), i_max, ws)
 
 
-def lemma32_suite(
-    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
-) -> IdentityReport:
+def lemma32_suite(a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None) -> IdentityReport:
     """Drazin-inverse identities under the cross-cube relation (12 items)."""
-    rel = CrossCube()
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    da, db = ws.drazin(a).d, ws.drazin(b).d
-    aaD, bbD = pr(a, da), pr(b, db)
-    items: List[IdentityItem] = []
-    _add(items, "L3.2-1a", pr(pw(da, 3), b), pr(b, da))
-    _add(items, "L3.2-1b", pr(pw(db, 3), a), pr(a, db))
-    _add(items, "L3.2-2a", pr(aaD, b), pr(b, aaD))
-    _add(items, "L3.2-2b", pr(aaD, db), pr(db, aaD))
-    _add(items, "L3.2-3a", pr(bbD, a), pr(a, bbD))
-    _add(items, "L3.2-3b", pr(bbD, da), pr(da, bbD))
-    # 4b is the a<->b mirror of 4a; the one-sided product order matters on
-    # noncommuting pairs (the finite-field search exhibits 24 of them at
-    # p=3, n=2 where b*a^D = a^D*b**3 holds but a^D*b = a^D*b**3 fails).
-    _add(items, "L3.2-4a", pr(a, db), pr(db, pw(a, 3)))
-    _add(items, "L3.2-4b", pr(b, da), pr(da, pw(b, 3)))
-    _add(items, "L3.2-5a", pr(da, db), pr(db, pw(da, 3)))
-    _add(items, "L3.2-5b", pr(db, da), pr(da, pw(db, 3)))
-    _add(items, "L3.2-6a", pr(da, db), pr(db, da, pw(b, 2)))
-    _add(items, "L3.2-6b", pr(db, da), pr(da, db, pw(a, 2)))
-    return IdentityReport.build(rel, items)
+    return _suite(a, b, CrossCube(), ("L3.2",), None, ws)
 
 
-def lemma33_suite(
-    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
-) -> IdentityReport:
-    """Identities under the swapped-cube relation.
-
-    Beyond the two product formulas and one auxiliary, the group-inverse
-    claims ``(a*b)^# == b^D*a^D`` and ``(b*a)^# == a^D*b^D`` are certified
-    by checking the three group-inverse equations for the candidate
-    products (commutation, inner inverse, and ``x == x**2*g``, which pins
-    the index to <= 1); uniqueness then forces the equality.
-    """
-    rel = SwappedCube()
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    da, db = ws.drazin(a).d, ws.drazin(b).d
-    items: List[IdentityItem] = []
-    _add(items, "L3.3-1", pr(da, db), pr(pw(b, 3), a))
-    _add(items, "L3.3-2", pr(db, da), pr(pw(a, 3), b))
-    _add(items, "L3.3-3", pr(da, b), pr(b, pw(da, 3)))
-    ab, ba = pr(a, b), pr(b, a)
-    g = pr(db, da)
-    _add(items, "L3.3-4a", pr(ab, g), pr(g, ab))
-    _add(items, "L3.3-4b", pr(g, ab, g), g)
-    _add(items, "L3.3-4c", ab, pr(ab, ab, g))
-    h = pr(da, db)
-    _add(items, "L3.3-5a", pr(ba, h), pr(h, ba))
-    _add(items, "L3.3-5b", pr(h, ba, h), h)
-    _add(items, "L3.3-5c", ba, pr(ba, ba, h))
-    return IdentityReport.build(rel, items)
+def lemma33_suite(a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None) -> IdentityReport:
+    """Identities under the swapped-cube relation.  ``(a*b)^# == b^D*a^D``
+    and its mirror are certified by the three group-inverse equations of
+    the candidate (commutation, inner inverse, ``x == x**2*g``)."""
+    return _suite(a, b, SwappedCube(), ("L3.3",), None, ws)
 
 
-def lemma34_suite(
-    a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None
-) -> IdentityReport:
-    """Two four-term chains under cross-cube, checked as eight equalities.
-
-    Chain 1: ``a^D*b^D == (b^D)**3*a^D == b^D*a^D*a**2 == b**2*b^D*a^D``.
-    Chain 2: ``b^D*a^D == (a^D)**3*b^D == a^D*b^D*b**2 == a**2*a^D*b^D``.
-    Items 1a-1c/2a-2c are the consecutive equalities, 1d/2d close each
-    chain end to end.
-    """
-    rel = CrossCube()
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    da, db = ws.drazin(a).d, ws.drazin(b).d
-    x1 = pr(da, db)
-    x2 = pr(pw(db, 3), da)
-    x3 = pr(db, da, pw(a, 2))
-    x4 = pr(pw(b, 2), db, da)
-    y1 = pr(db, da)
-    y2 = pr(pw(da, 3), db)
-    y3 = pr(da, db, pw(b, 2))
-    y4 = pr(pw(a, 2), da, db)
-    items: List[IdentityItem] = []
-    _add(items, "L3.4-1a", x1, x2)
-    _add(items, "L3.4-1b", x2, x3)
-    _add(items, "L3.4-1c", x3, x4)
-    _add(items, "L3.4-1d", x1, x4)
-    _add(items, "L3.4-2a", y1, y2)
-    _add(items, "L3.4-2b", y2, y3)
-    _add(items, "L3.4-2c", y3, y4)
-    _add(items, "L3.4-2d", y1, y4)
-    return IdentityReport.build(rel, items)
+def lemma34_suite(a: Matrix, b: Matrix, *, ws: Optional[Workspace] = None) -> IdentityReport:
+    """The chain ``a^D*b^D == (b^D)**3*a^D == b^D*a^D*a**2 == b**2*b^D*a^D``
+    and its mirror under cross-cube: items 1a-1c/2a-2c are the consecutive
+    equalities, 1d/2d close each chain end to end."""
+    return _suite(a, b, CrossCube(), ("L3.4",), None, ws)
 
 
 def lemma35_suite(
@@ -526,39 +559,9 @@ def lemma35_suite(
 ) -> IdentityReport:
     """Projector-absorption identities under cross-cube at exponents i, j.
 
-    Parts 1 and 2 depend on (i, j); parts 3-8 are fixed:
-    ``aa^D*a**(4+i)*b**j*bb^D == aa^D*a**i*b**j*bb^D``;
-    ``aa^D*a**(2+i)*b**(2+j)*bb^D == aa^D*a**i*b**j*bb^D``;
-    ``aa^D*a*b*b^D == a^D*(b^D)**2``; ``aa^D*a**3*b*b^D == a^D*b*b^D``;
-    ``aa^D*a**2*b*b*b^D == aa^D*b^D``; ``aa^D*a*b**2*b*b^D == a^D*b*b^D``;
-    ``a*b*(I - aa^D) == 0``; ``b*a*(I - bb^D) == 0``.
-
-    The largest power formed, ``a**(4+i)`` or ``b**(2+j)``, stays within
-    the largest power L3.1 forms at its cap (``a**104`` over the rationals,
-    ``a**6561`` over a prime field), so ``i`` and ``j`` are capped at 100
-    and 6557; beyond the cap raises :class:`ExponentOverflow` before any
-    product is formed.
+    The largest power formed, ``a**(4+i)`` or ``b**(2+j)``, stays within the
+    largest L3.1 forms at its cap (``a**104`` over Q, ``a**6561`` over F_p),
+    so ``i`` and ``j`` are capped at 100 and 6557; beyond the cap raises
+    :class:`ExponentOverflow` before any product is formed.
     """
-    c = cube_exponent_cap(a.field)
-    cap = max(3**c, 26 * c) - 4
-    _check_exponent("i", i, 0, cap, "L3.1-power", a.field)
-    _check_exponent("j", j, 0, cap, "L3.1-power", a.field)
-    rel = CrossCube()
-    a, b, ws = _hypothesis(a, b, rel, ws)
-    pw, pr = ws.power, ws.prod
-    a_data, b_data = ws.drazin(a), ws.drazin(b)
-    da, db = a_data.d, b_data.d
-    aaD, bbD = pr(a, da), pr(b, db)
-    zero = Matrix.zero(a.field, a.rows)
-    items: List[IdentityItem] = []
-    bj = pw(b, j)
-    rhs12 = pr(aaD, pw(a, i), bj, bbD)
-    _add(items, "L3.5-1", pr(aaD, pw(a, 4 + i), bj, bbD), rhs12)
-    _add(items, "L3.5-2", pr(aaD, pw(a, 2 + i), pw(b, 2 + j), bbD), rhs12)
-    _add(items, "L3.5-3", pr(aaD, a, b, db), pr(da, db, db))
-    _add(items, "L3.5-4", pr(aaD, pw(a, 3), b, db), pr(da, b, db))
-    _add(items, "L3.5-5", pr(aaD, pw(a, 2), b, b, db), pr(aaD, db))
-    _add(items, "L3.5-6", pr(aaD, a, pw(b, 2), b, db), pr(da, b, db))
-    _add(items, "L3.5-7", pr(a, b, a_data.pi), zero)
-    _add(items, "L3.5-8", pr(b, a, b_data.pi), zero)
-    return IdentityReport.build(rel, items)
+    return _suite(a, b, CrossCube(), ("L3.5", i, j), None, ws)

@@ -47,7 +47,7 @@ from .drazin import DrazinData, Workspace, _record_json_obj
 from .errors import CharacteristicTwo, NotNilpotentWithinBound, ParseError, ShapeMismatch
 from .fields import FieldScalar
 from .matrices import Matrix, _powers_until_zero, nilpotency_degree
-from .relations import CrossCube, LambdaCommute, _hypothesis
+from .relations import CrossCube, LambdaCommute, _checked
 
 __all__ = [
     "Theorem23Report",
@@ -162,7 +162,11 @@ def evaluate_thm23(
     and the formula's products come from ``ws`` (a fresh :class:`Workspace`
     by default).
     """
-    a, b, ws = _hypothesis(a, b, LambdaCommute(lam), ws)
+    return _thm23(*_checked(a, b, LambdaCommute(lam), ws)[:3])
+
+
+def _thm23(a: Matrix, b: Matrix, ws: Workspace) -> Theorem23Report:
+    """The formula on a checked pair of ``ws``'s own matrices."""
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)
@@ -192,7 +196,11 @@ def evaluate_thm36(
             "the sum formula needs 2 invertible; characteristic 2 is excluded",
             {"field": a.field.to_json_obj()},
         )
-    a, b, ws = _hypothesis(a, b, CrossCube(), ws)
+    return _thm36(*_checked(a, b, CrossCube(), ws)[:3])
+
+
+def _thm36(a: Matrix, b: Matrix, ws: Workspace) -> Theorem36Report:
+    """The formula on a checked pair of ``ws``'s own matrices, 2 invertible."""
     pr = ws.prod
     da, db = ws.drazin(a), ws.drazin(b)
     p_a = pr(a, da.d)

@@ -296,3 +296,78 @@ def search_orbit_firsts(
             image = scale(c, matmul(matmul(s, a, p), s_inv, p), p)
             seen.add(tuple(v for row in image for v in row))
     return firsts
+
+
+def drazin_index(a: Rows, p: Optional[int] = None) -> int:
+    """The least ``k`` with ``rank(a**k) == rank(a**(k + 1))``, from
+    :func:`rank`."""
+    k, power, r_prev = 0, a, len(a)
+    while True:
+        r = rank(power, p)
+        if r == r_prev:
+            return k
+        k, power, r_prev = k + 1, matmul(power, a, p), r
+
+
+def catalog_letters(a: Rows, b: Rows, rng, p: Optional[int] = None) -> dict:
+    """The letters of the words of the package's row table
+    (``relations._ROWS``) for the pair ``(a, b)``: ``a``, ``b``, ``I``,
+    ``0``, the Drazin inverses ``aD``, ``bD`` and ``abD`` from
+    :func:`drazin_from_inner_inverse`, and the projectors ``pa``, ``pb``."""
+    n = len(a)
+    ident = eye(n) if p is None else eye_mod(n)
+    letters = {"a": a, "b": b, "I": ident, "0": sub(ident, ident, p)}
+    for name, m in (("a", a), ("b", b), ("ab", matmul(a, b, p))):
+        d = drazin_from_inner_inverse(m, drazin_index(m, p), rng, p)
+        letters[name + "D"] = d
+        letters["p" + name] = sub(ident, matmul(m, d, p), p)
+    return letters
+
+
+def _binary_power(x: Rows, e: int, p: Optional[int] = None) -> Rows:
+    """``x**e`` from the binary digits of ``e``, most significant first:
+    the L3.1 rows raise letters to 3**i and 26*i."""
+    result = eye(len(x)) if p is None else eye_mod(len(x))
+    for bit in bin(e)[2:]:
+        result = matmul(result, result, p)
+        if bit == "1":
+            result = matmul(result, x, p)
+    return result
+
+
+def word_value(word: str, letters: dict, p: Optional[int] = None) -> Rows:
+    """A word of the package's row table, read with its own grammar: factors
+    separated by spaces and multiplied left to right, each a letter of
+    ``letters`` or a parenthesised word, with an optional power ``^e``.
+    The word's value, and the powers of letters it forms, are added to
+    ``letters``, keyed by their text: the rows repeat many words."""
+    if word in letters:
+        return letters[word]
+    tokens = word.replace("(", " ( ").replace(")", " ) ").replace("^", " ^").split()
+    pos = 0
+
+    def product() -> Rows:
+        nonlocal pos
+        value = None
+        while pos < len(tokens) and tokens[pos] != ")":
+            token = tokens[pos]
+            pos += 1
+            if token == "(":
+                x = product()
+                pos += 1  # past the closing parenthesis
+            e = None
+            if pos < len(tokens) and tokens[pos].startswith("^"):
+                e = int(tokens[pos][1:])
+                pos += 1
+            if token == "(":
+                x = x if e is None else matpow(x, e, p)
+            else:  # a letter's powers are kept in ``letters``: rows raise a few often
+                key = token if e is None else f"{token}^{e}"
+                if key not in letters:
+                    letters[key] = _binary_power(letters[token], e, p)
+                x = letters[key]
+            value = x if value is None else matmul(value, x, p)
+        return value
+
+    letters[word] = product()
+    return letters[word]

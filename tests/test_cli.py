@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 import drazinkit.cli as cli
+import drazinkit.drazin as drazin
 import drazinkit.matrices as matrices
 import drazinkit.pairs as pairs
 import drazinkit.relations as relations
@@ -259,14 +260,20 @@ def test_check_relation_fails_exit_1(monkeypatch, capsys):
 
 
 def test_check_relation_evaluates_the_equations_once(monkeypatch, capsys):
+    # Every evaluation of a relation's equations is one run of a plan.
     calls = []
-    equations = relations._defining_equations
+    plan = relations._plan
 
-    def counted(*args):
-        calls.append(args)
-        return equations(*args)
+    def counted(*key):
+        run = plan(*key)
 
-    monkeypatch.setattr(relations, "_defining_equations", counted)
+        def counting(*args):
+            calls.append(key)
+            return run(*args)
+
+        return counting
+
+    monkeypatch.setattr(relations, "_plan", counted)
     code, out, _ = _run(
         monkeypatch,
         capsys,
@@ -470,6 +477,7 @@ def test_formula_exit_1_when_a_certificate_fails(monkeypatch, capsys, command, l
     assert {key: obj[key] for key in failed} == failed
 
     _small_selftest_corpora(monkeypatch)
+    _stand_in(monkeypatch, {label: lambda cp, report: dataclasses.replace(report, **failed)})
     corpus = cli.default_lambda_corpus(QQ) if label == "T2.3" else cli.default_cube_corpus(QQ)
     code, out, _ = _run(monkeypatch, capsys, ["selftest"])
     assert code == 1
@@ -578,12 +586,28 @@ def test_lemmas_kind_mismatch_exit_3(monkeypatch, capsys):
 
 
 def _failing_report(a, b, ws=None):
-    """Stand-in for lemma32_suite: one failed identity with a, b as witnesses."""
+    """Stand-in for the L3.2 report: one failed identity with a, b as witnesses."""
     return IdentityReport.build(CrossCube(), [IdentityItem("L3.2.x", a, b, False)])
 
 
+def _stand_in(monkeypatch, replacements):
+    """Have the catalog's run of each pair (``cli._pair_reports``) give
+    ``replacements[label](cp, report)`` in place of each listed row's
+    report."""
+    real = cli._pair_reports
+
+    def patched(cp, rows, i_max, ws):
+        reports = real(cp, rows, i_max, ws)
+        for label, replace in replacements.items():
+            if label in reports:
+                reports[label] = replace(cp, reports[label])
+        return reports
+
+    monkeypatch.setattr(cli, "_pair_reports", patched)
+
+
 def test_lemmas_failure_layout_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "lemma32_suite", _failing_report)
+    _stand_in(monkeypatch, {"L3.2": lambda cp, report: _failing_report(cp.a, cp.b)})
     a, b = _diag([1, -1, 0]), _diag([-1, 1, 1])
     corpus = [{"a": a, "b": b, "relation": "cross-cube", "provenance": "hand"}]
     code, out, _ = _run(
@@ -1554,13 +1578,15 @@ def test_lemmas_section2_i_max_cap_exit_3(monkeypatch, capsys):
 
 
 def _refuses_i_max(argv, stdin_text, i_max, monkeypatch, capsys):
-    """``argv`` exits 2 on its ``--i-max`` before any suite runs."""
+    """``argv`` exits 2 on its ``--i-max`` before any pair runs, and so
+    before any product or Drazin inverse is formed."""
 
-    def no_suite(*args, **kwargs):
-        raise AssertionError("a suite ran")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pair ran, or a product or Drazin inverse was formed")
 
-    for k in (21, 22, 31, 32, 33, 34, 35):
-        monkeypatch.setattr(cli, f"lemma{k}_suite", no_suite)
+    monkeypatch.setattr(cli, "_pair_reports", no_work)
+    monkeypatch.setattr(Matrix, "__mul__", no_work)
+    monkeypatch.setattr(drazin, "drazin_inverse", no_work)
     code, out, err = _run(monkeypatch, capsys, argv, stdin_text)
     assert (code, out) == (2, "")
     assert json.loads(err) == {
@@ -1884,12 +1910,12 @@ def _small_selftest_corpora(monkeypatch):
 
 def test_selftest_failure_layout_exit_1(monkeypatch, capsys):
     provenances = _small_selftest_corpora(monkeypatch)
-    thm36 = cli.evaluate_thm36
-    monkeypatch.setattr(cli, "lemma32_suite", _failing_report)
-    monkeypatch.setattr(
-        cli,
-        "evaluate_thm36",
-        lambda a, b, ws=None: dataclasses.replace(thm36(a, b), match=False),
+    _stand_in(
+        monkeypatch,
+        {
+            "L3.2": lambda cp, report: _failing_report(cp.a, cp.b),
+            "T3.6": lambda cp, report: dataclasses.replace(report, match=False),
+        },
     )
     code, out, err = _run(monkeypatch, capsys, ["selftest"])
     assert code == 1

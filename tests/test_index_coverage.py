@@ -1,11 +1,12 @@
-"""The Drazin indices the identity catalog meets, and the cube rows at index 3.
+"""The Drazin indices the identity catalog meets, and the rows at index >= 2.
 
 Every pair of ``selftest``'s cube corpora is group-invertible (both indices
 at most 1), so the cube rows and T3.6 never meet a Drazin inverse of index
-2 or more there.  The ledger below pins what each corpus holds, so that a
-change to the corpora shows here, and the second test runs every cube row
-on pairs with ``ind(a) = 3`` built from the family grammar, with no change
-to ``selftest``.
+2 or more there, and no ``b`` of its lambda corpus has index 2 or more.
+The ledger below pins what each corpus holds, so that a change to the
+corpora shows here.  The other tests run every cube row on pairs with
+``ind(a) = 3`` built from the family grammar, and every lambda row on the
+lambda corpus with each pair swapped, with no change to ``selftest``.
 """
 
 from collections import Counter
@@ -97,20 +98,51 @@ def test_cube_rows_hold_at_index_3(field, descriptor):
     ws = Workspace()
     family = parse_family(descriptor)
     relations = {CrossCube.name: CrossCube(), SwappedCube.name: SwappedCube()}
-    rows = [(label, kind, runner) for label, kind, runner in cli._CATALOG if kind in relations]
-    assert [label for label, _, _ in rows] == [
-        "L3.1", "L3.2", "L3.3", "L3.4",
-        "L3.5[i=0,j=0]", "L3.5[i=1,j=2]", "L3.5[i=2,j=1]", "T3.6",
+    rows = {kind: [row for row in cli._CATALOG if row[1] == kind] for kind in relations}
+    assert [label for kind in relations for label, _, _ in rows[kind]] == [
+        "L3.1", "L3.2", "L3.4",
+        "L3.5[i=0,j=0]", "L3.5[i=1,j=2]", "L3.5[i=2,j=1]", "T3.6", "L3.3",
     ]
     for seed in (2, 5):
         a, b = gen_pair(family, CrossCube(), field, seed)
         assert ws.drazin(a).index == 3 and a * b != Matrix.zero(field, a.rows)
         for x, y in ((a, b), (b, a)):
             assert all(check_relation(x, y, rel) for rel in relations.values())
-            for label, kind, runner in rows:
-                cp = CorpusPair(x, y, relations[kind], f"{descriptor}@{seed}")
-                result = runner(cp, cli._I_MAX, ws)
-                if isinstance(result, IdentityReport):
-                    assert result.all_pass, (label, seed, result.failing_ids())
-                else:
-                    assert result.holds, (label, seed)
+            for kind, rel in relations.items():
+                cp = CorpusPair(x, y, rel, f"{descriptor}@{seed}")
+                for label, result in cli._pair_reports(cp, rows[kind], cli._I_MAX, ws).items():
+                    if isinstance(result, IdentityReport):
+                        assert result.all_pass, (label, seed, result.failing_ids())
+                    else:
+                        assert result.holds, (label, seed)
+
+
+# ind(b) over the swapped lambda corpus, where b is the corpus pair's a:
+# the present corpus has every ind(b) <= 1, the swapped one has 83 (Q) and
+# 84 (F_5) of its 106 pairs at ind(b) >= 2.
+_SWAPPED_IND_B = {
+    QQ: {0: 16, 1: 7, 2: 30, 3: 29, 4: 16, 5: 8},
+    F5: {0: 15, 1: 7, 2: 31, 3: 29, 4: 16, 5: 8},
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_lambda_rows_hold_on_the_swapped_corpus(field):
+    # If a*b == lam*(b*a), then b*a == lam**-1*(a*b): (b, a) is a lambda
+    # pair too, and there b^D is not a group inverse.  Each swapped pair runs
+    # L2.1 (i <= 3), L2.2 and T2.3, in about 0.2 s per field.
+    ws = Workspace()
+    swapped = [
+        CorpusPair(cp.b, cp.a, LambdaCommute(cp.relation.lam.inverse()), cp.provenance)
+        for cp in default_lambda_corpus(field)
+    ]
+    label = _label(field)
+    assert _ledger(swapped, ws) == {
+        (ind_b, ind_a, commute, label): n
+        for (ind_a, ind_b, commute), n in LEDGERS[field, LambdaCommute.name].items()
+    }
+    assert Counter(ws.drazin(cp.b).index for cp in swapped) == _SWAPPED_IND_B[field]
+    rows = [row for row in cli._CATALOG if row[1] == LambdaCommute.name]
+    for cp in swapped:
+        for name, report in cli._pair_reports(cp, rows, cli._I_MAX, ws).items():
+            assert report.holds if name == "T2.3" else report.all_pass, (name, cp.provenance)

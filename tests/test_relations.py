@@ -1,6 +1,8 @@
 """Relation predicates, violation reporting, and identity suites."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,7 @@ from drazinkit import (
     random_invertible,
     relation_from_json_fields,
     relation_to_json_fields,
+    relations,
     require_relation,
 )
 
@@ -506,20 +509,32 @@ def test_suites_commute_with_conjugation():
     corpora["swapped-cube"] += exhaustive_hits_corpus(SwappedCube())[:40:5]
     ws, ws_conj = Workspace(), Workspace()
     checked = 0
-    for label, relation, runner in cli._CATALOG:
-        if not label.startswith("L"):
-            continue
-        for seed, cp in enumerate(corpora[relation]):
+    for relation, corpus in corpora.items():
+        rows = [row for row in cli._CATALOG if row[1] == relation and row[2] is not None]
+        for seed, cp in enumerate(corpus):
             s = random_invertible(cp.a.field, cp.a.rows, seed)
             s_inv = s.inverse()
             conj = CorpusPair(s * cp.a * s_inv, s * cp.b * s_inv, cp.relation, cp.provenance)
-            got = runner(cp, cli._I_MAX, ws).items
-            got_conj = runner(conj, cli._I_MAX, ws_conj).items
-            assert [(it.identity_id, it.passed) for it in got] == [
-                (it.identity_id, it.passed) for it in got_conj
-            ], (label, cp.provenance)
-            for it, it_conj in zip(got, got_conj):
-                assert it_conj.lhs == s * it.lhs * s_inv, (label, it.identity_id)
-                assert it_conj.rhs == s * it.rhs * s_inv, (label, it.identity_id)
-            checked += len(got)
+            reports = cli._pair_reports(cp, rows, cli._I_MAX, ws)
+            reports_conj = cli._pair_reports(conj, rows, cli._I_MAX, ws_conj)
+            for label, report in reports.items():
+                got, got_conj = report.items, reports_conj[label].items
+                assert [(it.identity_id, it.passed) for it in got] == [
+                    (it.identity_id, it.passed) for it in got_conj
+                ], (label, cp.provenance)
+                for it, it_conj in zip(got, got_conj):
+                    assert it_conj.lhs == s * it.lhs * s_inv, (label, it.identity_id)
+                    assert it_conj.rhs == s * it.rhs * s_inv, (label, it.identity_id)
+                checked += len(got)
     assert checked > 1000
+
+
+def test_readme_catalog_lists_the_row_table():
+    # The README's catalog table has one line per suite of the row table
+    # and one per additive formula, and no other.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Identity catalog\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| ([LT]\d\.\d) \|", section, re.M)
+    suites = {row.id.partition("-")[0] for row in relations._ROWS}
+    assert len(suites) == 7
+    assert sorted(listed) == sorted(suites | {"T2.3", "T3.6"})

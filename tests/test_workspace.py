@@ -1,6 +1,7 @@
 """Workspace: reuse across a run is invisible in every result."""
 
 import io
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from random import Random
 
@@ -22,10 +23,17 @@ from drazinkit import (
     default_lambda_corpus,
     drazin_inverse,
     evaluate_thm23,
+    evaluate_thm36,
     exhaustive_hits_corpus,
     gen_pair,
+    lemma21_suite,
     lemma22_suite,
+    lemma31_suite,
     lemma32_suite,
+    lemma33_suite,
+    lemma34_suite,
+    lemma35_suite,
+    relations,
     require_relation,
 )
 
@@ -47,21 +55,47 @@ def _corpora():
     return out
 
 
-def _row_result(label, runner, cp, ws):
+def _rows(cp):
+    return [row for row in cli._CATALOG if row[1] == cp.relation.name]
+
+
+# Each row of the catalog run on its own, through the public functions.
+_PUBLIC = {
+    "L2.1": lambda cp, ws: lemma21_suite(cp.a, cp.b, cp.relation.lam, cli._I_MAX, ws=ws),
+    "L2.2": lambda cp, ws: lemma22_suite(cp.a, cp.b, cp.relation.lam, ws=ws),
+    "T2.3": lambda cp, ws: evaluate_thm23(cp.a, cp.b, cp.relation.lam, ws=ws),
+    "L3.1": lambda cp, ws: lemma31_suite(cp.a, cp.b, cli._I_MAX, ws=ws),
+    "L3.2": lambda cp, ws: lemma32_suite(cp.a, cp.b, ws=ws),
+    "L3.3": lambda cp, ws: lemma33_suite(cp.a, cp.b, ws=ws),
+    "L3.4": lambda cp, ws: lemma34_suite(cp.a, cp.b, ws=ws),
+    "L3.5[i=0,j=0]": lambda cp, ws: lemma35_suite(cp.a, cp.b, 0, 0, ws=ws),
+    "L3.5[i=1,j=2]": lambda cp, ws: lemma35_suite(cp.a, cp.b, 1, 2, ws=ws),
+    "L3.5[i=2,j=1]": lambda cp, ws: lemma35_suite(cp.a, cp.b, 2, 1, ws=ws),
+    "T3.6": lambda cp, ws: evaluate_thm36(cp.a, cp.b, ws=ws),
+}
+
+
+def _comparable(label, report):
     """Everything one catalog row computes on one pair, as comparable data."""
-    report = runner(cp, cli._I_MAX, ws)
     if label.startswith("T"):
         return report.to_json_obj()
     return report.to_json_obj(), report.items
 
 
 def test_shared_workspace_gives_the_same_results():
+    # A pair's rows run in one call in a shared workspace give what each
+    # row run on its own, in a fresh workspace, gives.
     corpora = _corpora()
     shared = Workspace()
-    for label, relation, runner in cli._CATALOG:
-        for cp in corpora[relation]:
-            got = _row_result(label, runner, cp, shared)
-            assert got == _row_result(label, runner, cp, None), (label, cp.provenance)
+    for corpus in corpora.values():
+        for cp in corpus:
+            reports = cli._pair_reports(cp, _rows(cp), cli._I_MAX, shared)
+            assert list(reports) == [label for label, _, _ in _rows(cp)]
+            for label, report in reports.items():
+                alone = _PUBLIC[label](cp, None)
+                assert _comparable(label, report) == _comparable(label, alone), (
+                    label, cp.provenance,
+                )
     assert shared.drazin_reused > 0
 
 
@@ -85,11 +119,15 @@ class _Rechecking(Workspace):
 
 
 def test_every_reused_product_equals_a_fresh_one():
+    # Each pair's rows in one call, then each row on its own again: every
+    # step of the second pass, and every step another pair shares, is found.
     corpora = _corpora()
     ws = _Rechecking()
-    for label, relation, runner in cli._CATALOG:
-        for cp in corpora[relation]:
-            _row_result(label, runner, cp, ws)
+    for corpus in corpora.values():
+        for cp in corpus:
+            cli._pair_reports(cp, _rows(cp), cli._I_MAX, ws)
+            for label, _, _ in _rows(cp):
+                _PUBLIC[label](cp, ws)
     assert ws.rechecked == ws.products_reused > ws.products_computed > 0
 
 
@@ -199,12 +237,27 @@ def test_lambda_suites_share_drazin_data():
 
 
 def _selftest_workspace(monkeypatch, argv):
+    """The workspace of one selftest, which counts the calls of its three
+    methods (``calls``), the calls that ``power`` makes included."""
     seen = []
 
     class Spy(Workspace):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.calls = Counter()
             seen.append(self)
+
+        def prod(self, *factors):
+            self.calls["prod"] += 1
+            return super().prod(*factors)
+
+        def power(self, a, e):
+            self.calls["power"] += 1
+            return super().power(a, e)
+
+        def drazin(self, a):
+            self.calls["drazin"] += 1
+            return super().drazin(a)
 
     monkeypatch.setattr(cli, "Workspace", Spy)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -219,22 +272,65 @@ def _selftest_workspace(monkeypatch, argv):
 )
 def test_selftest_computes_each_drazin_inverse_once(monkeypatch, argv, computed):
     """A count gate that does not depend on machine speed: the catalog asks
-    for 6,217 Drazin inverses, of which only ``computed`` are distinct."""
+    for 3,297 Drazin inverses, of which only ``computed`` are distinct.
+
+    Each pair asks for each of its Drazin inverses once in its rows, and
+    its formula asks for those of ``a`` and ``b`` once more; when each
+    suite asked for its own, the catalog asked for 6,217."""
     ws = _selftest_workspace(monkeypatch, argv)
     assert ws.drazin_computed == computed
-    assert ws.drazin_computed + ws.drazin_reused == 6217
+    assert ws.drazin_computed + ws.drazin_reused == 3297
 
 
 def test_selftest_forms_each_product_once(monkeypatch):
     """A count gate that does not depend on machine speed: one selftest over
-    F_5 asks for 99,970 product steps, of which only 3,069 are distinct.
+    F_5 asks for 54,062 product steps, of which only 3,069 are distinct.
 
-    The relation checks take their products from the workspace too, so each
-    check of a pair that the run has seen before is lookups only: that adds
-    12,316 reused steps and no computed one."""
+    Each pair asks for each distinct step of its rows and its relation
+    check once; the others are steps another pair formed first.  When each
+    suite checked the relation and formed its rows on its own, the same
+    run asked for 99,970 steps, 96,901 of them found."""
     ws = _selftest_workspace(monkeypatch, ["selftest", "--field", "Fp", "--mod", "5"])
-    assert (ws.products_computed, ws.products_reused) == (3069, 96901)
-    assert ws.products_computed + ws.products_reused == 99970
+    assert (ws.products_computed, ws.products_reused) == (3069, 50993)
+    assert ws.products_computed + ws.products_reused == 54062
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["selftest", "--field", "Fp", "--mod", "5"], {"prod": 51881, "power": 12260, "drazin": 3297}),
+        (["selftest"], {"prod": 51882, "power": 12261, "drazin": 3297}),
+    ],
+    ids=["F5", "Q"],
+)
+def test_selftest_workspace_calls(monkeypatch, argv, calls):
+    """A count gate that does not depend on machine speed: the workspace
+    calls of one selftest.  Each pair's rows ask for each distinct power,
+    product step and Drazin inverse once, one step per prod call; when each
+    suite asked for its own, a Q selftest made 68,955 prod, 35,315 power and
+    6,217 drazin calls."""
+    ws = _selftest_workspace(monkeypatch, argv)
+    assert ws.calls == calls
+
+
+def test_selftest_checks_each_pair_once(monkeypatch):
+    """One selftest evaluates the defining equations of its relation once
+    per corpus pair: 836 runs of a plan in the selftest's workspace, where
+    each suite and formula checked again before (3,238 checks)."""
+    plan, runs = relations._plan, []
+
+    def counted(*key):
+        run = plan(*key)
+
+        def counting(ws, a, b, rel):
+            runs.append(ws)
+            return run(ws, a, b, rel)
+
+        return counting
+
+    monkeypatch.setattr(relations, "_plan", counted)
+    ws = _selftest_workspace(monkeypatch, ["selftest"])
+    assert sum(r is ws for r in runs) == 836
 
 
 @pytest.mark.parametrize(
